@@ -2,7 +2,8 @@
 // the fault layer's gossip wire mutations cross-checked against the
 // membership encoder, anti-entropy convergence after a dissemination
 // blackout heals, deterministic leader failover under a churn-invisible
-// crash, and the staleness-aware mix-selection fallback.
+// crash, the staleness-aware mix-selection fallback, and one pinned
+// end-to-end membership-chaos run.
 #include <gtest/gtest.h>
 
 #include "anon/mix_selector.hpp"
@@ -10,6 +11,7 @@
 #include "churn/distributions.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/faulty_transport.hpp"
+#include "harness/membership_chaos.hpp"
 #include "membership/gossip.hpp"
 #include "membership/node_cache.hpp"
 #include "membership/onehop.hpp"
@@ -471,6 +473,24 @@ TEST(StalenessFallbackTest, DisabledPolicyNeverFallsBack) {
   ASSERT_TRUE(paths.has_value());
   EXPECT_EQ(selector.biased_selects(), 1u);
   EXPECT_EQ(selector.stale_fallbacks(), 0u);
+}
+
+// --- end to end through the durability harness -----------------------------------
+
+// The resilient arm under a gossip blackout runs every control-plane
+// defense at once (anti-entropy, bounded trust, per-node RNG, staleness-aware
+// selection at its default thresholds). Pin its exact outcome.
+TEST(MembershipChaosRunTest, GossipBlackoutResilientArmIsPinned) {
+  harness::MembershipChaosConfig config;
+  config.scenario = harness::MembershipScenario::kGossipBlackout;
+  config.arm = harness::MembershipArm::kResilient;
+  const auto result = harness::run_membership_chaos(config);
+  ASSERT_TRUE(result.constructed);
+  EXPECT_DOUBLE_EQ(result.durability_seconds, 899.469058);
+  EXPECT_EQ(result.construct_attempts, 1u);
+  EXPECT_EQ(result.messages_delivered, 90u);
+  EXPECT_EQ(result.mix_stale_fallbacks, 0u);
+  EXPECT_EQ(result.mix_biased_selects, 1u);
 }
 
 }  // namespace
