@@ -55,7 +55,10 @@ ChaosConfig sweep_config(ChaosScenario scenario, std::uint64_t seed,
                        ? 15 * kMinute   // byzantine construction is slow
                        : 10 * kMinute;
   config.send_interval = 5 * kSecond;
-  config.adaptive = adaptive;
+  if (adaptive) {
+    config.session.adaptive_timeouts = true;
+    config.session.max_segment_retries = 6;
+  }
   config.spec = anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kRandom);
   return config;
 }
@@ -69,15 +72,16 @@ ChaosConfig sweep_config(ChaosScenario scenario, std::uint64_t seed,
 //   off             seed behavior — FastOnionCodec passes byte flips
 //                   through, so corrupted reconstructions can DELIVER
 //                   WRONG BYTES (the failure mode the tentpole removes);
-//   tags            segment auth + verified decode + nack escalation —
-//                   every delivery is tag/digest-checked, so a run either
-//                   delivers the exact bytes or fails *closed*;
+//   tags            segment auth (per-segment tags, digest-validated
+//                   decode, nack escalation) — every delivery is
+//                   tag/digest-checked, so a run either delivers the exact
+//                   bytes or fails *closed*;
 //   tags+suspicion  additionally files corruption/stall evidence into the
 //                   node cache and biases mix choice away from suspects,
 //                   so rebuilt paths route around the byzantine quorum.
 struct ByzArm {
   const char* name;
-  bool tags;       // segment_auth + verified_decode + corruption_escalation
+  bool tags;       // segment_auth
   bool suspicion;  // relay_suspicion + suspicion-biased mix choice
 };
 
@@ -137,10 +141,8 @@ int run_byzantine_sweep(std::uint64_t seed, std::size_t seeds,
                      /*adaptive=*/false, nodes);
     config.spec = byz_spec(job.proto, mix);
     config.byzantine_probability = kByzProbs[job.prob];
-    config.segment_auth = arm.tags;
-    config.verified_decode = arm.tags;
-    config.corruption_escalation = arm.tags;
-    config.relay_suspicion = arm.suspicion;
+    config.session.segment_auth = arm.tags;
+    config.session.relay_suspicion = arm.suspicion;
     results[i] = run_chaos_experiment(config);
   });
 
@@ -250,6 +252,36 @@ ChaosConfig control_chaos_config() {
   config.send_interval = 10 * kSecond;
   config.spec = anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kRandom);
   return config;
+}
+
+/// Off-means-off guard shared by the membership, overload and anonymity
+/// sweeps: runs the control config with factory defaults, then `spelled`
+/// (the control config with the sweep's knobs written out at their
+/// defaults). Prints the verdict, records both fingerprints in `report`,
+/// and returns whether both reproduce kPrePrFingerprint.
+bool check_control_fingerprint(obs::BenchReport& report,
+                               const ChaosConfig& spelled) {
+  const ChaosResult control_default =
+      run_chaos_experiment(control_chaos_config());
+  const ChaosResult control_spelled = run_chaos_experiment(spelled);
+  const bool fingerprint_ok =
+      control_default.fingerprint() == kPrePrFingerprint &&
+      control_spelled.fingerprint() == kPrePrFingerprint;
+  std::printf("control fingerprint: %s\n",
+              fingerprint_ok ? "MATCHES pre-PR baseline"
+                             : "MISMATCH vs pre-PR baseline");
+  if (!fingerprint_ok) {
+    std::printf("  pre-PR:  %s\n  default: %s\n  spelled: %s\n",
+                kPrePrFingerprint, control_default.fingerprint().c_str(),
+                control_spelled.fingerprint().c_str());
+  }
+  report.add_text("pre_pr_fingerprint", kPrePrFingerprint);
+  report.add_text("control_fingerprint", control_default.fingerprint());
+  report.add_text("control_fingerprint_spelled",
+                  control_spelled.fingerprint());
+  report.add("fingerprint_match",
+             static_cast<std::uint64_t>(fingerprint_ok ? 1 : 0));
+  return fingerprint_ok;
 }
 
 int run_membership_sweep(std::uint64_t seed, std::size_t seeds,
@@ -376,37 +408,16 @@ int run_membership_sweep(std::uint64_t seed, std::size_t seeds,
               "inflation bounded trust caps the fake uptimes that would "
               "otherwise dominate the Eq. 3 ranking.\n");
 
-  // Control fingerprint: the pre-PR chaos run, once with factory defaults
-  // and once with every membership knob spelled out at its default value —
-  // all three strings must agree or a default drifted.
-  const ChaosResult control_default =
-      run_chaos_experiment(control_chaos_config());
+  // Control fingerprint, with every membership knob spelled out at its
+  // default: all three strings must agree or a default drifted.
   ChaosConfig spelled = control_chaos_config();
   spelled.environment.membership_kind = MembershipKind::kGossip;
   spelled.environment.gossip.anti_entropy_interval = 0;
   spelled.environment.gossip.per_node_rng = false;
   spelled.environment.gossip.bounded_trust = false;
   spelled.environment.membership_obs_interval = 0;
-  const ChaosResult control_spelled = run_chaos_experiment(spelled);
-  const bool fingerprint_ok =
-      control_default.fingerprint() == kPrePrFingerprint &&
-      control_spelled.fingerprint() == kPrePrFingerprint;
-  std::printf("control fingerprint: %s\n",
-              fingerprint_ok ? "MATCHES pre-PR baseline"
-                             : "MISMATCH vs pre-PR baseline");
-  if (!fingerprint_ok) {
-    std::printf("  pre-PR:  %s\n  default: %s\n  spelled: %s\n",
-                kPrePrFingerprint, control_default.fingerprint().c_str(),
-                control_spelled.fingerprint().c_str());
-  }
-
   report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
-  report.add_text("pre_pr_fingerprint", kPrePrFingerprint);
-  report.add_text("control_fingerprint", control_default.fingerprint());
-  report.add_text("control_fingerprint_spelled",
-                  control_spelled.fingerprint());
-  report.add("fingerprint_match",
-             static_cast<std::uint64_t>(fingerprint_ok ? 1 : 0));
+  const bool fingerprint_ok = check_control_fingerprint(report, spelled);
   report.add_section("durability", table.to_json());
   report.add_section("membership_drops", drop_table.to_json());
   if (!report.write_if_requested(json_path)) return 1;
@@ -457,12 +468,14 @@ ChaosConfig overload_cell_config(std::size_t proto, workload::LoadShape shape,
   config.scenario = ChaosScenario::kMildLossDrizzle;
   config.warmup = 5 * kMinute;
   config.measure = 10 * kMinute;
-  config.adaptive = true;  // retransmissions are the collapse fuel
+  // Adaptive mode: retransmissions are the collapse fuel.
+  config.session.adaptive_timeouts = true;
+  config.session.max_segment_retries = 6;
   // At 4 msg/s the default threshold (3 consecutive timeouts) turns the
   // drizzle's ~1/3 ack-round-trip loss into perpetual rebuild churn;
   // raise it so retransmission absorbs background loss and offered load
   // stays the only stressor.
-  config.path_fail_threshold = 40;
+  config.session.path_fail_threshold = 40;
   config.spec = byz_spec(proto, anon::MixChoice::kRandom);
   config.workload.enabled = true;
   config.workload.shape = shape;
@@ -477,9 +490,7 @@ ChaosConfig overload_cell_config(std::size_t proto, workload::LoadShape shape,
     config.environment.router.overload.shedding = true;
     config.environment.router.overload.admission_control = true;
     config.environment.router.overload.backpressure = true;
-    config.max_inflight_segments = 256;
-    config.shed_low_priority = true;
-    config.session_backpressure = true;
+    config.session.max_inflight_segments = 256;
   }
   return config;
 }
@@ -634,38 +645,15 @@ int run_overload_sweep(std::uint64_t seed, std::size_t seeds,
               "deferring bulk, so interactive goodput and p99 stay "
               "serviceable through the spike.\n");
 
-  // Off means off: factory defaults and every overload/workload knob
-  // spelled at its default must reproduce the pre-PR fingerprint.
-  const ChaosResult control_default =
-      run_chaos_experiment(control_chaos_config());
+  // Off means off: every overload/workload knob spelled at its default
+  // must reproduce the pre-PR fingerprint.
   ChaosConfig spelled = control_chaos_config();
   spelled.workload = workload::WorkloadConfig{};
   spelled.environment.router.overload = anon::RouterConfig::OverloadConfig{};
-  spelled.environment.router.pool_max_capacity = 0;
   spelled.environment.overload_obs_interval = 0;
-  spelled.max_inflight_segments = 0;
-  spelled.shed_low_priority = false;
-  spelled.session_backpressure = false;
-  const ChaosResult control_spelled = run_chaos_experiment(spelled);
-  const bool fingerprint_ok =
-      control_default.fingerprint() == kPrePrFingerprint &&
-      control_spelled.fingerprint() == kPrePrFingerprint;
-  std::printf("control fingerprint: %s\n",
-              fingerprint_ok ? "MATCHES pre-PR baseline"
-                             : "MISMATCH vs pre-PR baseline");
-  if (!fingerprint_ok) {
-    std::printf("  pre-PR:  %s\n  default: %s\n  spelled: %s\n",
-                kPrePrFingerprint, control_default.fingerprint().c_str(),
-                control_spelled.fingerprint().c_str());
-  }
-
+  spelled.session.max_inflight_segments = 0;
   report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
-  report.add_text("pre_pr_fingerprint", kPrePrFingerprint);
-  report.add_text("control_fingerprint", control_default.fingerprint());
-  report.add_text("control_fingerprint_spelled",
-                  control_spelled.fingerprint());
-  report.add("fingerprint_match",
-             static_cast<std::uint64_t>(fingerprint_ok ? 1 : 0));
+  const bool fingerprint_ok = check_control_fingerprint(report, spelled);
   report.add_section("overload", table.to_json());
   if (!report.write_if_requested(json_path)) return 1;
   return fingerprint_ok ? 0 : 1;
@@ -854,34 +842,13 @@ int run_anonymity_sweep(std::uint64_t seed, std::size_t seeds,
               "from the dummies. Under churn the intersection set shrinks "
               "toward the persistent initiator.\n");
 
-  // Off means off: the pre-PR chaos control run, once with factory
-  // defaults and once with the observer hook explicitly nulled — the
-  // fingerprints must match the committed baseline byte for byte.
-  const ChaosResult control_default =
-      run_chaos_experiment(control_chaos_config());
+  // Off means off: the observer hook explicitly nulled must reproduce the
+  // pre-PR fingerprint byte for byte.
   ChaosConfig spelled = control_chaos_config();
   spelled.environment.link_tap = nullptr;
-  const ChaosResult control_spelled = run_chaos_experiment(spelled);
-  const bool fingerprint_ok =
-      control_default.fingerprint() == kPrePrFingerprint &&
-      control_spelled.fingerprint() == kPrePrFingerprint;
-  std::printf("control fingerprint: %s\n",
-              fingerprint_ok ? "MATCHES pre-PR baseline"
-                             : "MISMATCH vs pre-PR baseline");
-  if (!fingerprint_ok) {
-    std::printf("  pre-PR:  %s\n  default: %s\n  spelled: %s\n",
-                kPrePrFingerprint, control_default.fingerprint().c_str(),
-                control_spelled.fingerprint().c_str());
-  }
-
   report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
   report.add("nodes", static_cast<std::uint64_t>(nodes));
-  report.add_text("pre_pr_fingerprint", kPrePrFingerprint);
-  report.add_text("control_fingerprint", control_default.fingerprint());
-  report.add_text("control_fingerprint_spelled",
-                  control_spelled.fingerprint());
-  report.add("fingerprint_match",
-             static_cast<std::uint64_t>(fingerprint_ok ? 1 : 0));
+  const bool fingerprint_ok = check_control_fingerprint(report, spelled);
   report.add_section("anonymity", table.to_json());
   if (!report.write_if_requested(json_path)) return 1;
   return fingerprint_ok ? 0 : 1;

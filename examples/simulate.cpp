@@ -3,7 +3,7 @@
 // metrics (setup success, durability, latency, bandwidth) for that single
 // configuration.
 //
-//   ./build/examples/simulate --protocol simera --k 4 --r 2 --mix biased \
+//   ./build/examples/simulate --protocol simera --k 4 --r 2 --mix biased
 //       --nodes 512 --median 1800 --seeds 5
 //
 // This is the fastest way to explore parameterizations the paper's tables

@@ -69,15 +69,13 @@ Bytes serialize_payload_core(const PayloadCore& core) {
   put_u32be(out, static_cast<std::uint32_t>(core.segment.size()));
   append(out, core.segment);
   // Auth trailer: appended after the segment so a legacy core's bytes are
-  // untouched. The trailer length is implied by auth_flags and cross-checked
-  // against the exact total size at parse time.
+  // untouched. Its length is cross-checked against the exact total size at
+  // parse time.
   if (core.auth_flags != PayloadCore::kAuthNone) {
     out.push_back(core.auth_flags);
     append(out, ByteView(core.message_digest.data(),
                          core.message_digest.size()));
-    if (core.auth_flags == PayloadCore::kAuthTagged) {
-      append(out, ByteView(core.auth_tag.data(), core.auth_tag.size()));
-    }
+    append(out, ByteView(core.auth_tag.data(), core.auth_tag.size()));
   }
   return out;
 }
@@ -94,30 +92,21 @@ std::optional<PayloadCore> parse_payload_core(ByteView plain) {
   std::memcpy(core.responder_key.data(), plain.data() + 20,
               core.responder_key.size());
   const std::size_t seg_len = get_u32be(plain, 20 + crypto::kChaChaKeySize);
-  // Three valid shapes, each with an exact total size: legacy (no
-  // trailer), digest trailer (+17), tagged trailer (+33). The flags byte
-  // must agree with the size, so no single-byte flip can move a core from
-  // one shape to another — the mismatch fails parsing instead.
-  constexpr std::size_t kDigestTrailer = 1 + crypto::kMessageDigestSize;
-  constexpr std::size_t kTaggedTrailer = kDigestTrailer + crypto::kSegmentTagSize;
-  if (plain.size() == kHeader + seg_len + kDigestTrailer ||
-      plain.size() == kHeader + seg_len + kTaggedTrailer) {
-    const std::uint8_t flags = plain[kHeader + seg_len];
-    const bool tagged = plain.size() == kHeader + seg_len + kTaggedTrailer;
-    if (flags != (tagged ? PayloadCore::kAuthTagged
-                         : PayloadCore::kAuthDigest)) {
-      return std::nullopt;
-    }
-    core.auth_flags = flags;
-    std::memcpy(core.message_digest.data(),
-                plain.data() + kHeader + seg_len + 1,
+  // Two valid shapes, each with an exact total size: legacy (no trailer)
+  // and tagged trailer (+33), whose flags byte must read kAuthTagged. A
+  // core of any other size, or a tagged-size core with any other flags
+  // byte, fails parsing.
+  constexpr std::size_t kTaggedTrailer =
+      1 + crypto::kMessageDigestSize + crypto::kSegmentTagSize;
+  if (plain.size() == kHeader + seg_len + kTaggedTrailer) {
+    const std::size_t trailer = kHeader + seg_len;
+    if (plain[trailer] != PayloadCore::kAuthTagged) return std::nullopt;
+    core.auth_flags = PayloadCore::kAuthTagged;
+    std::memcpy(core.message_digest.data(), plain.data() + trailer + 1,
                 core.message_digest.size());
-    if (tagged) {
-      std::memcpy(core.auth_tag.data(),
-                  plain.data() + kHeader + seg_len + 1 +
-                      core.message_digest.size(),
-                  core.auth_tag.size());
-    }
+    std::memcpy(core.auth_tag.data(),
+                plain.data() + trailer + 1 + core.message_digest.size(),
+                core.auth_tag.size());
   } else if (plain.size() != kHeader + seg_len) {
     return std::nullopt;
   }

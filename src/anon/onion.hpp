@@ -45,11 +45,10 @@ struct PathHop {
 
 /// The responder-facing core of a payload onion.
 struct PayloadCore {
-  /// auth_flags values. Any other value fails parsing — a single byte flip
-  /// cannot turn one valid trailer shape into another without also breaking
-  /// the exact-size check.
+  /// auth_flags values. Any other flags byte fails parsing, and each shape
+  /// has its own exact total size, so a single byte flip cannot turn one
+  /// valid shape into the other.
   static constexpr std::uint8_t kAuthNone = 0;    // legacy core, no trailer
-  static constexpr std::uint8_t kAuthDigest = 1;  // [flags][digest]
   static constexpr std::uint8_t kAuthTagged = 3;  // [flags][digest][tag]
 
   MessageId message_id = 0;

@@ -26,6 +26,10 @@ constexpr std::uint8_t kTypeConstructPayload = 7;
 // contains it.
 constexpr std::uint8_t kTypeBackpressure = 8;
 
+// Decode-attempt budget for the digest-validated subset search
+// (erasure/verified_decode) over a tagged reassembly.
+constexpr std::size_t kMaxDecodeSubsets = 24;
+
 /// Zero-sim-duration async span bracketing one relay's processing of a
 /// datagram; only reached behind an enabled() check. Keeps the per-hop peel
 /// visible on the message's correlation chain.
@@ -110,7 +114,6 @@ AnonRouter::AnonRouter(sim::Simulator& simulator, net::Demux& demux,
       is_up_(std::move(is_up)),
       config_(config),
       rng_(rng),
-      pool_(BufferPool::kDefaultCapacity, config.pool_max_capacity),
       metrics_(config.metrics != nullptr ? config.metrics
                                          : &obs::Registry::global()),
       bytes_construct_(
@@ -816,35 +819,18 @@ void AnonRouter::deliver_to_responder(NodeId responder, RelayEntry& entry,
       tracer.span_begin("anon", "reconstruct", core->message_id, args);
     }
   }
-  // Erasure metadata comes from the first *trusted* core (every core in
-  // legacy and digest modes; tag-verified ones in tagged mode). needed == 0
-  // marks "not yet trusted" — parse_payload_core guarantees m >= 1.
+  // Erasure metadata comes from the first *trusted* core (every legacy
+  // core; tag-verified ones in tagged mode). needed == 0 marks "not yet
+  // trusted" — parse_payload_core guarantees m >= 1.
   if (reassembly.needed == 0 && trusted) {
     reassembly.needed = core->needed_segments;
     reassembly.total = core->total_segments;
     reassembly.original_size = core->original_size;
   }
-  if (core->auth_flags > reassembly.auth_flags) {
-    reassembly.auth_flags = core->auth_flags;
-  }
+  if (tagged) reassembly.tagged = true;
   if (tag_verified && !reassembly.digest_known) {
     reassembly.digest_known = true;
     reassembly.digest = core->message_digest;
-  }
-  if (core->auth_flags == PayloadCore::kAuthDigest) {
-    // Tagless mode: no single core is trusted, so digests are ballots. The
-    // validator later accepts any candidate — an oblivious byte-flipper
-    // cannot steer SHA-256 onto a chosen value, so a decode matching any
-    // ballot is the initiator's message (see DESIGN.md threat model).
-    bool counted = false;
-    for (auto& [digest, votes] : reassembly.digest_votes) {
-      if (digest == core->message_digest) {
-        ++votes;
-        counted = true;
-        break;
-      }
-    }
-    if (!counted) reassembly.digest_votes.emplace_back(core->message_digest, 1);
   }
   reassembly.expires = now + config_.reassembly_ttl;
 
@@ -869,8 +855,7 @@ void AnonRouter::deliver_to_responder(NodeId responder, RelayEntry& entry,
       reassembly.quarantined_sids.push_back(entry.upstream_sid);
     }
     responder_nack(responder, entry, core->message_id, core->segment_index);
-    if (!reassembly.delivered && reassembly.needed > 0 &&
-        reassembly.auth_flags != PayloadCore::kAuthNone) {
+    if (!reassembly.delivered && reassembly.needed > 0) {
       try_authenticated_decode(responder, core->message_id, reassembly);
     }
     return;
@@ -886,29 +871,18 @@ void AnonRouter::deliver_to_responder(NodeId responder, RelayEntry& entry,
   }
   if (!known_path) reassembly.arrival_sids.push_back(entry.upstream_sid);
 
-  // Store the segment unless it's a duplicate index. In auth modes a
-  // tag-verified copy supersedes an unverified one (a clean retransmit
-  // must not be shadowed by the corrupted original), and a conflicting
-  // unverified duplicate is stashed as a quarantined alternate for the
-  // subset search instead of being dropped.
+  // Store the segment unless it's a duplicate index. A tag-verified copy
+  // supersedes an unverified one (a clean retransmit must not be shadowed
+  // by an earlier copy the tag check never vouched for).
   bool duplicate = false;
   for (std::size_t i = 0; i < reassembly.segments.size(); ++i) {
     erasure::Segment& seg = reassembly.segments[i];
     if (seg.index != core->segment_index) continue;
     duplicate = true;
-    if (!reassembly.segment_verified[i]) {
-      if (tag_verified) {
-        seg.data = core->segment;
-        reassembly.segment_verified[i] = true;
-        reassembly.segment_sids[i] = entry.upstream_sid;
-      } else if (core->auth_flags != PayloadCore::kAuthNone &&
-                 seg.data != core->segment) {
-        erasure::Segment alternate;
-        alternate.index = core->segment_index;
-        alternate.data = core->segment;
-        reassembly.quarantined.push_back(std::move(alternate));
-        reassembly.quarantined_sids.push_back(entry.upstream_sid);
-      }
+    if (tag_verified && !reassembly.segment_verified[i]) {
+      seg.data = core->segment;
+      reassembly.segment_verified[i] = true;
+      reassembly.segment_sids[i] = entry.upstream_sid;
     }
     break;
   }
@@ -921,12 +895,10 @@ void AnonRouter::deliver_to_responder(NodeId responder, RelayEntry& entry,
     reassembly.segment_verified.push_back(tag_verified);
   }
 
-  if (config_.send_acks) {
-    responder_ack(responder, entry, core->message_id, core->segment_index);
-  }
+  responder_ack(responder, entry, core->message_id, core->segment_index);
 
   if (reassembly.delivered || reassembly.needed == 0) return;
-  if (reassembly.auth_flags != PayloadCore::kAuthNone) {
+  if (reassembly.tagged) {
     try_authenticated_decode(responder, core->message_id, reassembly);
     return;
   }
@@ -941,39 +913,37 @@ void AnonRouter::deliver_to_responder(NodeId responder, RelayEntry& entry,
   }
 }
 
-bool AnonRouter::try_authenticated_decode(NodeId responder,
+void AnonRouter::try_authenticated_decode(NodeId responder,
                                           MessageId message_id,
                                           Reassembly& reassembly) {
+  // No tag-verified core yet: no trusted digest to validate against.
+  if (!reassembly.digest_known) return;
   const auto& codec = codec_for(reassembly.needed, reassembly.total);
 
-  // Tagged mode, enough tag-verified segments: decode them directly. Every
-  // input is authenticated, so this cannot yield wrong bytes.
-  if (reassembly.digest_known) {
-    std::vector<erasure::Segment> verified;
-    for (std::size_t i = 0; i < reassembly.segments.size(); ++i) {
-      if (reassembly.segment_verified[i]) {
-        verified.push_back(reassembly.segments[i]);
-      }
+  // Enough tag-verified segments: decode them directly. Every input is
+  // authenticated, so this cannot yield wrong bytes.
+  std::vector<erasure::Segment> verified;
+  for (std::size_t i = 0; i < reassembly.segments.size(); ++i) {
+    if (reassembly.segment_verified[i]) {
+      verified.push_back(reassembly.segments[i]);
     }
-    if (verified.size() >= reassembly.needed) {
-      auto decoded = codec.decode(verified, reassembly.original_size);
-      if (decoded.has_value() &&
-          crypto::message_digest(*decoded) == reassembly.digest) {
-        deliver_reconstructed(responder, message_id, reassembly,
-                              std::move(*decoded));
-        return true;
-      }
-      // Unreachable short of a tag forgery; fall through to the search.
+  }
+  if (verified.size() >= reassembly.needed) {
+    auto decoded = codec.decode(verified, reassembly.original_size);
+    if (decoded.has_value() &&
+        crypto::message_digest(*decoded) == reassembly.digest) {
+      deliver_reconstructed(responder, message_id, reassembly,
+                            std::move(*decoded));
+      return;
     }
-  } else if (reassembly.digest_votes.empty()) {
-    return false;  // no trusted digest and no ballots: nothing to validate
+    // Unreachable short of a tag forgery; fall through to the search.
   }
 
   // Digest-validated subset search over everything received, quarantined
-  // alternates included (their tags failed, but the damage may have been
+  // segments included (their tags failed, but the damage may have been
   // confined to the trailer). The decoder never returns unvalidated
   // plaintext: a candidate decode is delivered only when its digest
-  // matches the trusted digest (tagged mode) or any ballot (digest mode).
+  // matches the trusted digest.
   std::vector<erasure::Segment> pool;
   std::vector<StreamId> pool_sids;
   std::size_t admitted = reassembly.segments.size();
@@ -987,27 +957,21 @@ bool AnonRouter::try_authenticated_decode(NodeId responder,
     pool.push_back(reassembly.quarantined[i]);
     pool_sids.push_back(reassembly.quarantined_sids[i]);
   }
-  if (pool.size() < reassembly.needed) return false;
+  if (pool.size() < reassembly.needed) return;
 
   const erasure::DecodeValidator validate = [&](ByteView message) {
-    const auto digest = crypto::message_digest(message);
-    if (reassembly.digest_known) return digest == reassembly.digest;
-    for (const auto& [candidate, votes] : reassembly.digest_votes) {
-      if (candidate == digest) return true;
-    }
-    return false;
+    return crypto::message_digest(message) == reassembly.digest;
   };
-  auto result =
-      erasure::verified_decode(codec, pool, reassembly.original_size,
-                               validate, config_.max_decode_subsets);
+  auto result = erasure::verified_decode(codec, pool, reassembly.original_size,
+                                         validate, kMaxDecodeSubsets);
   if (!result.has_value()) {
     auth_fallback_failed_ctr_->inc();
-    return false;
+    return;
   }
   auth_fallback_ok_ctr_->inc();
 
   // Error location: every admitted segment proven corrupted earns its
-  // arrival path a corruption verdict. Quarantined alternates were already
+  // arrival path a corruption verdict. Quarantined segments were already
   // nacked on arrival — no double jeopardy.
   std::vector<std::uint32_t> to_nack;
   for (std::uint32_t index : result->corrupted_indices) {
@@ -1021,7 +985,6 @@ bool AnonRouter::try_authenticated_decode(NodeId responder,
   nack_segments(responder, message_id, to_nack, pool, pool_sids);
   deliver_reconstructed(responder, message_id, reassembly,
                         std::move(result->message));
-  return true;
 }
 
 void AnonRouter::deliver_reconstructed(NodeId responder, MessageId message_id,
@@ -1249,8 +1212,7 @@ void AnonRouter::byte_census(obs::capacity::ByteCensus& census) const {
       for (const auto& seg : r.quarantined) held += seg.data.capacity();
       held += obs::capacity::vector_bytes(r.arrival_sids) +
               obs::capacity::vector_bytes(r.segment_sids) +
-              obs::capacity::vector_bytes(r.quarantined_sids) +
-              obs::capacity::vector_bytes(r.digest_votes);
+              obs::capacity::vector_bytes(r.quarantined_sids);
       reassembly_bytes += held;
     }
   }

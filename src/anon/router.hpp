@@ -65,17 +65,7 @@ struct RouterConfig {
   SimDuration state_ttl = 2 * kMinute;       // §4.3 TTL on cached path state
   SimDuration sweep_interval = 30 * kSecond; // expiry sweep cadence
   SimDuration reassembly_ttl = 2 * kMinute;  // responder reassembly buffers
-  bool send_acks = true;                     // per-segment end-to-end acks
-  /// Decode-attempt budget for the digest-validated subset-search fallback
-  /// (erasure/verified_decode). Only consulted when segments arrive with
-  /// an auth trailer — the initiator's opt-in is the feature switch, so
-  /// legacy traffic never reaches this code.
-  std::size_t max_decode_subsets = 24;
   obs::Registry* metrics = nullptr;          // nullptr = global registry
-
-  /// Hard cap on the capacity the relay buffer pool retains per buffer
-  /// (0 = uncapped, the legacy behavior). See BufferPool.
-  std::size_t pool_max_capacity = 0;
 
   /// Overload-resilience knobs. `enabled` turns on the per-relay leaky
   /// bucket that models bounded forwarding queues; the sub-switches pick
@@ -297,15 +287,13 @@ class AnonRouter {
 
     // Corruption-resilience state; untouched (and unallocated) while only
     // legacy cores arrive.
-    std::uint8_t auth_flags = 0;   // strongest trailer shape seen
+    bool tagged = false;           // an auth-trailer core has arrived
     bool digest_known = false;     // trusted digest (from a tag-verified core)
     crypto::MessageDigest digest{};
     std::vector<StreamId> segment_sids;     // arrival sid per admitted segment
     std::vector<bool> segment_verified;     // tag-verified per admitted segment
     std::vector<erasure::Segment> quarantined;  // tag-rejected, never decoded
     std::vector<StreamId> quarantined_sids;
-    /// Digest ballots for the tagless mode: (digest, votes).
-    std::vector<std::pair<crypto::MessageDigest, std::size_t>> digest_votes;
   };
 
   void handle_forward(NodeId from, NodeId to, ByteView payload);
@@ -330,10 +318,9 @@ class AnonRouter {
                       MessageId message_id, std::uint32_t segment_index);
   /// Decode paths for reassemblies carrying an auth trailer: verified-only
   /// decode, then digest-validated subset search over the remainder. Sends
-  /// corrupt-nacks for every segment proven bad. Returns true when the
-  /// message was delivered (or proven undeliverable this round is false —
-  /// more segments may still arrive).
-  bool try_authenticated_decode(NodeId responder, MessageId message_id,
+  /// corrupt-nacks for every segment proven bad. A round that cannot
+  /// deliver yet is not final — more segments may still arrive.
+  void try_authenticated_decode(NodeId responder, MessageId message_id,
                                 Reassembly& reassembly);
   void deliver_reconstructed(NodeId responder, MessageId message_id,
                              Reassembly& reassembly, Bytes message);

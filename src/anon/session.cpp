@@ -9,9 +9,30 @@
 namespace p2panon::anon {
 
 namespace {
+
+// Adaptive mode (adaptive_timeouts): RTO clamp and the retry backoff
+// schedule, sized for fault windows of minutes.
+constexpr SimDuration kRtoMin = 500 * kMillisecond;
+constexpr SimDuration kRtoMax = 30 * kSecond;
+constexpr SimDuration kBackoffBase = 250 * kMillisecond;
+constexpr SimDuration kBackoffMax = 10 * kSecond;
+
+// Suspicion evidence per relay on the offending path (relay_suspicion): a
+// corrupt-nack is proof of tampering, an ack timeout only a hint (dead
+// relays stall too).
+constexpr double kCorruptSuspicion = 1.0;
+constexpr double kStallSuspicion = 0.25;
+
+// Consecutive corrupt-nacks that fail a path (segment_auth).
+constexpr std::size_t kNackFailThreshold = 3;
+
+// How long a backpressure frame keeps its path congested.
+constexpr SimDuration kBackpressureHold = 2 * kSecond;
+
 std::uint64_t pending_key(MessageId id, std::uint32_t segment) {
   return id ^ (static_cast<std::uint64_t>(segment) * 0x9e3779b97f4a7c15ULL);
 }
+
 }  // namespace
 
 Session::Session(AnonRouter& router, const membership::NodeCache& cache,
@@ -24,9 +45,7 @@ Session::Session(AnonRouter& router, const membership::NodeCache& cache,
       config_(config),
       rng_(rng),
       selector_(config.mix_choice, rng_.fork(),
-                StalenessPolicy{config.staleness_aware,
-                                config.staleness_stale_after,
-                                config.staleness_degrade_fraction}),
+                StalenessPolicy{.enabled = config.staleness_aware}),
       alive_(std::make_shared<bool>(true)) {
   config_.erasure.validate();
   obs::Registry& reg = router_.metrics();
@@ -68,9 +87,9 @@ Session::Session(AnonRouter& router, const membership::NodeCache& cache,
   path_health_.resize(config_.erasure.k);
   congested_until_.resize(config_.erasure.k, 0);
   last_backpressure_.resize(config_.erasure.k, 0);
-  if (config_.adaptive_timeouts || config_.retry_backoff) {
-    // Forked only when a new mode is on: fork() advances rng_, and the
-    // default configuration must keep every existing draw in place.
+  if (config_.adaptive_timeouts) {
+    // Forked only in adaptive mode: fork() advances rng_, and the default
+    // configuration must keep every existing draw in place.
     backoff_rng_ = rng_.fork();
   }
   if (config_.replace_threshold > 0.0) {
@@ -297,7 +316,7 @@ void Session::top_up_missing_paths() {
 }
 
 void Session::retry_construction() {
-  if (!config_.retry_backoff) {
+  if (!config_.adaptive_timeouts) {
     attempt_construction();  // immediate retry: the paper's behavior
     return;
   }
@@ -315,8 +334,7 @@ void Session::retry_construction() {
 
 SimDuration Session::backoff_delay(std::size_t failures) {
   const std::size_t shift = std::min<std::size_t>(failures, 20);
-  SimDuration delay =
-      std::min(config_.backoff_base << shift, config_.backoff_max);
+  SimDuration delay = std::min(kBackoffBase << shift, kBackoffMax);
   if (delay < 2) return delay;
   // Deterministic jitter in [delay/2, delay], from the session's own
   // forked stream so it perturbs no other component.
@@ -363,14 +381,12 @@ MessageId Session::send_message(ByteView data, SegmentPriority priority) {
 
   // Bounded send queue: refuse the whole message up front when the pending
   // ledger has no room for its segments. Bulk is refused earlier (at 3/4 of
-  // the bound) when shed_low_priority is on, keeping headroom for
-  // interactive traffic. The check precedes the id draw so a shed message
-  // costs zero RNG draws — off-state runs never reach it.
+  // the bound), keeping headroom for interactive traffic. The check
+  // precedes the id draw so a shed message costs zero RNG draws — off-state
+  // runs never reach it.
   if (config_.max_inflight_segments > 0) {
     std::size_t limit = config_.max_inflight_segments;
-    if (config_.shed_low_priority && priority == SegmentPriority::kBulk) {
-      limit = limit * 3 / 4;
-    }
+    if (priority == SegmentPriority::kBulk) limit = limit * 3 / 4;
     if (pending_segments_.size() + config_.erasure.n > limit) {
       ++messages_shed_;
       const bool hard_full = pending_segments_.size() + config_.erasure.n >
@@ -393,11 +409,9 @@ MessageId Session::send_message(ByteView data, SegmentPriority priority) {
 
   // One digest per message, reused by every segment's trailer (and kept in
   // the pending ledger so retransmits carry it too). Zero bytes of work
-  // with both auth knobs off.
+  // with segment_auth off.
   crypto::MessageDigest digest{};
-  if (config_.segment_auth || config_.verified_decode) {
-    digest = crypto::message_digest(data);
-  }
+  if (config_.segment_auth) digest = crypto::message_digest(data);
 
   const Allocation alloc = make_allocation();
   ++messages_sent_;
@@ -417,7 +431,7 @@ MessageId Session::send_message(ByteView data, SegmentPriority priority) {
   for (std::size_t s = 0; s < segments.size(); ++s) {
     const std::size_t path_index = alloc[s];
     if (paths_[path_index].state != PathState::kEstablished) continue;
-    if (config_.backpressure && priority == SegmentPriority::kBulk &&
+    if (priority == SegmentPriority::kBulk &&
         congested_until_[path_index] > now) {
       // A relay on this path recently shed under load: hold bulk segments
       // back (the erasure code absorbs the loss if enough paths are clear)
@@ -434,25 +448,18 @@ MessageId Session::send_message(ByteView data, SegmentPriority priority) {
 
 void Session::apply_auth_trailer(PayloadCore& core, const Path& path,
                                  const crypto::MessageDigest& digest) const {
-  if (config_.segment_auth) {
-    core.auth_flags = PayloadCore::kAuthTagged;
-    core.message_digest = digest;
-    core.auth_tag = crypto::segment_tag(
-        crypto::derive_segment_auth_key(path.responder_key), core.message_id,
-        core.segment_index, core.original_size, core.needed_segments,
-        core.total_segments, digest, core.segment);
-  } else if (config_.verified_decode) {
-    core.auth_flags = PayloadCore::kAuthDigest;
-    core.message_digest = digest;
-  }
+  if (!config_.segment_auth) return;
+  core.auth_flags = PayloadCore::kAuthTagged;
+  core.message_digest = digest;
+  core.auth_tag = crypto::segment_tag(
+      crypto::derive_segment_auth_key(path.responder_key), core.message_id,
+      core.segment_index, core.original_size, core.needed_segments,
+      core.total_segments, digest, core.segment);
 }
 
 void Session::report_path_suspicion(std::size_t path_index, double weight,
                                     obs::Counter* evidence_ctr) {
-  if (!config_.relay_suspicion || !cache_.suspicion_enabled() ||
-      weight <= 0.0) {
-    return;
-  }
+  if (!config_.relay_suspicion || !cache_.suspicion_enabled()) return;
   const SimTime now = router_.simulator().now();
   // The responder cannot name the guilty relay, only the guilty path:
   // every relay on it shares the evidence and decays clean if innocent
@@ -518,7 +525,7 @@ void Session::send_segment_on_path(std::size_t path_index,
   if (config_.adaptive_timeouts) {
     timeout = current_rto(path_index);
     const std::size_t shift = std::min<std::size_t>(retries, 6);
-    timeout = std::min(timeout << shift, config_.rto_max);
+    timeout = std::min(timeout << shift, kRtoMax);
   }
   const std::uint64_t key = pending_key(message_id, segment.index);
   PendingSegment pending;
@@ -557,14 +564,13 @@ void Session::on_segment_timeout(std::uint64_t key, bool fail_pending_path) {
   // explained by honest overload, not malice — suppress the evidence so
   // saturated-but-honest relays are not quarantined as byzantine.
   const bool overload_explained =
-      config_.backpressure && last_backpressure_[failed_path] != 0 &&
+      last_backpressure_[failed_path] != 0 &&
       last_backpressure_[failed_path] >= it->second.sent_at;
   if (overload_explained) {
     ++stalls_suppressed_;
     stall_suppressed_ctr_->inc();
   } else {
-    report_path_suspicion(failed_path, config_.suspicion_stall_weight,
-                          susp_stall_ctr_);
+    report_path_suspicion(failed_path, kStallSuspicion, susp_stall_ctr_);
   }
 
   if (config_.adaptive_timeouts) {
@@ -694,8 +700,7 @@ SimDuration Session::current_rto(std::size_t path_index) const {
     return config_.ack_timeout;
   }
   const double rto = health.srtt_us + 4.0 * health.rttvar_us;
-  return std::clamp(static_cast<SimDuration>(rto), config_.rto_min,
-                    config_.rto_max);
+  return std::clamp(static_cast<SimDuration>(rto), kRtoMin, kRtoMax);
 }
 
 void Session::mark_path_failed(std::size_t path_index) {
@@ -716,8 +721,9 @@ void Session::mark_path_failed(std::size_t path_index) {
 
 void Session::schedule_rebuild(std::size_t path_index) {
   // First rebuild of a streak is immediate (detection already cost a full
-  // timeout); repeat failures back off exponentially when enabled.
-  if (!config_.retry_backoff || path_health_[path_index].rebuild_failures == 0) {
+  // timeout); repeat failures back off exponentially in adaptive mode.
+  if (!config_.adaptive_timeouts ||
+      path_health_[path_index].rebuild_failures == 0) {
     rebuild_path(path_index);
     return;
   }
@@ -750,7 +756,7 @@ void Session::rebuild_path(std::size_t path_index) {
   const SimTime now = router_.simulator().now();
   auto selected = select_relays(1, now, exclude);
   if (!selected.has_value()) {
-    if (config_.retry_backoff) {
+    if (config_.adaptive_timeouts) {
       // Not enough disjoint relays right now: try again later instead of
       // abandoning the path (and its kept pending segments) forever.
       ++path_health_[path_index].rebuild_failures;
@@ -876,10 +882,9 @@ void Session::on_reverse(std::size_t path_index,
 void Session::on_backpressure(std::size_t path_index) {
   ++backpressure_rx_;
   bp_rx_ctr_->inc();
-  if (!config_.backpressure) return;
   const SimTime now = router_.simulator().now();
   last_backpressure_[path_index] = now;
-  congested_until_[path_index] = now + config_.backpressure_hold;
+  congested_until_[path_index] = now + kBackpressureHold;
 }
 
 void Session::handle_reverse_core(std::size_t path_index,
@@ -920,15 +925,17 @@ void Session::handle_reverse_core(std::size_t path_index,
 
   if (core.type == ReverseCore::Type::kCorruptNack) {
     // The responder's verdict that a segment sent down this path arrived
-    // tampered with. Evidence first, then (optionally) recovery.
+    // tampered with. Evidence first, then recovery.
     ++nacks_received_;
     nacks_rx_ctr_->inc();
-    report_path_suspicion(path_index, config_.suspicion_corrupt_weight,
-                          susp_corrupt_ctr_);
+    report_path_suspicion(path_index, kCorruptSuspicion, susp_corrupt_ctr_);
+    // Recovery comes with segment_auth; without it a stray verdict is
+    // evidence only and the pending entry keeps its timer.
+    if (!config_.segment_auth) return;
 
     const std::uint64_t key = pending_key(core.message_id, core.segment_index);
     const auto it = pending_segments_.find(key);
-    if (config_.corruption_escalation && it != pending_segments_.end() &&
+    if (it != pending_segments_.end() &&
         it->second.path_index == path_index) {
       // The transmission is conclusively lost — no point waiting out its
       // timer. Retransmit on a different established path while retry
@@ -956,19 +963,15 @@ void Session::handle_reverse_core(std::size_t path_index,
         expire_segment(key);
       }
     }
-    // Without escalation the pending entry keeps its timer: the timeout
-    // path handles it exactly as before this feature existed.
 
-    if (config_.corruption_escalation) {
-      PathHealth& health = path_health_[path_index];
-      ++health.consecutive_nacks;
-      if (health.consecutive_nacks >= config_.escalation_nack_threshold) {
-        // Sustained corruption on this path: declare it failed and let the
-        // existing rebuild/top-up machinery provision a replacement (with
-        // relay_suspicion on, the replacement avoids the suspects).
-        health.consecutive_nacks = 0;
-        mark_path_failed(path_index);
-      }
+    PathHealth& health = path_health_[path_index];
+    ++health.consecutive_nacks;
+    if (health.consecutive_nacks >= kNackFailThreshold) {
+      // Sustained corruption on this path: declare it failed and let the
+      // existing rebuild/top-up machinery provision a replacement (with
+      // relay_suspicion on, the replacement avoids the suspects).
+      health.consecutive_nacks = 0;
+      mark_path_failed(path_index);
     }
     return;
   }
@@ -1062,9 +1065,7 @@ MessageId Session::send_message_on_demand(ByteView data) {
   session_codec().encode_into(data, encode_scratch_);
   const auto& segments = encode_scratch_;
   crypto::MessageDigest digest{};
-  if (config_.segment_auth || config_.verified_decode) {
-    digest = crypto::message_digest(data);
-  }
+  if (config_.segment_auth) digest = crypto::message_digest(data);
   const Allocation alloc = make_allocation();
   ++messages_sent_;
   msgs_ctr_->inc();

@@ -32,7 +32,7 @@ namespace p2panon::anon {
 
 struct SessionConfig {
   std::size_t path_length = 3;  // L
-  ErasureParams erasure;
+  ErasureParams erasure{};
   MixChoice mix_choice = MixChoice::kRandom;
   SimDuration construct_timeout = 5 * kSecond;
   SimDuration ack_timeout = 5 * kSecond;
@@ -42,31 +42,27 @@ struct SessionConfig {
   double replace_threshold = 0.0;     // > 0 enables proactive replacement
   SimDuration replace_check_interval = 30 * kSecond;
 
-  // --- adaptive failure handling (all default OFF: with both switches
-  // off, behavior, timings, and RNG draws are byte-identical to the
-  // paper-reproduction configuration above) ---
+  // --- resilience switches (all default OFF: with every switch off,
+  // behavior, the wire format, timings, and RNG draws are the
+  // paper-reproduction configuration above). Their tuning constants live
+  // in session.cpp (DESIGN §4, §8, §13). ---
 
-  /// TCP-style per-path retransmission timers: RTO = SRTT + 4 * RTTVAR
-  /// (Jacobson/Karels), clamped to [rto_min, rto_max], seeded from the
-  /// construction round trip and updated from first-transmission acks
-  /// (Karn's algorithm). Until the first sample, `ack_timeout` applies.
-  /// Also enables segment retransmission over surviving paths: a timed-out
-  /// segment is resent on the next established path (round-robin, doubled
-  /// timeout per retry) up to max_segment_retries times, and a path is
-  /// only declared failed after path_fail_threshold consecutive timeouts.
+  /// Adaptive failure handling. TCP-style per-path retransmission timers:
+  /// RTO = SRTT + 4 * RTTVAR (Jacobson/Karels), clamped to [500 ms, 30 s],
+  /// seeded from the construction round trip and updated from
+  /// first-transmission acks (Karn's algorithm); until the first sample,
+  /// `ack_timeout` applies. A timed-out segment is resent on the next
+  /// established path (round-robin, doubled timeout per retry) up to
+  /// max_segment_retries times, and a path is only declared failed after
+  /// path_fail_threshold consecutive timeouts. Construction and rebuild
+  /// retries back off exponentially instead of retrying at once:
+  /// delay_i = min(250 ms * 2^i, 10 s), jittered to [delay/2, delay] from
+  /// the session's own RNG stream.
   bool adaptive_timeouts = false;
-  SimDuration rto_min = 500 * kMillisecond;
-  SimDuration rto_max = 30 * kSecond;
+  /// Retransmission budget per segment: timeout retries in adaptive mode,
+  /// corrupt-nack re-routes under segment_auth.
   std::size_t max_segment_retries = 2;
   std::size_t path_fail_threshold = 3;
-
-  /// Exponential backoff with deterministic jitter for whole-set
-  /// construction retries and per-path rebuild retries, instead of
-  /// immediate retry: delay_i = min(backoff_base * 2^i, backoff_max),
-  /// jittered to [delay/2, delay] from the session's own RNG stream.
-  bool retry_backoff = false;
-  SimDuration backoff_base = 1 * kSecond;
-  SimDuration backoff_max = 60 * kSecond;
 
   /// Construction succeeds only once ALL k paths are established, not
   /// just min_paths() of them. Attempts that establish at least one path
@@ -75,73 +71,36 @@ struct SessionConfig {
   /// provisioning is the paper's behavior and what the seed tests pin.
   bool require_full_construction = false;
 
-  // --- corruption resilience (all default OFF: with every switch off,
-  // behavior, the wire format, and RNG draws are byte-identical to the
-  // configuration above — the responder only runs its verification paths
-  // when a segment actually carries an auth trailer) ---
-
-  /// Appends the keyed auth trailer ([flags][digest][tag]) to every
-  /// outgoing segment: a 16-byte whole-message digest plus a 16-byte
-  /// HMAC tag keyed from the path's responder key (crypto/segment_auth).
-  /// The responder verifies each tag before admitting the segment to
-  /// reconstruction, quarantines failures, and answers them with a
-  /// corrupt-nack instead of an ack.
+  /// Corruption resilience. Appends the keyed auth trailer
+  /// ([flags][digest][tag]) to every outgoing segment: a 16-byte
+  /// whole-message digest plus a 16-byte HMAC tag keyed from the path's
+  /// responder key (crypto/segment_auth). The responder verifies each tag
+  /// before admitting the segment to reconstruction, falls back to a
+  /// digest-validated subset search, and answers corrupted segments with a
+  /// corrupt-nack instead of an ack. The session escalates on those
+  /// verdicts: a nacked segment is re-sent on another established path
+  /// (within max_segment_retries), and a path with 3 consecutive nacks is
+  /// declared failed, handing it to the rebuild/top-up machinery.
   bool segment_auth = false;
-  /// Digest-only trailer ([flags][digest], no per-segment tags): the
-  /// responder validates every reconstruction against the digest ballots
-  /// and subset-searches around corrupted segments (erasure/
-  /// verified_decode). Implied by segment_auth — tags carry the digest.
-  bool verified_decode = false;
-  /// Feeds corruption verdicts (corrupt-nacks) and ack-timeout stalls into
-  /// the cache's behavioral-suspicion table, which biases and quarantines
-  /// mix choice. Needs the cache owner to have called enable_suspicion();
-  /// reports are silently dropped otherwise.
+  /// Feeds corruption verdicts (weight 1 per relay) and ack-timeout stalls
+  /// (weight 0.25) into the cache's behavioral-suspicion table, which
+  /// biases and quarantines mix choice. Needs the cache owner to have
+  /// called enable_suspicion(); reports are silently dropped otherwise.
   bool relay_suspicion = false;
-  double suspicion_corrupt_weight = 1.0;  // per relay, per corrupt-nack
-  double suspicion_stall_weight = 0.25;   // per relay, per ack timeout
-  /// Graceful degradation: a corrupt-nacked segment is retransmitted on
-  /// another established path (within max_segment_retries), and a path
-  /// with escalation_nack_threshold consecutive corruption verdicts is
-  /// declared failed — handing it to the existing rebuild/top-up
-  /// machinery, which provisions a fresh relay set (suspicion-biased when
-  /// relay_suspicion is on).
-  bool corruption_escalation = false;
-  std::size_t escalation_nack_threshold = 3;
 
-  // --- control-plane resilience (default OFF: with the switch off, no
-  // cache-age scan runs, no extra RNG is drawn, no extra obs series is
-  // registered, and selection is byte-identical to the configuration
-  // above) ---
-
-  /// Staleness-aware mix selection: biased choice degrades to the random
-  /// sampler while more than `staleness_degrade_fraction` of the cache's
-  /// known-alive records are older than `staleness_stale_after`, and
-  /// recovers the bias as membership repair catches up (DESIGN §9).
+  /// Staleness-aware mix selection with StalenessPolicy's default
+  /// thresholds: biased choice degrades to the random sampler while the
+  /// cache is stale, and recovers the bias as membership repair catches
+  /// up (DESIGN §9). Off: no cache-age scan, no extra obs series.
   bool staleness_aware = false;
-  SimDuration staleness_stale_after = 2 * kMinute;
-  double staleness_degrade_fraction = 0.5;
-
-  // --- overload resilience (default OFF: with max_inflight_segments == 0
-  // and both switches off, no bound is checked, no congestion state is
-  // consulted, and behavior, wire bytes, and RNG draws are byte-identical
-  // to the configuration above) ---
 
   /// Bounded sender queue: send_message refuses the whole message (returns
   /// 0) when placing its n segments would push the pending-ack ledger past
-  /// this many in-flight segments. 0 = unbounded, the legacy behavior.
+  /// this many in-flight segments; bulk is refused already at 3/4 of the
+  /// bound, keeping headroom for interactive traffic. 0 = unbounded.
   /// Retransmissions of already-placed segments bypass the bound — they
   /// replace ledger entries rather than adding new ones.
   std::size_t max_inflight_segments = 0;
-  /// Priority-aware sender shedding: bulk messages are refused already at
-  /// 3/4 of the bound, keeping headroom for interactive traffic.
-  bool shed_low_priority = false;
-  /// React to relay backpressure frames: a path that signalled a shed is
-  /// held congested for backpressure_hold (bulk segments are not placed on
-  /// it), and its ack-timeout stalls are NOT reported as suspicion
-  /// evidence — an overloaded-but-honest relay must not be quarantined as
-  /// byzantine.
-  bool backpressure = false;
-  SimDuration backpressure_hold = 2 * kSecond;
 };
 
 enum class PathState { kUnbuilt, kPending, kEstablished, kFailed };
@@ -236,8 +195,8 @@ class Session {
   std::uint64_t path_failures_detected() const { return failures_detected_; }
   std::uint64_t proactive_replacements() const { return proactive_replacements_; }
   /// Corruption verdicts (ReverseCore::kCorruptNack) received from the
-  /// responder across all paths. Always counted, even with every
-  /// corruption-resilience knob off (a legacy session never receives any).
+  /// responder across all paths. Always counted, even with segment_auth
+  /// off (a legacy session never receives any).
   std::uint64_t corrupt_nacks_received() const { return nacks_received_; }
   /// Staleness-aware selection tallies (0 unless staleness_aware): how
   /// often biased choice degraded to random because the cache was stale.
@@ -255,8 +214,11 @@ class Session {
   /// Segments withheld from congested paths (bulk-on-backpressure). They
   /// never entered the ledger, so the conservation identity still closes.
   std::uint64_t segments_deferred() const { return segments_deferred_; }
-  /// Relay backpressure frames that reached this session. Counted even
-  /// with the reaction knob off (a legacy run never receives any).
+  /// Relay backpressure frames that reached this session (relays send them
+  /// only with RouterConfig::overload.backpressure on). Each frame holds its
+  /// path congested for 2 s: bulk segments are not placed on it, and its
+  /// ack-timeout stalls are not filed as suspicion evidence — an
+  /// overloaded-but-honest relay must not be quarantined as byzantine.
   std::uint64_t backpressure_signals() const { return backpressure_rx_; }
   /// Ack-timeout stalls NOT filed as suspicion evidence because the path
   /// had signalled overload after the segment was sent.
@@ -332,8 +294,8 @@ class Session {
       SegmentPriority priority = SegmentPriority::kInteractive);
   /// Relay backpressure signal arriving on a path's reverse handler.
   void on_backpressure(std::size_t path_index);
-  /// Fills in the corruption-resilience trailer per the session knobs
-  /// (no-op with both off, keeping the wire bytes identical to the seed).
+  /// Fills in the auth trailer when segment_auth is on (no-op otherwise,
+  /// keeping the wire bytes identical to the seed).
   void apply_auth_trailer(PayloadCore& core, const Path& path,
                           const crypto::MessageDigest& digest) const;
   void report_path_suspicion(std::size_t path_index, double weight,
@@ -374,9 +336,9 @@ class Session {
   std::vector<Path> paths_;
   std::vector<PathInfo> path_info_;
   std::vector<PathHealth> path_health_;
-  // Overload/backpressure state per path slot (zeros while the knobs are
-  // off; sized eagerly, no RNG). congested_until_: bulk is withheld from
-  // the path until this time. last_backpressure_: suppression cutoff for
+  // Backpressure state per path slot (zeros until a relay signals; sized
+  // eagerly, no RNG). congested_until_: bulk is withheld from the path
+  // until this time. last_backpressure_: suppression cutoff for
   // suspicion-neutral stall accounting.
   std::vector<SimTime> congested_until_;
   std::vector<SimTime> last_backpressure_;
@@ -389,7 +351,7 @@ class Session {
   bool constructing_ = false;
   bool torn_down_ = false;  // stops scheduled backoff retries
   sim::EventId construct_backoff_event_ = sim::kInvalidEventId;
-  Rng backoff_rng_;  // forked from rng_ only when a new mode is on
+  Rng backoff_rng_;  // forked from rng_ only in adaptive mode
 
   // Encode scratch reused across send_message calls: the codec fills it in
   // place, and send_segment_on_path copies what it must keep (payload core

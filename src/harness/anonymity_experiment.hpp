@@ -49,9 +49,13 @@ struct AnonymityConfig {
   SimDuration send_interval = 5 * kSecond;
   std::size_t message_size = 512;
 
-  SimDuration construct_timeout = 5 * kSecond;
-  SimDuration ack_timeout = 5 * kSecond;
-  std::size_t max_construct_attempts = 40;
+  /// Each trial's session: the paper's fixed 5 s timeouts and 40
+  /// construction attempts. All k paths must stand, or SimEra trials would
+  /// draw fewer than k first relays and the 1-(1-f)^k comparison would be
+  /// against the wrong exponent. Erasure parameters and mix choice come
+  /// from `spec`, L from environment.path_length.
+  anon::SessionConfig session{.max_construct_attempts = 40,
+                              .require_full_construction = true};
 
   /// Hold the whole network up for the run. Default ON: validating the
   /// Eq. 4 / 1-(1-f)^k closed forms needs each trial to draw exactly k

@@ -97,14 +97,8 @@ DurabilityResult run_durability_experiment(const DurabilityConfig& config) {
 
   DurabilityResult result;
 
-  anon::SessionConfig base_session;
+  anon::SessionConfig base_session = config.session;
   base_session.path_length = config.environment.path_length;
-  base_session.construct_timeout = config.construct_timeout;
-  base_session.ack_timeout = config.ack_timeout;
-  base_session.max_construct_attempts = config.max_construct_attempts;
-  base_session.staleness_aware = config.staleness_aware;
-  base_session.staleness_stale_after = config.staleness_stale_after;
-  base_session.staleness_degrade_fraction = config.staleness_degrade_fraction;
 
   anon::Session session(env.router(),
                         env.membership().cache(config.initiator),

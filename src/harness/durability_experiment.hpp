@@ -30,22 +30,18 @@ struct DurabilityConfig {
   SimDuration measure = 1 * kHour;
   SimDuration send_interval = 10 * kSecond;
   std::size_t message_size = 1024;
-  SimDuration construct_timeout = 5 * kSecond;
-  SimDuration ack_timeout = 5 * kSecond;
-  std::size_t max_construct_attempts = 500;
   NodeId initiator = 0;
   NodeId responder = 1;
+
+  /// The initiator's session: the paper's fixed 5 s timeouts and a
+  /// 500-attempt construction budget. Erasure parameters and mix choice
+  /// come from `spec`, L from environment.path_length.
+  anon::SessionConfig session{.max_construct_attempts = 500};
 
   /// > 0 runs a HealthScoreboard across the run (window length = this);
   /// summary + table land in the result. 0 = off, byte-identical run.
   SimDuration health_interval = 0;
   HealthConfig health;  // interval field ignored; health_interval governs
-
-  /// Staleness-aware mix selection for the initiator's session (DESIGN §9).
-  /// Off by default: the session then selects exactly as the seed did.
-  bool staleness_aware = false;
-  SimDuration staleness_stale_after = 2 * kMinute;
-  double staleness_degrade_fraction = 0.5;
 };
 
 struct DurabilityResult {

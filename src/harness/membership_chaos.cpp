@@ -122,11 +122,7 @@ DurabilityResult run_membership_chaos(const MembershipChaosConfig& config) {
     run.environment.gossip.per_node_rng = true;
     run.environment.gossip.bounded_trust = true;
   }
-  if (resilient) {
-    run.staleness_aware = true;
-    run.staleness_stale_after = config.stale_after;
-    run.staleness_degrade_fraction = config.degrade_fraction;
-  }
+  run.session.staleness_aware = resilient;
   return run_durability_experiment(run);
 }
 

@@ -69,10 +69,8 @@ struct MembershipChaosConfig {
   SimDuration measure = 15 * kMinute;
   SimDuration send_interval = 10 * kSecond;
 
-  /// Resilient-arm knobs (ignored by the other arms).
+  /// Resilient-arm anti-entropy cadence (ignored by the other arms).
   SimDuration anti_entropy_interval = 15 * kSecond;
-  SimDuration stale_after = 2 * kMinute;
-  double degrade_fraction = 0.5;
 
   /// OneHop shape for the leader-crash scenario.
   std::size_t onehop_units = 8;

@@ -78,7 +78,7 @@ PathSetupResult run_path_setup_experiment(const PathSetupConfig& config) {
         new Probe(env, config.specs[s], base_session, node, responder,
                   result.success[s], outstanding);
       }
-    });
+    }, kSetupEvent);
   };
 
   env.start();

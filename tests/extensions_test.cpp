@@ -1,20 +1,10 @@
-// Tests for the post-paper extensions: bootstrap confidence intervals,
-// churn trace record/replay, and the adaptive (k, r) controller.
+// Tests for the post-paper extensions: bootstrap confidence intervals.
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <vector>
 
-#include "anon/adaptive.hpp"
-#include "anon/protocols.hpp"
-#include "churn/churn_model.hpp"
-#include "churn/distributions.hpp"
-#include "churn/trace.hpp"
-#include "membership/node_cache.hpp"
+#include "common/rng.hpp"
 #include "metrics/bootstrap.hpp"
-#include "net/demux.hpp"
-#include "net/latency_matrix.hpp"
-#include "net/sim_transport.hpp"
-#include "sim/simulator.hpp"
 
 namespace p2panon {
 namespace {
@@ -66,211 +56,6 @@ TEST(BootstrapTest, ProbabilityGreaterSeparatesClearCases) {
   const double p = metrics::bootstrap_probability_greater(high, high);
   EXPECT_GT(p, 0.3);
   EXPECT_LT(p, 0.7);
-}
-
-// --- churn trace ----------------------------------------------------------------------
-
-TEST(ChurnTraceTest, SerializeParseRoundTrip) {
-  std::vector<churn::ChurnEvent> events = {
-      {1000, 3, false}, {2000, 5, true}, {2000, 3, true}, {9000, 5, false}};
-  const auto parsed = churn::parse_trace(churn::serialize_trace(events));
-  EXPECT_EQ(parsed, events);
-}
-
-TEST(ChurnTraceTest, ParseRejectsMalformed) {
-  EXPECT_THROW(churn::parse_trace("12 three 1\n"), std::invalid_argument);
-  EXPECT_THROW(churn::parse_trace("12 3 7\n"), std::invalid_argument);
-  EXPECT_THROW(churn::parse_trace("100 1 0\n50 2 1\n"),  // out of order
-               std::invalid_argument);
-  // Comments and blanks are fine.
-  EXPECT_TRUE(churn::parse_trace("# header\n\n10 1 0\n").size() == 1);
-}
-
-TEST(ChurnTraceTest, RecordThenReplayReproducesChurnExactly) {
-  // Record a live churn model...
-  std::vector<churn::ChurnEvent> recorded;
-  std::vector<bool> initial_state;
-  {
-    sim::Simulator simulator;
-    const auto dist = churn::ParetoLifetime::with_median(300.0);
-    churn::ChurnModel model(simulator, 32, dist, Rng(7), 0.5);
-    initial_state.resize(32);
-    for (NodeId node = 0; node < 32; ++node) {
-      initial_state[node] = model.is_up(node);
-    }
-    churn::TraceRecorder recorder;
-    model.subscribe(recorder.listener());
-    model.start();
-    simulator.run_until(20 * kMinute);
-    recorded = recorder.events();
-  }
-  ASSERT_GT(recorded.size(), 20u);
-
-  // ...then replay and check the sequence of states matches event-for-event.
-  sim::Simulator simulator;
-  churn::TraceChurn replay(simulator, 32, recorded, initial_state);
-  std::vector<churn::ChurnEvent> replayed;
-  replay.subscribe([&](NodeId node, bool up, SimTime when) {
-    replayed.push_back({when, node, up});
-    EXPECT_EQ(replay.is_up(node), up);
-  });
-  replay.start();
-  simulator.run_until(20 * kMinute);
-  EXPECT_EQ(replayed, recorded);
-}
-
-TEST(ChurnTraceTest, FromTraceInfersInitialState) {
-  sim::Simulator simulator;
-  // Node 0's first event is a leave -> starts up; node 1's first event is
-  // a join -> starts down; node 2 has no events -> starts up.
-  std::vector<churn::ChurnEvent> events = {{100, 0, false}, {200, 1, true}};
-  auto replay = churn::TraceChurn::from_trace(simulator, 3, events);
-  EXPECT_TRUE(replay.is_up(0));
-  EXPECT_FALSE(replay.is_up(1));
-  EXPECT_TRUE(replay.is_up(2));
-  replay.start();
-  simulator.run();
-  EXPECT_FALSE(replay.is_up(0));
-  EXPECT_TRUE(replay.is_up(1));
-  EXPECT_EQ(replay.up_count(), 2u);
-}
-
-// --- adaptive controller ----------------------------------------------------------------
-
-struct AdaptiveFixture {
-  static constexpr std::size_t kNodes = 64;
-  sim::Simulator simulator;
-  net::LatencyMatrix latency = net::LatencyMatrix::synthetic(kNodes, Rng(90));
-  std::vector<bool> up = std::vector<bool>(kNodes, true);
-  net::SimTransport transport{simulator, latency,
-                              [this](NodeId n) { return up[n]; }};
-  net::Demux demux{transport, kNodes};
-  crypto::KeyDirectory directory;
-  anon::FastOnionCodec onion;
-  std::unique_ptr<anon::AnonRouter> router;
-  membership::NodeCache cache{kNodes};
-  Rng rng{91};
-
-  AdaptiveFixture() {
-    Rng key_rng(92);
-    auto keys = directory.provision(kNodes, key_rng);
-    router = std::make_unique<anon::AnonRouter>(
-        simulator, demux, onion, directory, std::move(keys),
-        [this](NodeId n) { return up[n]; }, anon::RouterConfig{}, rng.fork());
-    router->start();
-    for (NodeId node = 0; node < kNodes; ++node) {
-      cache.heard_directly(node, 100 * kSecond, 0);
-    }
-  }
-
-  anon::AdaptiveConfig adaptive_config() {
-    anon::AdaptiveConfig config;
-    config.session =
-        anon::ProtocolSpec::simera(2, 2, anon::MixChoice::kRandom)
-            .session_config({});
-    config.session.ack_timeout = 2 * kSecond;
-    config.evaluation_interval = 30 * kSecond;
-    config.min_observations = 8;
-    config.target_success = 0.99;
-    return config;
-  }
-};
-
-TEST(AdaptiveControllerTest, StaysPutWhenHealthy) {
-  AdaptiveFixture fx;
-  anon::AdaptiveSessionController controller(
-      *fx.router, fx.cache, 0, 1, fx.adaptive_config(), Rng(93));
-  bool ready = false;
-  controller.start([&](bool ok) { ready = ok; });
-  fx.simulator.run_until(10 * kSecond);
-  ASSERT_TRUE(ready);
-
-  for (int i = 0; i < 20; ++i) {
-    fx.simulator.schedule_at((10 + 10 * i) * kSecond, [&] {
-      controller.send_message(Bytes(256, 0x1a));
-    });
-  }
-  fx.simulator.run_until(5 * kMinute);
-  // Everything acked -> estimated success ~1 -> cheapest advice is the
-  // smallest r, which the starting (2, 2) already satisfies... the
-  // advisor may still suggest r = 1 (no redundancy); accept either no
-  // change or a downgrade, but never an escalation.
-  EXPECT_LE(controller.current_parameters().n /
-                std::max<std::size_t>(1, controller.current_parameters().m),
-            2u);
-  EXPECT_GT(controller.estimated_path_success(), 0.9);
-}
-
-TEST(AdaptiveControllerTest, EscalatesRedundancyUnderLoss) {
-  AdaptiveFixture fx;
-  anon::AdaptiveSessionController controller(
-      *fx.router, fx.cache, 0, 1, fx.adaptive_config(), Rng(94));
-  controller.start([](bool) {});
-  fx.simulator.run_until(5 * kSecond);
-
-  std::vector<std::pair<anon::ErasureParams, anon::ErasureParams>> changes;
-  controller.set_reconfigure_handler(
-      [&](const anon::ErasureParams& from, const anon::ErasureParams& to,
-          double) { changes.emplace_back(from, to); });
-
-  // Rolling churn: kill 6% of the live relays every 25 s for 5 minutes.
-  // (A one-shot kill would be filtered out immediately — reconstruction
-  // only ever builds over live relays — so ongoing deaths are what the
-  // redundancy has to absorb, exactly like real churn.)
-  // The killer closure lives in this frame (alive through run_until), so
-  // event copies capture it by reference — a shared self-holding closure
-  // would be a refcount cycle LeakSanitizer flags.
-  Rng kill_rng(95);
-  std::function<void()> killer;
-  killer = [&] {
-    if (to_seconds(fx.simulator.now()) > 300.0) return;
-    for (NodeId node = 2; node < AdaptiveFixture::kNodes; ++node) {
-      if (fx.up[node] && kill_rng.bernoulli(0.06)) fx.up[node] = false;
-    }
-    fx.simulator.schedule_after(25 * kSecond, killer);
-  };
-  fx.simulator.schedule_at(10 * kSecond, killer);
-
-  for (int i = 0; i < 55; ++i) {
-    fx.simulator.schedule_at((12 + 10 * i) * kSecond, [&] {
-      controller.send_message(Bytes(256, 0x2b));
-    });
-  }
-  fx.simulator.run_until(10 * kMinute);
-
-  EXPECT_LT(controller.estimated_path_success(), 0.85);
-  ASSERT_GE(controller.reconfigurations(), 1u);
-  const auto& final_params = controller.current_parameters();
-  const double final_r = static_cast<double>(final_params.n) /
-                         static_cast<double>(final_params.m);
-  EXPECT_GT(final_r, 1.0) << "should run with redundancy under churn";
-}
-
-TEST(AdaptiveControllerTest, MigrationIsMakeBeforeBreak) {
-  AdaptiveFixture fx;
-  anon::AdaptiveSessionController controller(
-      *fx.router, fx.cache, 0, 1, fx.adaptive_config(), Rng(96));
-  controller.start([](bool) {});
-  fx.simulator.run_until(5 * kSecond);
-
-  // Force loss, then watch: at every reconfiguration the new session is
-  // already constructed (ready) when the handler fires.
-  for (NodeId node = 2; node < AdaptiveFixture::kNodes; ++node) {
-    if (node % 3 == 0) fx.up[node] = false;
-  }
-  bool saw_ready_new_session = true;
-  controller.set_reconfigure_handler(
-      [&](const anon::ErasureParams&, const anon::ErasureParams&, double) {
-        saw_ready_new_session =
-            saw_ready_new_session && controller.active_session()->ready();
-      });
-  for (int i = 0; i < 40; ++i) {
-    fx.simulator.schedule_at((10 + 10 * i) * kSecond, [&] {
-      controller.send_message(Bytes(256, 0x3c));
-    });
-  }
-  fx.simulator.run_until(10 * kMinute);
-  EXPECT_TRUE(saw_ready_new_session);
 }
 
 }  // namespace

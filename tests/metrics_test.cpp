@@ -1,11 +1,11 @@
-// Unit tests for metrics: summaries, histograms, CDFs, tables.
+// Unit tests for metrics: summaries, CDFs, tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "metrics/cdf.hpp"
-#include "metrics/histogram.hpp"
 #include "metrics/summary.hpp"
 #include "metrics/table.hpp"
 
@@ -57,28 +57,6 @@ TEST(RatioTest, RateAndMerge) {
   EXPECT_EQ(r.trials(), 11u);
   EXPECT_EQ(r.successes(), 4u);
   EXPECT_DOUBLE_EQ(Ratio().rate(), 0.0);
-}
-
-TEST(HistogramTest, PercentilesOfUniformData) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.median(), 50.0, 1.5);
-  EXPECT_NEAR(h.percentile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.percentile(0.1), 10.0, 1.5);
-}
-
-TEST(HistogramTest, OutOfRangeSaturates) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(100.0);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(9), 1u);
-}
-
-TEST(HistogramTest, InvalidConstruction) {
-  EXPECT_THROW(Histogram(0, 0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0, 10, 0), std::invalid_argument);
 }
 
 TEST(EmpiricalCdfTest, StepFunction) {

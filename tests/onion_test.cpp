@@ -159,8 +159,8 @@ TEST_P(OnionCodecTest, InPlaceFormsMatchAllocatingForms) {
 
 INSTANTIATE_TEST_SUITE_P(RealAndFast, OnionCodecTest,
                          ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Real" : "Fast";
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Real" : "Fast";
                          });
 
 // --- Zero-allocation relay path ----------------------------------------------------
@@ -313,23 +313,14 @@ TEST(PayloadCoreWireTest, AuthTrailerShapesRoundTrip) {
 
   const Bytes legacy = serialize_payload_core(core);  // kAuthNone default
 
-  core.auth_flags = PayloadCore::kAuthDigest;
-  const Bytes digest = serialize_payload_core(core);
-  EXPECT_EQ(digest.size(), legacy.size() + 1 + crypto::kMessageDigestSize);
-
   core.auth_flags = PayloadCore::kAuthTagged;
   const Bytes tagged = serialize_payload_core(core);
-  EXPECT_EQ(tagged.size(),
-            digest.size() + crypto::kSegmentTagSize);
+  EXPECT_EQ(tagged.size(), legacy.size() + 1 + crypto::kMessageDigestSize +
+                               crypto::kSegmentTagSize);
 
   const auto parsed_legacy = parse_payload_core(legacy);
   ASSERT_TRUE(parsed_legacy.has_value());
   EXPECT_EQ(parsed_legacy->auth_flags, PayloadCore::kAuthNone);
-
-  const auto parsed_digest = parse_payload_core(digest);
-  ASSERT_TRUE(parsed_digest.has_value());
-  EXPECT_EQ(parsed_digest->auth_flags, PayloadCore::kAuthDigest);
-  EXPECT_EQ(parsed_digest->message_digest, core.message_digest);
 
   const auto parsed_tagged = parse_payload_core(tagged);
   ASSERT_TRUE(parsed_tagged.has_value());
@@ -346,25 +337,28 @@ TEST(PayloadCoreWireTest, AuthTrailerRejectsFlagSizeMismatch) {
   core.auth_flags = PayloadCore::kAuthTagged;
   Bytes tagged = serialize_payload_core(core);
 
-  // Flip the flags byte (it sits right after the segment bytes) to the
-  // digest shape: the size now claims tagged but the flags claim digest.
+  // The flags byte sits right after the segment bytes. In a tagged-size
+  // core every value but kAuthTagged is rejected: kAuthNone and
+  // kAuthTagged are the only shapes.
   const std::size_t flags_at =
       tagged.size() - 1 - crypto::kMessageDigestSize - crypto::kSegmentTagSize;
   ASSERT_EQ(tagged[flags_at], PayloadCore::kAuthTagged);
-  tagged[flags_at] = PayloadCore::kAuthDigest;
-  EXPECT_FALSE(parse_payload_core(tagged).has_value());
-  // Unknown flags value: rejected outright.
-  tagged[flags_at] = 2;
-  EXPECT_FALSE(parse_payload_core(tagged).has_value());
+  for (const std::uint8_t flags : {0, 1, 2, 4, 0xff}) {
+    tagged[flags_at] = flags;
+    EXPECT_FALSE(parse_payload_core(tagged).has_value())
+        << "flags " << static_cast<int>(flags);
+  }
   tagged[flags_at] = PayloadCore::kAuthTagged;
   EXPECT_TRUE(parse_payload_core(tagged).has_value());
 
-  // Truncating the tag (tagged shape, digest-sized buffer with flags=3)
-  // is also a mismatch.
-  core.auth_flags = PayloadCore::kAuthDigest;
-  Bytes digest_shape = serialize_payload_core(core);
-  digest_shape[flags_at] = PayloadCore::kAuthTagged;
-  EXPECT_FALSE(parse_payload_core(digest_shape).has_value());
+  // A [flags][digest] trailer without a tag matches neither shape's size,
+  // whichever flags byte it carries.
+  Bytes digest_shape(tagged.begin(), tagged.end() - crypto::kSegmentTagSize);
+  for (const std::uint8_t flags : {1, 3}) {
+    digest_shape[flags_at] = flags;
+    EXPECT_FALSE(parse_payload_core(digest_shape).has_value())
+        << "flags " << static_cast<int>(flags);
+  }
 }
 
 }  // namespace
