@@ -306,6 +306,70 @@ TEST(OffMeansOffTest, SamplerAndScoreboardPerturbNoOutcome) {
   EXPECT_FALSE(observed.health_table.empty());
 }
 
+// The health scoreboard of the control run, pinned whole: 32 windows of
+// 30 s, the drizzle's receiver_dead drops and their peak rate, and one
+// sampling event per window on top of the unsampled run's 45782.
+TEST(HealthScoreboardTest, TinyChaosTableIsPinned) {
+  harness::ChaosConfig config = tiny_chaos(3);
+  config.health_interval = 30 * kSecond;
+  const auto result = harness::run_chaos_experiment(config);
+  EXPECT_EQ(result.executed_events, 45814u);
+  EXPECT_EQ(result.health_table,
+            "health signal                    value               \n"
+            "-----------------------------------------------------\n"
+            "windows                          32                  \n"
+            "churn storm windows              0                   \n"
+            "max transitions/window           2                   \n"
+            "stalled path-windows             0                   \n"
+            "max drop rate (/s)               0.800               \n"
+            "corruption verdict               clean               \n"
+            "corruption windows               0 (streak 0)        \n"
+            "auth rejections / corrupt nacks  0 / 0               \n"
+            "drops sender_dead                0 (peak 0.000/s)    \n"
+            "drops receiver_dead              173 (peak 0.800/s)  \n"
+            "drops link_loss                  0 (peak 0.000/s)    \n"
+            "drops no_handler                 0 (peak 0.000/s)    \n"
+            "membership fault windows         0 (max/window 0)    \n"
+            "membership gossip_blackout       0 (peak 0.000/s)    \n"
+            "membership gossip_loss           0 (peak 0.000/s)    \n"
+            "membership stale_injected        0 (peak 0.000/s)    \n"
+            "membership claim_inflated        0 (peak 0.000/s)    \n"
+            "leader elections                 0                   \n");
+}
+
+// Corruption attribution end to end: under the byzantine scenario with
+// segment auth on, one window carries a responder-side rejection and the
+// corrupt nack it triggers, so the verdict is "transient".
+TEST(HealthScoreboardTest, CorruptionAttributionTableIsPinned) {
+  harness::ChaosConfig config = tiny_chaos(7);
+  config.scenario = harness::ChaosScenario::kCorruptedRelayQuorum;
+  config.measure = 8 * kMinute;
+  config.session.segment_auth = true;
+  config.health_interval = 30 * kSecond;
+  const auto result = harness::run_chaos_experiment(config);
+  EXPECT_EQ(result.health_table,
+            "health signal                    value               \n"
+            "-----------------------------------------------------\n"
+            "windows                          36                  \n"
+            "churn storm windows              0                   \n"
+            "max transitions/window           2                   \n"
+            "stalled path-windows             0                   \n"
+            "max drop rate (/s)               0.733               \n"
+            "corruption verdict               transient           \n"
+            "corruption windows               1 (streak 1)        \n"
+            "auth rejections / corrupt nacks  1 / 1               \n"
+            "drops sender_dead                0 (peak 0.000/s)    \n"
+            "drops receiver_dead              104 (peak 0.733/s)  \n"
+            "drops link_loss                  0 (peak 0.000/s)    \n"
+            "drops no_handler                 0 (peak 0.000/s)    \n"
+            "membership fault windows         0 (max/window 0)    \n"
+            "membership gossip_blackout       0 (peak 0.000/s)    \n"
+            "membership gossip_loss           0 (peak 0.000/s)    \n"
+            "membership stale_injected        0 (peak 0.000/s)    \n"
+            "membership claim_inflated        0 (peak 0.000/s)    \n"
+            "leader elections                 0                   \n");
+}
+
 // The capacity loop profiler is pure observation: it reads wall clocks
 // and writes only its own slots, never scheduling events or touching RNG
 // streams. A run with the profiler attached must therefore be
