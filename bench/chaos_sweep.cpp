@@ -18,10 +18,12 @@
 // executes with the span tracer on, writing Chrome trace-event JSON (opens
 // in Perfetto / chrome://tracing; feed it to tools/trace_analyze for the
 // offline causal report) and, with --jsonl, a sampled causal log. The
-// traced run takes two more default-off observers: --timeseries <csv>
-// attaches a windowed sampler (30 s windows over every registry series)
-// and --health prints the rolling health scoreboard (churn storms,
-// per-cause drop peaks, stalled paths) and adds its summary to --json.
+// traced run is sampled: every 30 s of sim time one tick closes a health
+// scoreboard window and exports the simulator, membership and overload
+// gauges into the run's registry (--json snapshots it). --timeseries <csv>
+// also writes one window per registry series per tick, and --health prints
+// the scoreboard (churn storms, per-cause drop peaks, stalled paths) and
+// adds its summary to --json.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -415,7 +417,6 @@ int run_membership_sweep(std::uint64_t seed, std::size_t seeds,
   spelled.environment.gossip.anti_entropy_interval = 0;
   spelled.environment.gossip.per_node_rng = false;
   spelled.environment.gossip.bounded_trust = false;
-  spelled.environment.membership_obs_interval = 0;
   report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
   const bool fingerprint_ok = check_control_fingerprint(report, spelled);
   report.add_section("durability", table.to_json());
@@ -650,7 +651,6 @@ int run_overload_sweep(std::uint64_t seed, std::size_t seeds,
   ChaosConfig spelled = control_chaos_config();
   spelled.workload = workload::WorkloadConfig{};
   spelled.environment.router.overload = anon::RouterConfig::OverloadConfig{};
-  spelled.environment.overload_obs_interval = 0;
   spelled.session.max_inflight_segments = 0;
   report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
   const bool fingerprint_ok = check_control_fingerprint(report, spelled);
@@ -869,9 +869,10 @@ bool parse_scenario(const std::string& name, ChaosScenario& out) {
   return false;
 }
 
-/// One traced run: installs the trace sinks, executes the scenario, and
-/// writes the Chrome JSON (plus the optional sampled JSONL causal log, the
-/// optional time-series CSV, and the optional health scoreboard).
+/// One traced, sampled run: installs the trace sinks, executes the
+/// scenario, and writes the Chrome JSON (plus the optional sampled JSONL
+/// causal log, the optional time-series CSV, and the optional health
+/// scoreboard printout).
 int run_traced(const std::string& trace_path, const std::string& jsonl_path,
                const std::string& scenario_flag, bool adaptive,
                double sample_rate, std::uint64_t seed, std::size_t nodes,
@@ -895,12 +896,8 @@ int run_traced(const std::string& trace_path, const std::string& jsonl_path,
   obs::TimeseriesRecorder timeseries(run_metrics);
   ChaosConfig config = sweep_config(scenario, seed, adaptive, nodes);
   config.environment.metrics = &run_metrics;
-  config.environment.obs_sample_interval = 30 * kSecond;
-  if (!timeseries_path.empty()) {
-    config.environment.timeseries = &timeseries;
-    config.environment.timeseries_interval = 30 * kSecond;
-  }
-  if (health) config.health_interval = 30 * kSecond;
+  config.environment.sampled = true;
+  if (!timeseries_path.empty()) config.environment.timeseries = &timeseries;
   const ChaosResult result = run_chaos_experiment(config);
 
   obs::uninstall_log_decorator();
@@ -996,7 +993,7 @@ int main(int argc, char** argv) {
       "write a windowed time-series CSV of the traced run's registry");
   auto& health = flags.add_bool(
       "health", false,
-      "run the rolling health scoreboard during the traced run");
+      "print the traced run's rolling health scoreboard");
   auto& byzantine = flags.add_bool(
       "byzantine-sweep", false,
       "sweep corruption probability x protocol x defense arm instead of "

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     config.environment.num_nodes = static_cast<std::size_t>(nodes);
     config.environment.seed = static_cast<std::uint64_t>(seed);
     config.spec = anon::ProtocolSpec::simera(4, 4, anon::MixChoice::kBiased);
-    config.health_interval = 30 * kSecond;
+    config.environment.sampled = true;
     const DurabilityResult diag = run_durability_experiment(config);
     std::printf("# Health scoreboard, SimEra(k=4,r=4)/biased, seed %lld "
                 "(30 s windows)\n%s\n",

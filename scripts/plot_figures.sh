@@ -96,8 +96,9 @@ EOF
 # Observability panel: a small traced chaos run with the windowed sampler
 # and health scoreboard on, then drop-rate + path-health trajectories from
 # the time-series CSV (sim-time seconds on x).
-./build/bench/chaos_sweep --nodes 64 --timeseries "$out/timeseries.csv" \
-    --health --json "$out/chaos.json" > /dev/null
+./build/bench/chaos_sweep --nodes 64 --trace "$out/chaos-trace.json" \
+    --timeseries "$out/timeseries.csv" --health --json "$out/chaos.json" \
+    > /dev/null
 python3 - "$out/timeseries.csv" "$out" <<'PY'
 import csv, sys
 out_dir = sys.argv[2]

@@ -147,8 +147,6 @@ std::string ChaosResult::fingerprint() const {
 
 ChaosResult run_chaos_experiment(const ChaosConfig& config) {
   static const auto kSendEvent = obs::capacity::event_type("harness.send");
-  static const auto kHealthEvent =
-      obs::capacity::event_type("harness.health");
   const SimTime fault_start = config.warmup + config.fault_grace;
   const SimTime fault_end = config.warmup + config.measure;
   const fault::FaultPlan plan = make_scenario_plan(
@@ -325,24 +323,7 @@ ChaosResult run_chaos_experiment(const ChaosConfig& config) {
       },
       kSendEvent);
 
-  // Optional rolling health scoreboard. Sampling reads churn/session/
-  // registry state only, so the simulated outcome (and every RNG stream)
-  // is unchanged; only executed_events grows by the sampling ticks.
-  std::unique_ptr<HealthScoreboard> health;
-  std::unique_ptr<sim::PeriodicTask> health_task;
-  if (config.health_interval > 0) {
-    HealthConfig health_config = config.health;
-    health_config.interval = config.health_interval;
-    health = std::make_unique<HealthScoreboard>(
-        env.simulator(), env.churn(), env.metrics(), env_config.num_nodes,
-        health_config);
-    health->attach_session(session);
-    health_task = std::make_unique<sim::PeriodicTask>(
-        env.simulator(), config.health_interval,
-        [&health] { health->sample(); }, kHealthEvent);
-    health_task->start();
-  }
-
+  if (HealthScoreboard* health = env.health()) health->attach_session(session);
   env.start();
   env.simulator().run_until(measure_end + config.quiesce);
 
@@ -435,8 +416,7 @@ ChaosResult run_chaos_experiment(const ChaosConfig& config) {
     result.interactive_p99_us = static_cast<std::uint64_t>(
         interactive_latencies[std::min(n - 1, (n * 99) / 100)]);
   }
-  if (health != nullptr) {
-    health_task->cancel();
+  if (const HealthScoreboard* health = env.health()) {
     result.health = health->summary();
     result.health_table = health->table();
   }

@@ -16,6 +16,10 @@
 //      handlers, or reassembly buffers remain anywhere in the network.
 //   4. Determinism: two runs with identical config produce identical
 //      fingerprints.
+//
+// With environment.sampled on, the Environment's health scoreboard watches
+// the session's paths and its summary and table land in the result; the
+// only other trace sampling leaves is one executed event per window.
 #pragma once
 
 #include <cstdint>
@@ -79,13 +83,6 @@ struct ChaosConfig {
   /// kCorruptedRelayQuorum. The default matches the original scenario;
   /// the byzantine sweep varies it.
   double byzantine_probability = 0.5;
-
-  /// > 0 runs a HealthScoreboard (window length = this) across the whole
-  /// run; the summary and rendered table land in the result and the
-  /// health_* gauges in the run's registry. 0 (default) = no scoreboard,
-  /// byte-identical run.
-  SimDuration health_interval = 0;
-  HealthConfig health;  // interval field ignored; health_interval governs
 
   /// Workload engine (off = the classic fixed-interval 0xc7 pump, byte
   /// identical to the pre-workload harness). On: Poisson arrivals of mixed
@@ -152,7 +149,7 @@ struct ChaosResult {
   std::uint64_t peel_failures = 0;
   std::uint64_t executed_events = 0;
 
-  /// Populated only when config.health_interval > 0.
+  /// Populated only when config.environment.sampled.
   HealthSummary health;
   std::string health_table;  // rendered scoreboard, empty when disabled
 

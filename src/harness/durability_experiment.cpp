@@ -1,7 +1,6 @@
 #include "harness/durability_experiment.hpp"
 
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -89,8 +88,6 @@ class DurabilityMonitor {
 
 DurabilityResult run_durability_experiment(const DurabilityConfig& config) {
   static const auto kSendEvent = obs::capacity::event_type("harness.send");
-  static const auto kHealthEvent =
-      obs::capacity::event_type("harness.health");
   Environment env(config.environment);
   env.churn().pin_up(config.initiator);
   env.churn().pin_up(config.responder);
@@ -179,28 +176,11 @@ DurabilityResult run_durability_experiment(const DurabilityConfig& config) {
     });
   });
 
-  // Optional rolling health scoreboard (reads only; no RNG, no outcome
-  // change — just extra sampling ticks on the event queue).
-  std::unique_ptr<HealthScoreboard> health;
-  std::unique_ptr<sim::PeriodicTask> health_task;
-  if (config.health_interval > 0) {
-    HealthConfig health_config = config.health;
-    health_config.interval = config.health_interval;
-    health = std::make_unique<HealthScoreboard>(
-        env.simulator(), env.churn(), env.metrics(),
-        config.environment.num_nodes, health_config);
-    health->attach_session(session);
-    health_task = std::make_unique<sim::PeriodicTask>(
-        env.simulator(), config.health_interval,
-        [&health] { health->sample(); }, kHealthEvent);
-    health_task->start();
-  }
-
+  if (HealthScoreboard* health = env.health()) health->attach_session(session);
   env.start();
   env.simulator().run_until(measure_end + 30 * kSecond);
 
-  if (health != nullptr) {
-    health_task->cancel();
+  if (const HealthScoreboard* health = env.health()) {
     result.health = health->summary();
     result.health_table = health->table();
   }

@@ -12,6 +12,9 @@
 //   - mean latency of successful deliveries (send -> responder
 //     reconstruction);
 //   - mean payload bandwidth per successful delivery.
+//
+// With environment.sampled on, the Environment's health scoreboard watches
+// the session's paths and its summary and table land in the result.
 #pragma once
 
 #include <vector>
@@ -37,11 +40,6 @@ struct DurabilityConfig {
   /// 500-attempt construction budget. Erasure parameters and mix choice
   /// come from `spec`, L from environment.path_length.
   anon::SessionConfig session{.max_construct_attempts = 500};
-
-  /// > 0 runs a HealthScoreboard across the run (window length = this);
-  /// summary + table land in the result. 0 = off, byte-identical run.
-  SimDuration health_interval = 0;
-  HealthConfig health;  // interval field ignored; health_interval governs
 };
 
 struct DurabilityResult {
@@ -53,7 +51,7 @@ struct DurabilityResult {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
 
-  /// Populated only when config.health_interval > 0.
+  /// Populated only when config.environment.sampled.
   HealthSummary health;
   std::string health_table;  // rendered scoreboard, empty when disabled
 

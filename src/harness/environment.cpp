@@ -1,5 +1,6 @@
 #include "harness/environment.hpp"
 
+#include "anon/mix_selector.hpp"
 #include "churn/distributions.hpp"
 #include "common/alloc_probe.hpp"
 #include "obs/trace.hpp"
@@ -7,6 +8,10 @@
 namespace p2panon::harness {
 
 namespace {
+
+// Sim-time length of one sampler window (EnvironmentConfig::sampled).
+constexpr SimDuration kSampleWindow = 30 * kSecond;
+
 std::uint64_t tracer_sim_clock(const void* ctx) {
   return static_cast<std::uint64_t>(
       static_cast<const sim::Simulator*>(ctx)->now());
@@ -98,6 +103,11 @@ Environment::Environment(EnvironmentConfig config)
       simulator_, *demux_, *onion_, directory_, std::move(node_keys),
       [this](NodeId node) { return churn_->is_up(node); }, router_config,
       rng_.fork());
+
+  if (config_.sampled) {
+    health_ = std::make_unique<HealthScoreboard>(simulator_, *churn_,
+                                                 *membership_, *metrics_);
+  }
 }
 
 Environment::~Environment() {
@@ -107,112 +117,87 @@ Environment::~Environment() {
 }
 
 void Environment::start() {
+  // Armed first, so each tick runs ahead of the router's expiry sweep that
+  // fires on the same instants.
+  if (config_.sampled) {
+    static const auto kSamplerEvent = obs::capacity::event_type("obs.sampler");
+    sampler_ = std::make_unique<sim::PeriodicTask>(
+        simulator_, kSampleWindow, [this] { sample(); }, kSamplerEvent);
+    sampler_->start();
+  }
   membership_->start();  // subscribes to churn before transitions begin
   router_->start();
   churn_->start();
-  static const auto kSamplerEvent = obs::capacity::event_type("obs.sampler");
-  if (config_.obs_sample_interval > 0) {
-    obs::Gauge* pending = metrics_->gauge("obs_sim_pending_events");
-    obs::Gauge* executed = metrics_->gauge("obs_sim_executed_events");
-    obs::Gauge* scheduled = metrics_->gauge("obs_sim_scheduled_events");
-    obs_sampler_ = std::make_unique<sim::PeriodicTask>(
-        simulator_, config_.obs_sample_interval,
-        [this, pending, executed, scheduled] {
-          pending->set(static_cast<std::int64_t>(simulator_.pending_events()));
-          executed->set(
-              static_cast<std::int64_t>(simulator_.executed_events()));
-          scheduled->set(
-              static_cast<std::int64_t>(simulator_.scheduled_total()));
-        },
-        kSamplerEvent);
-    obs_sampler_->start();
-  }
-  if (config_.membership_obs_interval > 0 &&
-      config_.membership_obs_node < config_.num_nodes) {
-    obs::Gauge* age_p50 = metrics_->gauge("membership_record_age_p50_ms");
-    obs::Gauge* age_p95 = metrics_->gauge("membership_record_age_p95_ms");
-    obs::Gauge* stale_bp = metrics_->gauge("membership_stale_fraction_bp");
-    obs::Gauge* known = metrics_->gauge("membership_cache_known");
-    obs::Counter* upd_direct = metrics_->counter(
-        "membership_cache_updates_total", {{"rule", "direct"}});
-    obs::Counter* upd_indirect = metrics_->counter(
-        "membership_cache_updates_total", {{"rule", "indirect"}});
-    obs::Counter* upd_rejected = metrics_->counter(
-        "membership_cache_updates_total", {{"rule", "rejected"}});
-    obs::Counter* upd_inflated = metrics_->counter(
-        "membership_cache_updates_total", {{"rule", "inflated"}});
-    obs::Counter* ae_rounds =
-        metrics_->counter("membership_anti_entropy_rounds_total");
-    obs::Counter* repair_sent =
-        metrics_->counter("membership_repair_records_sent_total");
-    obs::Counter* repair_accepted =
-        metrics_->counter("membership_repair_records_accepted_total");
-    obs::Counter* elections = metrics_->counter("membership_elections_total");
-    membership_sampler_ = std::make_unique<sim::PeriodicTask>(
-        simulator_, config_.membership_obs_interval,
-        [this, age_p50, age_p95, stale_bp, known, upd_direct, upd_indirect,
-         upd_rejected, upd_inflated, ae_rounds, repair_sent, repair_accepted,
-         elections] {
-          const auto& cache = membership_->cache(config_.membership_obs_node);
-          const auto ages = cache.age_stats(
-              simulator_.now(), config_.membership_obs_stale_after);
-          age_p50->set(static_cast<std::int64_t>(to_millis(ages.age_p50)));
-          age_p95->set(static_cast<std::int64_t>(to_millis(ages.age_p95)));
-          stale_bp->set(
-              static_cast<std::int64_t>(ages.stale_fraction * 10000.0));
-          known->set(static_cast<std::int64_t>(ages.alive_known));
-          const auto merges = cache.merge_stats();
-          upd_direct->inc(merges.updates_direct -
-                          last_merge_stats_.updates_direct);
-          upd_indirect->inc(merges.updates_indirect -
-                            last_merge_stats_.updates_indirect);
-          upd_rejected->inc(merges.merges_rejected -
-                            last_merge_stats_.merges_rejected);
-          upd_inflated->inc(merges.inflated_rejected -
-                            last_merge_stats_.inflated_rejected);
-          last_merge_stats_ = merges;
-          const auto control = membership_->control_stats();
-          ae_rounds->inc(control.anti_entropy_rounds -
-                         last_control_stats_.anti_entropy_rounds);
-          repair_sent->inc(control.repair_records_sent -
-                           last_control_stats_.repair_records_sent);
-          repair_accepted->inc(control.repair_records_accepted -
-                               last_control_stats_.repair_records_accepted);
-          elections->inc(control.elections - last_control_stats_.elections);
-          last_control_stats_ = control;
-        },
-        kSamplerEvent);
-    membership_sampler_->start();
-  }
-  if (config_.overload_obs_interval > 0) {
-    obs::Gauge* max_level = metrics_->gauge("anon_overload_max_level_bp");
-    obs::Gauge* mean_level = metrics_->gauge("anon_overload_mean_level_bp");
-    obs::Gauge* hot_nodes = metrics_->gauge("anon_overload_hot_nodes");
-    overload_sampler_ = std::make_unique<sim::PeriodicTask>(
-        simulator_, config_.overload_obs_interval,
-        [this, max_level, mean_level, hot_nodes] {
-          const auto stats = router_->overload_stats(simulator_.now());
-          // Levels exported in basis points of capacity so integer gauges
-          // keep sub-percent resolution.
-          const double cap =
-              stats.capacity > 0 ? static_cast<double>(stats.capacity) : 1.0;
-          max_level->set(
-              static_cast<std::int64_t>(stats.max_level / cap * 10000.0));
-          mean_level->set(static_cast<std::int64_t>(
-              stats.total_level / cap /
-              static_cast<double>(config_.num_nodes) * 10000.0));
-          hot_nodes->set(static_cast<std::int64_t>(stats.hot_nodes));
-        },
-        kSamplerEvent);
-    overload_sampler_->start();
-  }
-  if (config_.timeseries != nullptr && config_.timeseries_interval > 0) {
-    timeseries_sampler_ = std::make_unique<sim::PeriodicTask>(
-        simulator_, config_.timeseries_interval,
-        [this] { config_.timeseries->sample(simulator_.now()); },
-        kSamplerEvent);
-    timeseries_sampler_->start();
-  }
+}
+
+void Environment::sample() {
+  const SimTime now = simulator_.now();
+  health_->sample();
+
+  obs::Registry& reg = *metrics_;
+  reg.gauge("obs_sim_pending_events")
+      ->set(static_cast<std::int64_t>(simulator_.pending_events()));
+  reg.gauge("obs_sim_executed_events")
+      ->set(static_cast<std::int64_t>(simulator_.executed_events()));
+  reg.gauge("obs_sim_scheduled_events")
+      ->set(static_cast<std::int64_t>(simulator_.scheduled_total()));
+
+  // Membership health as node 0 — every harness's pinned initiator — sees
+  // it, stale past the staleness-aware selection threshold. Merge and
+  // control-plane counters advance by delta.
+  const membership::NodeCache& cache = membership_->cache(0);
+  const auto ages = cache.age_stats(now, anon::StalenessPolicy{}.stale_after);
+  reg.gauge("membership_record_age_p50_ms")
+      ->set(static_cast<std::int64_t>(to_millis(ages.age_p50)));
+  reg.gauge("membership_record_age_p95_ms")
+      ->set(static_cast<std::int64_t>(to_millis(ages.age_p95)));
+  reg.gauge("membership_stale_fraction_bp")
+      ->set(static_cast<std::int64_t>(ages.stale_fraction * 10000.0));
+  reg.gauge("membership_cache_known")
+      ->set(static_cast<std::int64_t>(ages.alive_known));
+  const auto merges = cache.merge_stats();
+  const auto updates = [&reg](const char* rule) {
+    return reg.counter("membership_cache_updates_total", {{"rule", rule}});
+  };
+  updates("direct")->inc(merges.updates_direct -
+                         last_merge_stats_.updates_direct);
+  updates("indirect")->inc(merges.updates_indirect -
+                           last_merge_stats_.updates_indirect);
+  updates("rejected")->inc(merges.merges_rejected -
+                           last_merge_stats_.merges_rejected);
+  updates("inflated")->inc(merges.inflated_rejected -
+                           last_merge_stats_.inflated_rejected);
+  last_merge_stats_ = merges;
+  const auto control = membership_->control_stats();
+  reg.counter("membership_anti_entropy_rounds_total")
+      ->inc(control.anti_entropy_rounds -
+            last_control_stats_.anti_entropy_rounds);
+  reg.counter("membership_repair_records_sent_total")
+      ->inc(control.repair_records_sent -
+            last_control_stats_.repair_records_sent);
+  reg.counter("membership_repair_records_accepted_total")
+      ->inc(control.repair_records_accepted -
+            last_control_stats_.repair_records_accepted);
+  reg.counter("membership_elections_total")
+      ->inc(control.elections - last_control_stats_.elections);
+  last_control_stats_ = control;
+
+  // Router overload. Levels are exported in basis points of capacity so
+  // integer gauges keep sub-percent resolution.
+  const auto overload = router_->overload_stats(now);
+  const double cap =
+      overload.capacity > 0 ? static_cast<double>(overload.capacity) : 1.0;
+  reg.gauge("anon_overload_max_level_bp")
+      ->set(static_cast<std::int64_t>(overload.max_level / cap * 10000.0));
+  reg.gauge("anon_overload_mean_level_bp")
+      ->set(static_cast<std::int64_t>(
+          overload.total_level / cap /
+          static_cast<double>(config_.num_nodes) * 10000.0));
+  reg.gauge("anon_overload_hot_nodes")
+      ->set(static_cast<std::int64_t>(overload.hot_nodes));
+
+  // Last, so the window sees everything this tick wrote.
+  if (config_.timeseries != nullptr) config_.timeseries->sample(now);
 }
 
 void Environment::byte_census(obs::capacity::ByteCensus& census) const {

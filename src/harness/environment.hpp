@@ -17,6 +17,7 @@
 #include "churn/churn_model.hpp"
 #include "crypto/keys.hpp"
 #include "fault/faulty_transport.hpp"
+#include "harness/health.hpp"
 #include "membership/gossip.hpp"
 #include "membership/onehop.hpp"
 #include "membership/provider.hpp"
@@ -62,19 +63,20 @@ struct EnvironmentConfig {
   /// share series and per-run results stay deterministic.
   obs::Registry* metrics = nullptr;
 
-  /// > 0 starts a periodic sampler exporting simulator gauges
-  /// (obs_sim_pending_events / executed / scheduled) into the registry.
-  /// Off by default: the sampler schedules events of its own, and the
-  /// default run must stay byte-identical to the seed.
-  SimDuration obs_sample_interval = 0;
+  /// Samples the run. One sim::PeriodicTask ticks every 30 s of sim time
+  /// and, in this order: closes a window of the run's HealthScoreboard
+  /// (Environment::health()); exports the simulator gauges (obs_sim_*),
+  /// node 0's membership cache health and control-plane counters
+  /// (membership_*) and the router's overload levels (anon_overload_*)
+  /// into the registry; then closes one window of `timeseries`. The tick
+  /// only reads state, so a sampled run's outcome equals the unsampled
+  /// run's; it costs one executed event per window.
+  bool sampled = false;
 
   /// Optional windowed time-series recorder (not owned; must outlive the
-  /// Environment). When set with timeseries_interval > 0, start() drives
-  /// recorder->sample() off the event queue every interval, closing one
-  /// window per registry series. Off by default for the same reason as the
-  /// sampler above.
+  /// Environment). A sampled run closes one window per registry series at
+  /// the end of every tick; an unsampled run never touches it.
   obs::TimeseriesRecorder* timeseries = nullptr;
-  SimDuration timeseries_interval = 0;
 
   /// Optional capacity loop profiler (not owned; must outlive the
   /// Environment) attached to the simulator at construction. Passive —
@@ -89,23 +91,6 @@ struct EnvironmentConfig {
   /// Null (the default) is a plain pointer pass: no RNG stream, event or
   /// registry series changes, so runs stay byte-identical to the seed.
   net::LinkTap* link_tap = nullptr;
-
-  /// > 0 starts a periodic sampler exporting node-cache health for
-  /// `membership_obs_node` (record-age p50/p95, stale fraction, cache
-  /// size) plus per-merge-rule counters and control-plane stats into the
-  /// registry. Off by default: the sampler both schedules events and
-  /// lazily registers series, and the default run must stay byte-identical
-  /// to the seed.
-  SimDuration membership_obs_interval = 0;
-  NodeId membership_obs_node = 0;
-  SimDuration membership_obs_stale_after = 2 * kMinute;
-
-  /// > 0 starts a periodic sampler exporting router overload state
-  /// (leaky-bucket level gauges, hot-node count, shed/admission/
-  /// backpressure counter deltas) into the registry. Off by default for
-  /// the same reason as the samplers above: it schedules events and
-  /// lazily registers series.
-  SimDuration overload_obs_interval = 0;
 };
 
 class Environment {
@@ -115,8 +100,8 @@ class Environment {
   Environment(const Environment&) = delete;
   Environment& operator=(const Environment&) = delete;
 
-  /// Starts churn, gossip and the router. Call once, then run the
-  /// simulator.
+  /// Arms the sampler (when sampled), then starts membership, the router
+  /// and churn. Call once, then run the simulator.
   void start();
 
   sim::Simulator& simulator() { return simulator_; }
@@ -134,6 +119,11 @@ class Environment {
   /// The run's metrics registry (owned unless the config injected one).
   obs::Registry& metrics() { return *metrics_; }
 
+  /// The run's health scoreboard; null unless config.sampled. Attach the
+  /// session under test before start() for stall detection, and read the
+  /// summary after the run.
+  HealthScoreboard* health() { return health_.get(); }
+
   /// Picks a currently-up node uniformly, excluding `exclude` (or
   /// kInvalidNode when none is up).
   NodeId random_up_node(NodeId exclude);
@@ -144,19 +134,13 @@ class Environment {
   void byte_census(obs::capacity::ByteCensus& census) const;
 
  private:
+  void sample();  // one sampler tick, see EnvironmentConfig::sampled
+
   EnvironmentConfig config_;
   Rng rng_;
   std::unique_ptr<obs::Registry> owned_metrics_;
   obs::Registry* metrics_ = nullptr;
   bool attached_trace_clock_ = false;
-  std::unique_ptr<sim::PeriodicTask> obs_sampler_;
-  std::unique_ptr<sim::PeriodicTask> timeseries_sampler_;
-  std::unique_ptr<sim::PeriodicTask> membership_sampler_;
-  std::unique_ptr<sim::PeriodicTask> overload_sampler_;
-  // Last-seen merge-stat / control-stat values, so the sampler can
-  // increment registry counters by delta instead of overwriting.
-  membership::NodeCache::MergeStats last_merge_stats_;
-  membership::ControlStats last_control_stats_;
   sim::Simulator simulator_;
   std::unique_ptr<net::LatencyMatrix> latency_;
   std::unique_ptr<churn::ChurnModel> churn_;
@@ -167,6 +151,15 @@ class Environment {
   std::unique_ptr<membership::MembershipProvider> membership_;
   std::unique_ptr<anon::OnionCodec> onion_;
   std::unique_ptr<anon::AnonRouter> router_;
+
+  // Sampling state. The tick reads every member above, so the sampler is
+  // declared last and destroyed first.
+  std::unique_ptr<HealthScoreboard> health_;
+  // Last-seen merge-stat / control-stat values, so the tick can increment
+  // registry counters by delta instead of overwriting.
+  membership::NodeCache::MergeStats last_merge_stats_;
+  membership::ControlStats last_control_stats_;
+  std::unique_ptr<sim::PeriodicTask> sampler_;
 };
 
 }  // namespace p2panon::harness

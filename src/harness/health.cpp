@@ -22,6 +22,14 @@ constexpr const char* kMembershipKinds[] = {"gossip_blackout", "gossip_loss",
 constexpr std::size_t kMembershipKindCount =
     sizeof(kMembershipKinds) / sizeof(kMembershipKinds[0]);
 
+// Consecutive zero-ack windows (with traffic) before an established path
+// counts as stalled.
+constexpr std::size_t kStallWindows = 3;
+// Consecutive corruption windows (segment-auth rejections or corrupt nacks
+// observed) before the attribution verdict escalates from "transient" to
+// "sustained".
+constexpr std::size_t kCorruptionVerdictWindows = 3;
+
 std::string format_rate(double v) {
   std::ostringstream out;
   out.precision(3);
@@ -31,21 +39,17 @@ std::string format_rate(double v) {
 
 }  // namespace
 
-HealthScoreboard::HealthScoreboard(sim::Simulator& simulator,
-                                   churn::ChurnModel& churn,
-                                   obs::Registry& registry,
-                                   std::size_t num_nodes, HealthConfig config)
+HealthScoreboard::HealthScoreboard(
+    sim::Simulator& simulator, churn::ChurnModel& churn,
+    const membership::MembershipProvider& membership, obs::Registry& registry)
     : simulator_(simulator),
       churn_(churn),
+      membership_(membership),
       registry_(registry),
-      config_(config),
+      storm_transitions_(std::max<std::uint64_t>(
+          8, static_cast<std::uint64_t>(churn.num_nodes()) / 8)),
       cause_stats_(kDropCauseCount),
-      membership_stats_(kMembershipKindCount) {
-  if (config_.storm_transitions == 0) {
-    config_.storm_transitions =
-        std::max<std::uint64_t>(8, static_cast<std::uint64_t>(num_nodes) / 8);
-  }
-}
+      membership_stats_(kMembershipKindCount) {}
 
 void HealthScoreboard::attach_session(const anon::Session& session) {
   session_ = &session;
@@ -67,7 +71,7 @@ void HealthScoreboard::sample() {
   prev_transitions_ = transitions;
   summary_.max_transitions_per_window =
       std::max(summary_.max_transitions_per_window, transition_delta);
-  const bool storm = transition_delta >= config_.storm_transitions;
+  const bool storm = transition_delta >= storm_transitions_;
   if (storm) ++summary_.churn_storm_windows;
   registry_.gauge("health_churn_transitions_window")
       ->set(static_cast<std::int64_t>(transition_delta));
@@ -92,8 +96,7 @@ void HealthScoreboard::sample() {
   }
 
   // Membership-plane fault windows: injections the fault layer applied to
-  // gossip traffic this window, plus leader re-elections (the harness
-  // sampler's membership_elections_total counter; reads 0 when absent).
+  // gossip traffic this window, plus the provider's leader re-elections.
   std::uint64_t membership_delta = 0;
   for (std::size_t i = 0; i < kMembershipKindCount; ++i) {
     CauseStats& stats = membership_stats_[i];
@@ -114,8 +117,7 @@ void HealthScoreboard::sample() {
   summary_.max_membership_faults_per_window =
       std::max(summary_.max_membership_faults_per_window, membership_delta);
   if (membership_delta > 0) ++summary_.membership_fault_windows;
-  const std::uint64_t elections =
-      registry_.counter_value("membership_elections_total");
+  const std::uint64_t elections = membership_.control_stats().elections;
   const std::uint64_t election_delta = elections - prev_elections_;
   prev_elections_ = elections;
   summary_.elections_observed += election_delta;
@@ -153,7 +155,7 @@ void HealthScoreboard::sample() {
   registry_.gauge("health_corruption_window")->set(corruption ? 1 : 0);
 
   // Stalled-path detection: established, traffic sent, nothing acked for
-  // stall_windows consecutive windows.
+  // kStallWindows consecutive windows.
   std::int64_t stalled_now = 0;
   if (session_ != nullptr) {
     const auto& paths = session_->paths();
@@ -172,7 +174,7 @@ void HealthScoreboard::sample() {
       } else {
         watch.zero_ack_windows = 0;
       }
-      if (watch.zero_ack_windows >= config_.stall_windows) {
+      if (watch.zero_ack_windows >= kStallWindows) {
         ++stalled_now;
         ++summary_.stalled_path_windows;
       }
@@ -185,7 +187,7 @@ void HealthScoreboard::sample() {
 
 const char* HealthScoreboard::corruption_verdict() const {
   if (summary_.corruption_windows == 0) return "clean";
-  return summary_.max_corruption_streak >= config_.corruption_verdict_windows
+  return summary_.max_corruption_streak >= kCorruptionVerdictWindows
              ? "sustained"
              : "transient";
 }

@@ -1,27 +1,27 @@
 // Rolling health scoreboard for experiment runs.
 //
 // The chaos and durability harnesses report end-of-run totals; this layer
-// watches the run *while it happens*, closing a health window every
-// `interval` of sim time:
+// watches the run *while it happens*, one window per tick of the
+// Environment's sampler (30 s of sim time):
 //
-//   churn storms     windows whose churn transition count crosses the storm
-//                    threshold — correlated failure bursts, the regime the
+//   churn storms     windows whose churn transition count reaches
+//                    max(8, N/8) — correlated failure bursts, the regime the
 //                    paper's durability ordering is claimed for
 //   stalled paths    session paths that are nominally kEstablished but have
-//                    matched no acks for `stall_windows` consecutive windows
-//                    despite traffic being sent on them — the silent failure
-//                    mode §4.5's failure detection exists to catch
+//                    matched no acks for 3 consecutive windows despite
+//                    traffic being sent on them — the silent failure mode
+//                    §4.5's failure detection exists to catch
 //   drop causes      per-cause transport drop rates (net_drops_total{cause})
 //                    per window, with the worst window retained
 //
-// Each sample also publishes `health_*` gauges into the run's registry, so
-// a TimeseriesRecorder attached to the same registry captures the full
-// health trajectory, not just the summary.
+// Each window also publishes `health_*` gauges into the run's registry, so
+// the time series the same tick closes afterwards captures the full health
+// trajectory, not just the summary.
 //
-// Default OFF: harness configs leave health_interval = 0, no scoreboard is
-// constructed, no series registered, and runs stay byte-identical. Sampling
-// only reads simulator/churn/session/registry state — never the RNG — so an
-// enabled scoreboard cannot change the simulated outcome.
+// The Environment builds a scoreboard only for sampled runs
+// (EnvironmentConfig::sampled) and exposes it as Environment::health().
+// Sampling only reads simulator/churn/membership/session/registry state —
+// never the RNG — so a scoreboard cannot change the simulated outcome.
 #pragma once
 
 #include <cstdint>
@@ -30,24 +30,11 @@
 
 #include "anon/session.hpp"
 #include "churn/churn_model.hpp"
+#include "membership/provider.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace p2panon::harness {
-
-struct HealthConfig {
-  SimDuration interval = 30 * kSecond;
-  /// Consecutive zero-ack windows (with traffic) before an established path
-  /// counts as stalled.
-  std::size_t stall_windows = 3;
-  /// Churn transitions per window that make the window a storm. 0 = auto:
-  /// max(8, num_nodes / 8).
-  std::uint64_t storm_transitions = 0;
-  /// Consecutive corruption windows (segment-auth rejections or corrupt
-  /// nacks observed) before the run's attribution verdict escalates from
-  /// "transient" to "sustained".
-  std::size_t corruption_verdict_windows = 3;
-};
 
 struct HealthSummary {
   std::size_t windows = 0;
@@ -69,9 +56,9 @@ struct HealthSummary {
   // Membership-plane fault attribution (control-plane resilience, DESIGN
   // §9; all zero without a membership fault plan). Windows are scored by
   // the fault layer's injection counters (gossip_blackout / gossip_loss /
-  // stale_injected / claim_inflated), and leader churn is tracked through
-  // the membership_elections_total counter the harness sampler maintains —
-  // the recovery signal a leader-crash scenario should light up.
+  // stale_injected / claim_inflated), and leader churn is read from the
+  // provider's control_stats().elections — the recovery signal a
+  // leader-crash scenario should light up.
   std::size_t membership_fault_windows = 0;
   std::uint64_t total_membership_faults = 0;
   std::uint64_t max_membership_faults_per_window = 0;
@@ -84,23 +71,21 @@ class HealthScoreboard {
   /// health_* gauges; pass the run's own registry so the gauges land next
   /// to the counters they summarize.
   HealthScoreboard(sim::Simulator& simulator, churn::ChurnModel& churn,
-                   obs::Registry& registry, std::size_t num_nodes,
-                   HealthConfig config = {});
+                   const membership::MembershipProvider& membership,
+                   obs::Registry& registry);
 
-  /// Enables per-path stall detection (optional; the session must outlive
-  /// the scoreboard).
+  /// Enables per-path stall detection (optional; the session must stay
+  /// alive while sample() runs).
   void attach_session(const anon::Session& session);
 
-  /// Closes the window ending at simulator.now(). Call from a PeriodicTask
-  /// with period config.interval.
+  /// Closes the window ending at simulator.now().
   void sample();
 
   const HealthSummary& summary() const { return summary_; }
-  const HealthConfig& config() const { return config_; }
 
   /// Attribution verdict for the run so far: "clean" (no corruption
-  /// evidence in any window), "transient" (evidence, but never
-  /// corruption_verdict_windows windows in a row), or "sustained".
+  /// evidence in any window), "transient" (evidence, but never 3 windows
+  /// in a row), or "sustained".
   const char* corruption_verdict() const;
 
   /// Per-cause drop totals/worst rates plus the storm/stall counts as a
@@ -121,8 +106,9 @@ class HealthScoreboard {
 
   sim::Simulator& simulator_;
   churn::ChurnModel& churn_;
+  const membership::MembershipProvider& membership_;
   obs::Registry& registry_;
-  HealthConfig config_;
+  const std::uint64_t storm_transitions_;
   const anon::Session* session_ = nullptr;
 
   HealthSummary summary_;

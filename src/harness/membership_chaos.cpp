@@ -93,8 +93,8 @@ fault::FaultPlan make_membership_plan(const MembershipChaosConfig& config) {
   return plan;
 }
 
-DurabilityResult run_membership_chaos(const MembershipChaosConfig& config) {
-  const fault::FaultPlan plan = make_membership_plan(config);
+DurabilityConfig membership_durability_config(
+    const MembershipChaosConfig& config, const fault::FaultPlan& plan) {
   const bool resilient = config.arm == MembershipArm::kResilient;
   const anon::MixChoice mix = config.arm == MembershipArm::kRandom
                                   ? anon::MixChoice::kRandom
@@ -123,7 +123,12 @@ DurabilityResult run_membership_chaos(const MembershipChaosConfig& config) {
     run.environment.gossip.bounded_trust = true;
   }
   run.session.staleness_aware = resilient;
-  return run_durability_experiment(run);
+  return run;
+}
+
+DurabilityResult run_membership_chaos(const MembershipChaosConfig& config) {
+  const fault::FaultPlan plan = make_membership_plan(config);
+  return run_durability_experiment(membership_durability_config(config, plan));
 }
 
 }  // namespace p2panon::harness

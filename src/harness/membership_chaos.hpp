@@ -87,6 +87,11 @@ struct MembershipChaosConfig {
 /// endpoints — are never crashed or made inflaters.
 fault::FaultPlan make_membership_plan(const MembershipChaosConfig& config);
 
+/// Lowers one scenario x arm cell onto the durability harness. `plan` is
+/// the cell's make_membership_plan(config) and must outlive the run.
+DurabilityConfig membership_durability_config(
+    const MembershipChaosConfig& config, const fault::FaultPlan& plan);
+
 /// Runs one scenario x arm cell through the durability harness and returns
 /// its full result (durability, attempts, delivery, plus the observational
 /// extras: fault counters, belief accuracy, staleness fallbacks, control-

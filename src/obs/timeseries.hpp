@@ -7,13 +7,15 @@
 // over a flash crowd.
 //
 // A TimeseriesRecorder snapshots every series in a registry each time
-// `sample(now)` is called (typically from a sim::PeriodicTask), closing one
-// Window per series:
+// `sample(now)` is called, closing one Window per series:
 //   counters   — cumulative value, in-window delta, and delta/seconds rate
 //   gauges     — point-in-time level plus delta/rate of change
 //   histograms — in-window recording count/rate plus percentiles computed
 //                from BUCKET DELTAS between snapshots, i.e. the p50/p90/p99
 //                of only the values recorded inside the window
+// In a harness run the caller is the Environment's sampler
+// (EnvironmentConfig::sampled): the last step of each 30 s tick, after the
+// health scoreboard and gauge exports of the same tick.
 //
 // Windows live in a bounded ring per series (oldest evicted, eviction
 // counted), so a recorder attached to a week-long run stays O(capacity).

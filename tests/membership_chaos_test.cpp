@@ -493,5 +493,21 @@ TEST(MembershipChaosRunTest, GossipBlackoutResilientArmIsPinned) {
   EXPECT_EQ(result.mix_biased_selects, 1u);
 }
 
+// The health scoreboard reads leader elections from the membership provider
+// itself, so a sampled leader-crash run reports every failover the control
+// plane performed.
+TEST(MembershipChaosRunTest, SampledLeaderCrashCountsEveryElection) {
+  harness::MembershipChaosConfig config;
+  config.scenario = harness::MembershipScenario::kLeaderCrash;
+  config.arm = harness::MembershipArm::kResilient;
+  const fault::FaultPlan plan = harness::make_membership_plan(config);
+  harness::DurabilityConfig run =
+      harness::membership_durability_config(config, plan);
+  run.environment.sampled = true;
+  const auto result = harness::run_durability_experiment(run);
+  EXPECT_EQ(result.control.elections, 10u);
+  EXPECT_EQ(result.health.elections_observed, result.control.elections);
+}
+
 }  // namespace
 }  // namespace p2panon

@@ -4,6 +4,7 @@
 // with tracing enabled must be bit-identical to one without.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -281,20 +282,21 @@ TEST(OffMeansOffTest, TracedRunIsBitIdenticalToUntraced) {
 TEST(OffMeansOffTest, SamplerAndScoreboardPerturbNoOutcome) {
   const auto baseline = harness::run_chaos_experiment(tiny_chaos(3));
 
-  // Same run with the time-series sampler and the health scoreboard on.
-  // Both only add read-only sampling ticks to the event queue, so every
-  // outcome counter must match; executed_events is the one legitimate
-  // difference (the ticks themselves) and is normalised out.
+  // Same run sampled, with a time-series recorder attached. The sampler
+  // only adds read-only ticks to the event queue, so every outcome counter
+  // must match; executed_events is the one legitimate difference — exactly
+  // one tick per window, whatever the tick observes — and is normalised
+  // out.
   harness::ChaosConfig config = tiny_chaos(3);
   Registry sampled_registry;
   TimeseriesRecorder recorder(sampled_registry);
   config.environment.metrics = &sampled_registry;
   config.environment.timeseries = &recorder;
-  config.environment.timeseries_interval = 30 * kSecond;
-  config.health_interval = 30 * kSecond;
+  config.environment.sampled = true;
   auto observed = harness::run_chaos_experiment(config);
 
-  EXPECT_GT(observed.executed_events, baseline.executed_events);
+  EXPECT_EQ(observed.executed_events,
+            baseline.executed_events + observed.health.windows);
   observed.executed_events = baseline.executed_events;
   EXPECT_EQ(baseline.fingerprint(), observed.fingerprint());
 
@@ -311,7 +313,7 @@ TEST(OffMeansOffTest, SamplerAndScoreboardPerturbNoOutcome) {
 // sampling event per window on top of the unsampled run's 45782.
 TEST(HealthScoreboardTest, TinyChaosTableIsPinned) {
   harness::ChaosConfig config = tiny_chaos(3);
-  config.health_interval = 30 * kSecond;
+  config.environment.sampled = true;
   const auto result = harness::run_chaos_experiment(config);
   EXPECT_EQ(result.executed_events, 45814u);
   EXPECT_EQ(result.health_table,
@@ -345,7 +347,7 @@ TEST(HealthScoreboardTest, CorruptionAttributionTableIsPinned) {
   config.scenario = harness::ChaosScenario::kCorruptedRelayQuorum;
   config.measure = 8 * kMinute;
   config.session.segment_auth = true;
-  config.health_interval = 30 * kSecond;
+  config.environment.sampled = true;
   const auto result = harness::run_chaos_experiment(config);
   EXPECT_EQ(result.health_table,
             "health signal                    value               \n"
@@ -456,7 +458,7 @@ TEST(OffMeansOffTest, MembershipResilienceOffIsByteIdentical) {
   spelled.environment.gossip.anti_entropy_interval = 0;
   spelled.environment.gossip.per_node_rng = false;
   spelled.environment.gossip.bounded_trust = false;
-  spelled.environment.membership_obs_interval = 0;
+  spelled.environment.sampled = false;
   Registry registry;
   spelled.environment.metrics = &registry;
   const auto off = harness::run_chaos_experiment(spelled);
@@ -475,12 +477,12 @@ TEST(OffMeansOffTest, MembershipResilienceOffIsByteIdentical) {
   EXPECT_EQ(registry.counter_value("fault_injections_total",
                                    {{"kind", "stale_injected"}}), 0u);
 
-  // The knobs are not dead: the same schedule with anti-entropy and the
-  // membership sampler on produces repair rounds and cache-health series
-  // (the fingerprint is free to differ — repair legitimately adds traffic).
+  // The knobs are not dead: the same schedule with anti-entropy on, and
+  // sampled, produces repair rounds and cache-health series (the
+  // fingerprint is free to differ — repair legitimately adds traffic).
   harness::ChaosConfig on = tiny_chaos(3);
   on.environment.gossip.anti_entropy_interval = 15 * kSecond;
-  on.environment.membership_obs_interval = 30 * kSecond;
+  on.environment.sampled = true;
   Registry on_registry;
   on.environment.metrics = &on_registry;
   harness::run_chaos_experiment(on);
@@ -516,9 +518,9 @@ TEST(OffMeansOffTest, LinkObserverOffIsByteIdenticalAndOnIsPassive) {
 
 // The overload-resilience stack (DESIGN §13) — workload engine, bounded
 // relay queues, shedding, admission control, backpressure, session send
-// bound, overload sampler — ships default OFF. Spelling every knob out at
-// its default must be byte-identical to the baseline, with all overload
-// series flat at zero.
+// bound — ships default OFF. Spelling every knob out at its default must
+// be byte-identical to the baseline, with all overload series flat at
+// zero.
 TEST(OffMeansOffTest, WorkloadAndOverloadKnobsOffAreByteIdentical) {
   const auto baseline = harness::run_chaos_experiment(tiny_chaos(3));
 
@@ -526,7 +528,7 @@ TEST(OffMeansOffTest, WorkloadAndOverloadKnobsOffAreByteIdentical) {
   spelled.workload = workload::WorkloadConfig{};
   spelled.session.max_inflight_segments = 0;
   spelled.environment.router.overload = anon::RouterConfig::OverloadConfig{};
-  spelled.environment.overload_obs_interval = 0;
+  spelled.environment.sampled = false;
   Registry registry;
   spelled.environment.metrics = &registry;
   const auto off = harness::run_chaos_experiment(spelled);
@@ -555,8 +557,9 @@ TEST(OffMeansOffTest, WorkloadAndOverloadKnobsOffAreByteIdentical) {
             0u);
 
   // The knobs are not dead: the same seed with the workload engine, tight
-  // relay queues, shedding, and the overload sampler on actually sheds and
-  // samples (the fingerprint is free to differ — the traffic changes).
+  // relay queues and shedding on, sampled, actually sheds and records
+  // filled relay queues (the fingerprint is free to differ — the traffic
+  // changes).
   harness::ChaosConfig on = tiny_chaos(1);  // seed 3 constructs slowly here
   on.measure = 10 * kMinute;
   on.session.path_fail_threshold = 40;
@@ -567,14 +570,23 @@ TEST(OffMeansOffTest, WorkloadAndOverloadKnobsOffAreByteIdentical) {
   on.environment.router.overload.relay_queue_capacity = 64;
   on.environment.router.overload.drain_rate_per_s = 10.0;
   on.environment.router.overload.shedding = true;
-  on.environment.overload_obs_interval = 30 * kSecond;
+  on.environment.sampled = true;
   Registry on_registry;
+  TimeseriesRecorder recorder(on_registry);
   on.environment.metrics = &on_registry;
+  on.environment.timeseries = &recorder;
   const auto shed = harness::run_chaos_experiment(on);
   EXPECT_GT(shed.relay_sheds_bulk + shed.relay_sheds_streaming +
                 shed.relay_sheds_interactive,
             0u);
   EXPECT_EQ(shed.relay_sheds_control, 0u);
+  const TimeseriesRecorder::Series* max_level =
+      recorder.find("anon_overload_max_level_bp");
+  ASSERT_NE(max_level, nullptr);
+  EXPECT_TRUE(std::any_of(max_level->windows.begin(), max_level->windows.end(),
+                          [](const TimeseriesWindow& window) {
+                            return window.value > 0.0;
+                          }));
 }
 
 }  // namespace
