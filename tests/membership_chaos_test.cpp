@@ -281,7 +281,9 @@ TEST(AntiEntropyTest, DigestRepairReconvergesFasterAfterBlackout) {
   // disseminated, and the rumor forwards that would have carried it are
   // exhausted into dropped datagrams. 45 s after the blackout lifts, the
   // baseline's slowed refresh sweep has barely started healing; digest
-  // repair pushes exactly the divergent beliefs and re-converges.
+  // repair pushes exactly the divergent beliefs and re-converges. The
+  // repaired arm runs every gossip recovery layer at once (anti-entropy,
+  // per-node RNG streams, bounded trust), and its outcome is pinned.
   fault::FaultPlan plan;
   plan.gossip_blackout(2 * kMinute, 8 * kMinute);
 
@@ -289,6 +291,8 @@ TEST(AntiEntropyTest, DigestRepairReconvergesFasterAfterBlackout) {
   base.refresh_records = 2;
   membership::GossipConfig repaired = base;
   repaired.anti_entropy_interval = 15 * kSecond;
+  repaired.per_node_rng = true;
+  repaired.bounded_trust = true;
 
   BlackoutFixture base_fx(base, plan);
   const double base_accuracy = base_fx.run();
@@ -301,6 +305,11 @@ TEST(AntiEntropyTest, DigestRepairReconvergesFasterAfterBlackout) {
   EXPECT_GT(control.repair_records_sent, 0u);
   EXPECT_GT(control.repair_records_accepted, 0u);
   EXPECT_GT(repaired_accuracy, base_accuracy);
+  EXPECT_DOUBLE_EQ(repaired_accuracy, 62.0 / 63.0);
+  EXPECT_EQ(control.anti_entropy_rounds, 1238u);
+  EXPECT_EQ(control.digests_sent, 1601u);
+  EXPECT_EQ(control.repair_records_sent, 6850u);
+  EXPECT_EQ(control.repair_records_accepted, 5356u);
   // The blackout actually bit (both arms saw drops)...
   EXPECT_GT(base_fx.faulty.counters().dropped_gossip_blackout, 0u);
   // ...and the baseline arm ran no repair machinery at all.
