@@ -50,17 +50,10 @@ Outcome run(std::size_t nodes, std::uint64_t seed, double median_seconds,
   out.accuracy = membership.belief_accuracy();
   const double node_seconds =
       to_seconds(horizon) * static_cast<double>(nodes);
-  if constexpr (requires { membership.gossip_messages_sent(); }) {
-    out.messages_per_node_second =
-        static_cast<double>(membership.gossip_messages_sent()) / node_seconds;
-    out.bytes_per_node_second =
-        static_cast<double>(membership.gossip_bytes_sent()) / node_seconds;
-  } else {
-    out.messages_per_node_second =
-        static_cast<double>(membership.messages_sent()) / node_seconds;
-    out.bytes_per_node_second =
-        static_cast<double>(membership.bytes_sent()) / node_seconds;
-  }
+  out.messages_per_node_second =
+      static_cast<double>(membership.messages_sent()) / node_seconds;
+  out.bytes_per_node_second =
+      static_cast<double>(membership.bytes_sent()) / node_seconds;
   return out;
 }
 

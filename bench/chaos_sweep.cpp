@@ -414,9 +414,7 @@ int run_membership_sweep(std::uint64_t seed, std::size_t seeds,
   // default: all three strings must agree or a default drifted.
   ChaosConfig spelled = control_chaos_config();
   spelled.environment.membership_kind = MembershipKind::kGossip;
-  spelled.environment.gossip.anti_entropy_interval = 0;
-  spelled.environment.gossip.per_node_rng = false;
-  spelled.environment.gossip.bounded_trust = false;
+  spelled.environment.gossip.resilient = false;
   report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
   const bool fingerprint_ok = check_control_fingerprint(report, spelled);
   report.add_section("durability", table.to_json());
@@ -518,7 +516,7 @@ int run_overload_sweep(std::uint64_t seed, std::size_t seeds,
   }
 
   std::printf("# Overload sweep: workload shapes x shed/drop arms, 64 "
-              "nodes, mixed traffic at 4 msg/s vs 5/s relay drain, %zu "
+              "nodes, mixed traffic at 4 msg/s vs 10/s relay drain, %zu "
               "seeds per cell\n",
               runs);
 
@@ -639,12 +637,14 @@ int run_overload_sweep(std::uint64_t seed, std::size_t seeds,
               "steady shape both arms ride well under the drain rate and "
               "tie. Under the flash crowd the drop arm tail-drops every "
               "class equally — retransmissions amplify the overload and "
-              "interactive goodput collapses with the rest — while the "
-              "shed arm sacrifices bulk first (sheds column: bulk >> "
-              "interactive, control always 0), refuses new work at "
-              "saturated relays, and backpressures the sender into "
-              "deferring bulk, so interactive goodput and p99 stay "
-              "serviceable through the spike.\n");
+              "interactive goodput collapses with the rest. The shed arm "
+              "holds bulk back at the sender instead: the bounded send "
+              "queue refuses and defers it (accepted < attempts, bulk_gp "
+              "about half), so little bulk reaches the relays, which shed "
+              "streaming first (sheds column: streaming > interactive >> "
+              "bulk, control always 0) and backpressure the sender. "
+              "Admission control never fires (admission column 0). "
+              "Interactive goodput stays serviceable through the spike.\n");
 
   // Off means off: every overload/workload knob spelled at its default
   // must reproduce the pre-PR fingerprint.

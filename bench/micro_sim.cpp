@@ -101,7 +101,7 @@ void BM_GossipMinuteOfSimulation(benchmark::State& state) {
     gossip.start();
     churn_model.start();
     simulator.run_until(1 * kMinute);
-    benchmark::DoNotOptimize(gossip.gossip_messages_sent());
+    benchmark::DoNotOptimize(gossip.messages_sent());
   }
 }
 BENCHMARK(BM_GossipMinuteOfSimulation)->Arg(256)->Arg(1024)

@@ -9,7 +9,7 @@
 // node-disjoint by construction.
 //
 // Corruption resilience: when the cache has suspicion tracking enabled
-// (membership::SuspicionConfig), quarantined nodes are excluded from both
+// (NodeCache::enable_suspicion), quarantined nodes are excluded from both
 // modes and biased choice scores candidates q / (1 + penalty * suspicion),
 // routing around relays that corrupted or stalled traffic the same way the
 // paper routes around dead ones. Off by default — selection then draws and

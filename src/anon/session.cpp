@@ -356,21 +356,6 @@ std::size_t Session::established_paths() const {
   return count;
 }
 
-Allocation Session::make_allocation() const {
-  if (!config_.weighted_allocation) return allocate_even(config_.erasure);
-  const SimTime now = router_.simulator().now();
-  std::vector<double> scores(paths_.size(), 0.0);
-  for (std::size_t j = 0; j < paths_.size(); ++j) {
-    if (paths_[j].state != PathState::kEstablished) continue;
-    double min_q = 1.0;
-    for (NodeId relay : paths_[j].relays) {
-      min_q = std::min(min_q, cache_.predictor(relay, now));
-    }
-    scores[j] = min_q;
-  }
-  return allocate_weighted(config_.erasure, scores);
-}
-
 MessageId Session::send_message(ByteView data) {
   return send_message(data, SegmentPriority::kInteractive);
 }
@@ -413,7 +398,7 @@ MessageId Session::send_message(ByteView data, SegmentPriority priority) {
   crypto::MessageDigest digest{};
   if (config_.segment_auth) digest = crypto::message_digest(data);
 
-  const Allocation alloc = make_allocation();
+  const Allocation alloc = allocate_even(config_.erasure);
   ++messages_sent_;
   msgs_ctr_->inc();
   // Segment sends, their delay timers, and every retransmit they spawn all
@@ -1066,7 +1051,7 @@ MessageId Session::send_message_on_demand(ByteView data) {
   const auto& segments = encode_scratch_;
   crypto::MessageDigest digest{};
   if (config_.segment_auth) digest = crypto::message_digest(data);
-  const Allocation alloc = make_allocation();
+  const Allocation alloc = allocate_even(config_.erasure);
   ++messages_sent_;
   msgs_ctr_->inc();
   obs::CorrelationScope corr_scope(id);

@@ -5,9 +5,8 @@
 //   * constructs the k node-disjoint onion paths, retrying with a fresh
 //     relay set until the protocol's success condition holds (>= ceil(m /
 //     (n/k)) paths formed) or the attempt budget is exhausted;
-//   * erasure-codes outgoing messages and spreads the segments over the
-//     paths (even allocation by default; the future-work weighted
-//     allocation optionally);
+//   * erasure-codes outgoing messages and spreads the segments evenly
+//     over the paths;
 //   * tracks per-segment end-to-end acks, declares a path failed on ack
 //     timeout (§4.5), and can automatically rebuild failed paths and
 //     resend their pending segments;
@@ -38,7 +37,6 @@ struct SessionConfig {
   SimDuration ack_timeout = 5 * kSecond;
   std::size_t max_construct_attempts = 100;
   bool auto_reconstruct = false;
-  bool weighted_allocation = false;   // future-work extension
   double replace_threshold = 0.0;     // > 0 enables proactive replacement
   SimDuration replace_check_interval = 30 * kSecond;
 
@@ -320,7 +318,6 @@ class Session {
   std::optional<std::vector<std::vector<NodeId>>> select_relays(
       std::size_t paths, SimTime now,
       const std::vector<NodeId>& extra_exclude = {});
-  Allocation make_allocation() const;
   std::vector<std::size_t> usable_paths() const;
   const erasure::Codec& session_codec();
   const erasure::Codec& session_codec_for(std::size_t m, std::size_t n);

@@ -169,7 +169,7 @@ ChaosResult run_chaos_experiment(const ChaosConfig& config) {
   if (base_session.relay_suspicion) {
     // Arm the evidence ledger before the session builds any path; the
     // session itself only *reports* into it (reporting is const).
-    initiator_cache.enable_suspicion({});
+    initiator_cache.enable_suspicion();
   }
 
   anon::Session session(env.router(), initiator_cache, config.initiator,

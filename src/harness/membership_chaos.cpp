@@ -25,6 +25,21 @@ const char* membership_arm_name(MembershipArm arm) {
 
 namespace {
 
+constexpr std::size_t kNodes = 64;
+// The blackout window sits inside warmup ([warmup - 10 min, warmup -
+// 2 min]), so warmup must be >= 10 min: the cache rots for 8 min and the
+// recovery machinery gets 2 min to heal it before the construct-at-warmup
+// moment the whole run hinges on.
+constexpr SimDuration kWarmup = 12 * kMinute;
+constexpr SimDuration kMeasure = 15 * kMinute;
+constexpr SimDuration kSendInterval = 10 * kSecond;
+// OneHop shape for the leader-crash scenario.
+constexpr std::size_t kOneHopUnits = 8;
+// Slow the gossip refresh sweep so the baseline arms cannot paper over
+// membership faults with brute-force full-cache re-advertisement; the
+// resilient arm must win through its repair machinery, not luck.
+constexpr std::size_t kRefreshRecords = 8;
+
 /// Crash targets for the leader-crash scenario: the two lowest ids of each
 /// OneHop unit (same ceil-partition as OneHopMembership::unit_of). The
 /// election rule is "lowest live id in the unit", so whichever of these is
@@ -48,8 +63,8 @@ std::vector<NodeId> unit_leader_targets(std::size_t num_nodes,
 
 fault::FaultPlan make_membership_plan(const MembershipChaosConfig& config) {
   fault::FaultPlan plan;
-  const SimTime construct = config.warmup;
-  const SimTime run_end = config.warmup + config.measure;
+  const SimTime construct = kWarmup;
+  const SimTime run_end = kWarmup + kMeasure;
   switch (config.scenario) {
     case MembershipScenario::kGossipBlackout:
       // Total dissemination blackout for 8 min, lifted 2 min before the
@@ -63,7 +78,7 @@ fault::FaultPlan make_membership_plan(const MembershipChaosConfig& config) {
       // deaths (that is the point), so only believed-leadership failover
       // can restore dissemination to the orphaned units.
       for (NodeId leader :
-           unit_leader_targets(config.num_nodes, config.onehop_units)) {
+           unit_leader_targets(kNodes, kOneHopUnits)) {
         if (leader == 0 || leader == 1) continue;
         plan.crash(leader, construct - 8 * kMinute);
       }
@@ -81,7 +96,7 @@ fault::FaultPlan make_membership_plan(const MembershipChaosConfig& config) {
       // (3x + 2h) — enough fake seniority to dominate an honest Eq. 3
       // ranking — from mid-warmup onwards.
       std::vector<NodeId> inflaters;
-      for (std::size_t node = 5; node < config.num_nodes; node += 3) {
+      for (std::size_t node = 5; node < kNodes; node += 3) {
         inflaters.push_back(static_cast<NodeId>(node));
       }
       plan.claim_inflate(/*probability=*/0.8, /*factor=*/3.0,
@@ -101,26 +116,21 @@ DurabilityConfig membership_durability_config(
                                   : anon::MixChoice::kBiased;
 
   DurabilityConfig run;
-  run.environment.num_nodes = config.num_nodes;
+  run.environment.num_nodes = kNodes;
   run.environment.seed = config.seed;
   run.environment.fault_plan = &plan;
-  run.environment.gossip.refresh_records = config.refresh_records;
-  run.warmup = config.warmup;
-  run.measure = config.measure;
-  run.send_interval = config.send_interval;
+  run.environment.gossip.refresh_records = kRefreshRecords;
+  run.warmup = kWarmup;
+  run.measure = kMeasure;
+  run.send_interval = kSendInterval;
   run.spec = anon::ProtocolSpec::simera(4, 2, mix);
 
   if (config.scenario == MembershipScenario::kLeaderCrash) {
     run.environment.membership_kind = MembershipKind::kOneHop;
-    run.environment.onehop.units = config.onehop_units;
-    if (resilient) {
-      run.environment.onehop.deterministic_failover = true;
-    }
-  } else if (resilient) {
-    run.environment.gossip.anti_entropy_interval =
-        config.anti_entropy_interval;
-    run.environment.gossip.per_node_rng = true;
-    run.environment.gossip.bounded_trust = true;
+    run.environment.onehop.units = kOneHopUnits;
+    run.environment.onehop.deterministic_failover = resilient;
+  } else {
+    run.environment.gossip.resilient = resilient;
   }
   run.session.staleness_aware = resilient;
   return run;

@@ -28,9 +28,10 @@
 //                       the durability floor every defense is gated on.
 //     biased            MixChoice::kBiased, no recovery features — Eq. 3
 //                       ranking over whatever the faulted membership says.
-//     resilient         kBiased + staleness-aware selection + anti-entropy
-//                       repair + bounded-trust merging + per-node RNG
-//                       (+ deterministic leader failover under OneHop).
+//     resilient         kBiased + staleness-aware selection + the gossip
+//                       `resilient` switch (anti-entropy repair, bounded-
+//                       trust merging, per-node RNG), or deterministic
+//                       leader failover under OneHop.
 //
 // The CI gate (scripts/check_bench_membership.py over BENCH_membership.json)
 // asserts the resilient arm's durability never falls below the random floor
@@ -55,30 +56,13 @@ enum class MembershipArm { kRandom, kBiased, kResilient };
 const char* membership_scenario_name(MembershipScenario scenario);
 const char* membership_arm_name(MembershipArm arm);
 
+/// One scenario x arm cell. Every cell runs 64 nodes with a 12 min warmup,
+/// a 15 min measurement window and one send every 10 s (constants in
+/// membership_chaos.cpp).
 struct MembershipChaosConfig {
-  std::size_t num_nodes = 64;
   std::uint64_t seed = 1;
   MembershipScenario scenario = MembershipScenario::kGossipBlackout;
   MembershipArm arm = MembershipArm::kRandom;
-
-  /// Durability-experiment shape. The blackout window sits inside warmup
-  /// ([warmup - 10 min, warmup - 2 min]), so warmup must be >= 10 min: the
-  /// cache rots for 8 min and the recovery machinery gets 2 min to heal it
-  /// before the construct-at-warmup moment the whole run hinges on.
-  SimDuration warmup = 12 * kMinute;
-  SimDuration measure = 15 * kMinute;
-  SimDuration send_interval = 10 * kSecond;
-
-  /// Resilient-arm anti-entropy cadence (ignored by the other arms).
-  SimDuration anti_entropy_interval = 15 * kSecond;
-
-  /// OneHop shape for the leader-crash scenario.
-  std::size_t onehop_units = 8;
-
-  /// Slow the gossip refresh sweep so the baseline arms cannot paper over
-  /// membership faults with brute-force full-cache re-advertisement; the
-  /// resilient arm must win through its repair machinery, not luck.
-  std::size_t refresh_records = 8;
 };
 
 /// Builds the scenario's deterministic fault schedule. Pure function of the

@@ -20,7 +20,25 @@ constexpr std::uint8_t kKindDigest = 4;       // opens a repair round trip
 constexpr std::uint8_t kKindRepair = 5;       // records healing a diff
 constexpr std::uint8_t kKindDigestReply = 6;  // closes the round (no reply)
 
-// Stateless mixer for digest hashing (SplitMix64 finalizer).
+constexpr SimDuration kGossipInterval = 2 * kSecond;  // per-node period
+constexpr std::size_t kFanout = 1;        // targets per round
+constexpr std::size_t kMaxRumors = 32;    // hot records per message
+constexpr int kRumorForwards = 4;         // times a node forwards a rumor
+constexpr std::size_t kChurnObservers = 3;  // nodes that notice join/leave
+// Records per sync-response or repair message.
+constexpr std::size_t kRecordChunk = 4 * kMaxRumors;
+
+// Resilient mode's anti-entropy repair period, and the digest resolution:
+// beliefs are XOR-folded into `subject % kDigestBuckets` slots. More
+// buckets = finer diffs = fewer records pushed per repair.
+constexpr SimDuration kAntiEntropyInterval = 15 * kSecond;
+constexpr std::size_t kDigestBuckets = 16;
+
+constexpr SimDuration kDetectionDelayMin = 500 * kMillisecond;
+constexpr SimDuration kDetectionDelayMax = 2 * kSecond;
+
+// Stateless mixer for digest hashing and per-node stream seeds
+// (SplitMix64 finalizer).
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -28,6 +46,37 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 }  // namespace
+
+void seed_from_ground_truth(std::vector<NodeCache>& caches,
+                            const churn::ChurnModel& churn, SimTime now) {
+  const std::size_t n = caches.size();
+  for (NodeId owner = 0; owner < n; ++owner) {
+    for (NodeId subject = 0; subject < n; ++subject) {
+      if (subject == owner) continue;
+      if (churn.is_up(subject)) {
+        caches[owner].heard_directly(subject, 0, now);
+      } else {
+        caches[owner].heard_left_directly(subject, now);
+      }
+    }
+  }
+}
+
+SimDuration detection_delay(Rng& rng) {
+  return kDetectionDelayMin +
+         static_cast<SimDuration>(rng.next_below(static_cast<std::uint64_t>(
+             kDetectionDelayMax - kDetectionDelayMin + 1)));
+}
+
+std::vector<Rng> node_streams(Rng& rng, std::size_t num_nodes) {
+  const std::uint64_t base = rng.next_u64();
+  std::vector<Rng> streams;
+  streams.reserve(num_nodes);
+  for (std::size_t i = 0; i < num_nodes; ++i) {
+    streams.emplace_back(base ^ mix64(static_cast<std::uint64_t>(i) + 1));
+  }
+  return streams;
+}
 
 void encode_record(Bytes& out, NodeId subject, const LivenessInfo& info) {
   put_u32be(out, subject);
@@ -72,34 +121,17 @@ GossipMembership::GossipMembership(sim::Simulator& simulator,
   for (std::size_t i = 0; i < n; ++i) {
     refresh_cursors_[i] = static_cast<NodeId>(rng_.next_below(n));
   }
-  if (config_.bounded_trust) {
+  if (config_.resilient) {
     for (NodeCache& cache : caches_) {
-      cache.enable_bounded_trust(config_.trust);
-      cache.enable_suspicion(config_.trust_suspicion);
+      cache.enable_bounded_trust();
+      cache.enable_suspicion();
     }
   }
 }
 
 void GossipMembership::start() {
-  started_ = true;
   const std::size_t n = caches_.size();
-
-  if (config_.seed_full_membership) {
-    // OneHop gives nodes "accurate and complete membership information";
-    // we bootstrap that state at t = 0 from ground truth and let gossip
-    // maintain it from then on.
-    const SimTime now = simulator_.now();
-    for (NodeId owner = 0; owner < n; ++owner) {
-      for (NodeId subject = 0; subject < n; ++subject) {
-        if (subject == owner) continue;
-        if (churn_.is_up(subject)) {
-          caches_[owner].heard_directly(subject, 0, now);
-        } else {
-          caches_[owner].heard_left_directly(subject, now);
-        }
-      }
-    }
-  }
+  seed_from_ground_truth(caches_, churn_, simulator_.now());
 
   demux_.set_handler(net::Channel::kGossip,
                      [this](NodeId from, NodeId to, ByteView payload) {
@@ -111,42 +143,33 @@ void GossipMembership::start() {
   });
 
   // Per-node streams: one extra draw from rng_ seeds all of them, taken
-  // only when a mode that uses them is on — the default start() sequence
-  // is unchanged.
-  if (config_.per_node_rng || config_.anti_entropy_interval > 0) {
-    const std::uint64_t base = rng_.next_u64();
-    node_rngs_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      node_rngs_.emplace_back(base ^
-                              mix64(static_cast<std::uint64_t>(i) + 1));
-    }
-  }
+  // only in resilient mode — the default start() sequence is unchanged.
+  if (config_.resilient) node_rngs_ = node_streams(rng_, n);
 
   static const auto kRoundEvent = obs::capacity::event_type("gossip.round");
   tasks_.reserve(n);
   for (NodeId node = 0; node < n; ++node) {
     auto task = std::make_unique<sim::PeriodicTask>(
-        simulator_, config_.interval, [this, node] { gossip_tick(node); },
+        simulator_, kGossipInterval, [this, node] { gossip_tick(node); },
         kRoundEvent);
     // Random phase so the fleet doesn't gossip in lockstep.
     task->start_at(simulator_.now() +
                    static_cast<SimDuration>(rng_.next_below(
-                       static_cast<std::uint64_t>(config_.interval))));
+                       static_cast<std::uint64_t>(kGossipInterval))));
     tasks_.push_back(std::move(task));
   }
 
-  if (config_.anti_entropy_interval > 0) {
+  if (config_.resilient) {
     static const auto kAntiEntropyEvent =
         obs::capacity::event_type("gossip.anti_entropy");
     anti_entropy_tasks_.reserve(n);
     for (NodeId node = 0; node < n; ++node) {
       auto task = std::make_unique<sim::PeriodicTask>(
-          simulator_, config_.anti_entropy_interval,
+          simulator_, kAntiEntropyInterval,
           [this, node] { anti_entropy_tick(node); }, kAntiEntropyEvent);
       task->start_at(simulator_.now() +
                      static_cast<SimDuration>(node_rngs_[node].next_below(
-                         static_cast<std::uint64_t>(
-                             config_.anti_entropy_interval))));
+                         static_cast<std::uint64_t>(kAntiEntropyInterval))));
       anti_entropy_tasks_.push_back(std::move(task));
     }
   }
@@ -164,8 +187,7 @@ void GossipMembership::on_churn(NodeId node, bool up, SimTime when) {
     // and pulls a snapshot from one of them. Contacts that are dead simply
     // drop the message.
     auto contacts = caches_[node].sample_known(
-        std::min<std::size_t>(config_.churn_observers,
-                              caches_[node].known_count()),
+        std::min<std::size_t>(kChurnObservers, caches_[node].known_count()),
         decision_rng(node), {node});
     bool sync_requested = false;
     for (NodeId contact : contacts) {
@@ -184,12 +206,7 @@ void GossipMembership::on_churn(NodeId node, bool up, SimTime when) {
     // overlay neighbors notice the silence. We pick a few live nodes as
     // those neighbors (simulator shortcut documented in DESIGN.md) and let
     // the news spread epidemically from them.
-    const SimDuration delay =
-        config_.detection_delay_min +
-        static_cast<SimDuration>(
-            decision_rng(node).next_below(static_cast<std::uint64_t>(
-                config_.detection_delay_max - config_.detection_delay_min +
-                1)));
+    const SimDuration delay = detection_delay(decision_rng(node));
     static const auto kDetectEvent =
         obs::capacity::event_type("gossip.detect");
     simulator_.schedule_after(
@@ -199,8 +216,7 @@ void GossipMembership::on_churn(NodeId node, bool up, SimTime when) {
           std::size_t found = 0;
           const std::size_t n = caches_.size();
           for (std::size_t attempt = 0;
-               attempt < 8 * config_.churn_observers &&
-               found < config_.churn_observers;
+               attempt < 8 * kChurnObservers && found < kChurnObservers;
                ++attempt) {
             const NodeId observer =
                 static_cast<NodeId>(decision_rng(node).next_below(n));
@@ -218,7 +234,7 @@ void GossipMembership::enqueue_rumor(NodeId owner, NodeId subject) {
   auto& members = rumor_members_[owner];
   if (members.count(subject) > 0) return;
   members.insert(subject);
-  rumor_queues_[owner].push_back(Rumor{subject, config_.rumor_forwards});
+  rumor_queues_[owner].push_back(Rumor{subject, kRumorForwards});
 }
 
 std::vector<NodeId> GossipMembership::pick_gossip_targets(NodeId node,
@@ -286,13 +302,13 @@ void GossipMembership::send_records(NodeId from, NodeId to,
 void GossipMembership::gossip_tick(NodeId node) {
   if (!churn_.is_up(node)) return;
 
-  // Drain up to max_rumors from the hot queue.
+  // Drain up to kMaxRumors from the hot queue.
   std::vector<NodeId> subjects;
   auto& queue = rumor_queues_[node];
   auto& members = rumor_members_[node];
   std::size_t scanned = 0;
   const std::size_t limit = queue.size();
-  while (!queue.empty() && subjects.size() < config_.max_rumors &&
+  while (!queue.empty() && subjects.size() < kMaxRumors &&
          scanned < limit) {
     Rumor rumor = queue.front();
     queue.pop_front();
@@ -323,7 +339,7 @@ void GossipMembership::gossip_tick(NodeId node) {
   refresh_cursors_[node] = cursor;
 
   for (NodeId target :
-       pick_gossip_targets(node, config_.fanout, decision_rng(node))) {
+       pick_gossip_targets(node, kFanout, decision_rng(node))) {
     send_records(node, target, kKindGossip, subjects);
   }
 }
@@ -337,7 +353,7 @@ std::vector<std::uint64_t> GossipMembership::compute_digest(
   // caches almost always (local staleness), and a digest over them would
   // flag every bucket every round. Alive/dead belief is the state whose
   // divergence anti-entropy exists to heal.
-  std::vector<std::uint64_t> buckets(config_.anti_entropy_buckets, 0);
+  std::vector<std::uint64_t> buckets(kDigestBuckets, 0);
   const NodeCache& cache = caches_[node];
   const std::size_t n = caches_.size();
   for (NodeId subject = 0; subject < n; ++subject) {
@@ -346,7 +362,7 @@ std::vector<std::uint64_t> GossipMembership::compute_digest(
     const std::uint64_t h =
         mix64(static_cast<std::uint64_t>(subject) * 2 +
               (entry->alive ? 1 : 0));
-    buckets[subject % config_.anti_entropy_buckets] ^= h;
+    buckets[subject % kDigestBuckets] ^= h;
   }
   return buckets;
 }
@@ -379,8 +395,8 @@ void GossipMembership::handle_digest(NodeId from, NodeId to, ByteView payload,
   const std::size_t count = get_u16be(payload, 1);
   if (count == 0 || payload.size() < 3 + count * 8) return;
   const auto own = compute_digest(to);
-  // Bucket counts must agree (same config everywhere in one deployment);
-  // compare only the common prefix defensively.
+  // Every node folds into kDigestBuckets slots; a truncated or malformed
+  // digest is compared only over the common prefix.
   const std::size_t buckets = std::min(own.size(), count);
   std::vector<bool> differs(buckets, false);
   bool any = false;
@@ -395,17 +411,15 @@ void GossipMembership::handle_digest(NodeId from, NodeId to, ByteView payload,
     // keep whichever side is fresher, so pushing is safe even when the
     // peer is the one with better information.
     std::vector<NodeId> chunk;
-    const std::size_t chunk_size =
-        std::max<std::size_t>(config_.max_rumors * 4, 64);
     const std::size_t n = caches_.size();
     for (NodeId subject = 0; subject < n; ++subject) {
       if (subject == to) continue;
-      const std::size_t idx = subject % config_.anti_entropy_buckets;
+      const std::size_t idx = subject % kDigestBuckets;
       if (idx >= buckets || !differs[idx]) continue;
       if (caches_[to].find(subject) == nullptr) continue;
       chunk.push_back(subject);
       ++control_stats_.repair_records_sent;
-      if (chunk.size() == chunk_size) {
+      if (chunk.size() == kRecordChunk) {
         send_records(to, from, kKindRepair, chunk);
         chunk.clear();
       }
@@ -428,11 +442,9 @@ void GossipMembership::handle_message(NodeId from, NodeId to,
     // messages.
     const auto known = caches_[to].known_nodes();
     std::vector<NodeId> chunk;
-    const std::size_t chunk_size =
-        std::max<std::size_t>(config_.max_rumors * 4, 64);
     for (NodeId subject : known) {
       chunk.push_back(subject);
-      if (chunk.size() == chunk_size) {
+      if (chunk.size() == kRecordChunk) {
         send_records(to, from, kKindSyncResponse, chunk);
         chunk.clear();
       }
@@ -442,7 +454,7 @@ void GossipMembership::handle_message(NodeId from, NodeId to,
   }
 
   if (kind == kKindDigest || kind == kKindDigestReply) {
-    if (config_.anti_entropy_interval <= 0) return;
+    if (!config_.resilient) return;
     handle_digest(from, to, payload,
                   /*reply_with_digest=*/kind == kKindDigest);
     return;

@@ -32,51 +32,31 @@
 namespace p2panon::membership {
 
 struct GossipConfig {
-  SimDuration interval = 2 * kSecond;   // per-node gossip period
-  std::size_t fanout = 1;               // targets per round
-  std::size_t max_rumors = 32;          // hot records per message
   // Anti-entropy records per message, swept round-robin over the id space
   // so every record's staleness is bounded by (N / refresh_records) *
-  // interval and roughly UNIFORM across subjects. Uniform staleness is
-  // what makes the Eq. 3 predictor rank by age (q = a / (a + s) compares
-  // s/a; with random per-subject staleness the freshest-heard node wins
-  // regardless of age and biased mix choice degenerates) — it models
-  // OneHop's periodic full-membership keepalive refresh.
+  // gossip interval and roughly UNIFORM across subjects. Uniform staleness
+  // is what makes the Eq. 3 predictor rank by age (q = a / (a + s)
+  // compares s/a; with random per-subject staleness the freshest-heard
+  // node wins regardless of age and biased mix choice degenerates) — it
+  // models OneHop's periodic full-membership keepalive refresh.
   std::size_t refresh_records = 64;
-  int rumor_forwards = 4;               // times a node forwards a rumor
-  SimDuration detection_delay_min = 500 * kMillisecond;
-  SimDuration detection_delay_max = 2 * kSecond;
-  std::size_t churn_observers = 3;      // nodes that notice a join/leave
-  bool seed_full_membership = true;     // OneHop-style complete initial view
 
-  // --- Control-plane resilience (DESIGN §9). Every knob below defaults
-  // OFF; with all of them off, RNG draw sequences and wire traffic are
-  // byte-identical to the seed. ---
-
-  /// Digest-based anti-entropy repair period; 0 disables. Each round a
-  /// node sends one partner a compact per-bucket digest of its alive/dead
-  /// beliefs; the partner pushes back records for every differing bucket
-  /// and returns its own digest so repair flows both ways (one round trip,
-  /// loop-free). This is what re-converges caches after a gossip blackout
-  /// or partition heals — rumor mongering alone has already forgotten the
-  /// deltas by then.
-  SimDuration anti_entropy_interval = 0;
-  /// Digest resolution: beliefs are XOR-folded into `subject % buckets`
-  /// slots. More buckets = finer diffs = fewer records pushed per repair.
-  std::size_t anti_entropy_buckets = 16;
-
-  /// Route gossip peer selection and churn-observer picks through
-  /// deterministic per-node RNG streams instead of the instance-shared
-  /// stream, so one node's draw history is independent of every other
-  /// node's tick interleaving.
-  bool per_node_rng = false;
-
-  /// Bounded-trust liveness merging: enables NodeCache bounded trust (and
-  /// the suspicion machinery it files inflation evidence through) on every
-  /// cache.
-  bool bounded_trust = false;
-  TrustConfig trust;
-  SuspicionConfig trust_suspicion;
+  /// Control-plane resilience (DESIGN §9). Turns on, together:
+  ///   - digest-based anti-entropy repair every 15 s: each round a node
+  ///     sends one partner a compact per-bucket digest of its alive/dead
+  ///     beliefs; the partner pushes back records for every differing
+  ///     bucket and returns its own digest so repair flows both ways (one
+  ///     round trip, loop-free). This is what re-converges caches after a
+  ///     gossip blackout or partition heals — rumor mongering alone has
+  ///     already forgotten the deltas by then;
+  ///   - bounded-trust merging, and the suspicion machinery it files
+  ///     inflation evidence through, on every cache;
+  ///   - per-node RNG streams for gossip peer selection and churn-observer
+  ///     picks, so one node's draw history is independent of every other
+  ///     node's tick interleaving.
+  /// Off, RNG draw sequences and wire traffic are byte-identical to the
+  /// seed.
+  bool resilient = false;
 };
 
 class GossipMembership final : public MembershipProvider {
@@ -109,10 +89,6 @@ class GossipMembership final : public MembershipProvider {
 
   void byte_census(obs::capacity::ByteCensus& census) const override;
 
-  // Legacy accessor names, kept for direct users (tests).
-  std::uint64_t gossip_messages_sent() const { return messages_sent_; }
-  std::uint64_t gossip_bytes_sent() const { return bytes_sent_; }
-
  private:
   struct Rumor {
     NodeId subject;
@@ -133,9 +109,9 @@ class GossipMembership final : public MembershipProvider {
   std::vector<NodeId> pick_gossip_targets(NodeId node, std::size_t count,
                                           Rng& rng);
   /// The stream a node's own decisions draw from: its private stream in
-  /// per-node mode, the instance-shared stream otherwise.
+  /// resilient mode, the instance-shared stream otherwise.
   Rng& decision_rng(NodeId node) {
-    return config_.per_node_rng ? node_rngs_[node] : rng_;
+    return config_.resilient ? node_rngs_[node] : rng_;
   }
 
   sim::Simulator& simulator_;
@@ -150,18 +126,30 @@ class GossipMembership final : public MembershipProvider {
   std::vector<NodeId> refresh_cursors_;  // round-robin anti-entropy sweep
   std::vector<std::unique_ptr<sim::PeriodicTask>> tasks_;
   std::vector<std::unique_ptr<sim::PeriodicTask>> anti_entropy_tasks_;
-  // Per-node streams, materialized in start() only when a mode needing
-  // them is on (per_node_rng or anti-entropy) so the default draws nothing
-  // extra from rng_.
+  // Per-node streams, materialized in start() only in resilient mode so
+  // the default draws nothing extra from rng_.
   std::vector<Rng> node_rngs_;
 
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   ControlStats control_stats_;
-  bool started_ = false;
 };
 
-// --- Wire helpers shared with the OneHop variant ------------------------------
+// --- Helpers shared with the OneHop variant ----------------------------------
+
+/// Seeds every cache from churn ground truth at `now`: OneHop gives nodes
+/// "accurate and complete membership information", so both providers
+/// bootstrap that state at start() and let dissemination maintain it.
+void seed_from_ground_truth(std::vector<NodeCache>& caches,
+                            const churn::ChurnModel& churn, SimTime now);
+
+/// Delay before a leave is noticed (OneHop-style keepalive failure
+/// detection): uniform over [500 ms, 2 s], one draw from `rng`.
+SimDuration detection_delay(Rng& rng);
+
+/// One deterministic stream per node, all seeded from a single draw of
+/// `rng`.
+std::vector<Rng> node_streams(Rng& rng, std::size_t num_nodes);
 
 /// Serialized liveness record: subject(4) flags(1) dt_alive(8) dt_since(8).
 constexpr std::size_t kRecordWireSize = 21;

@@ -6,6 +6,19 @@
 
 namespace p2panon::membership {
 
+namespace {
+// Bounded trust: tolerance added to every liveness bound before a claim
+// counts as inflated, and the suspicion filed against its subject.
+constexpr SimDuration kClaimSlack = 30 * kSecond;
+constexpr double kInflationSuspicion = 0.5;
+// Behavioral suspicion: scores halve every kSuspicionHalfLife, a decayed
+// score at or above kQuarantineThreshold excludes the node from mix
+// selection, and biased choice scores candidates q / (1 + kBiasPenalty * s).
+constexpr SimDuration kSuspicionHalfLife = 5 * kMinute;
+constexpr double kQuarantineThreshold = 2.0;
+constexpr double kBiasPenalty = 1.0;
+}  // namespace
+
 NodeCache::NodeCache(std::size_t num_nodes) : entries_(num_nodes) {
   for (std::size_t i = 0; i < num_nodes; ++i) {
     entries_[i].node = static_cast<NodeId>(i);
@@ -20,10 +33,10 @@ void NodeCache::heard_directly(NodeId node, SimDuration dt_alive,
   // claimed uptime is still just a claim. No node can have been up longer
   // than the simulation has run, so cap at now + slack and file suspicion
   // for the excess — the node stays usable but loses its stolen bias.
-  if (trust_enabled_ && dt_alive > now + trust_config_.claim_slack) {
-    dt_alive = now + trust_config_.claim_slack;
+  if (trust_enabled_ && dt_alive > now + kClaimSlack) {
+    dt_alive = now + kClaimSlack;
     ++merge_stats_.inflated_rejected;
-    report_suspicion(node, trust_config_.inflation_suspicion, now);
+    report_suspicion(node, kInflationSuspicion, now);
   }
   ++merge_stats_.updates_direct;
   e.known = true;
@@ -55,15 +68,13 @@ bool NodeCache::merge_indirect(NodeId node, const LivenessInfo& info,
   // indirect — a relayed rumor cannot make a node look longer-lived than
   // we saw it ourselves).
   if (trust_enabled_ && info.alive) {
-    const SimDuration slack = trust_config_.claim_slack;
-    const bool impossible =
-        info.dt_alive > now + slack;
+    const bool impossible = info.dt_alive > now + kClaimSlack;
     const bool over_direct =
         e.known && e.direct && e.alive &&
-        info.dt_alive > e.dt_alive + (now - e.t_last) + slack;
+        info.dt_alive > e.dt_alive + (now - e.t_last) + kClaimSlack;
     if (impossible || over_direct) {
       ++merge_stats_.inflated_rejected;
-      report_suspicion(node, trust_config_.inflation_suspicion, now);
+      report_suspicion(node, kInflationSuspicion, now);
       return false;
     }
   }
@@ -167,8 +178,7 @@ std::vector<NodeId> NodeCache::top_by_predictor(
       if (quarantined(e.node, now)) continue;
       const double s = suspicion(e.node, now);
       scored.emplace_back(
-          predictor(e.node, now) /
-              (1.0 + suspicion_config_.bias_penalty * s),
+          predictor(e.node, now) / (1.0 + kBiasPenalty * s),
           e.node);
       continue;
     }
@@ -200,10 +210,7 @@ void NodeCache::clear() {
 
 // --- bounded trust ---------------------------------------------------------
 
-void NodeCache::enable_bounded_trust(const TrustConfig& config) {
-  trust_enabled_ = true;
-  trust_config_ = config;
-}
+void NodeCache::enable_bounded_trust() { trust_enabled_ = true; }
 
 NodeCache::AgeStats NodeCache::age_stats(SimTime now,
                                          SimDuration stale_after) const {
@@ -235,9 +242,8 @@ NodeCache::AgeStats NodeCache::age_stats(SimTime now,
 
 // --- behavioral suspicion --------------------------------------------------------
 
-void NodeCache::enable_suspicion(const SuspicionConfig& config) {
+void NodeCache::enable_suspicion() {
   suspicion_enabled_ = true;
-  suspicion_config_ = config;
   suspicion_.assign(entries_.size(), Suspicion{});
 }
 
@@ -246,9 +252,7 @@ double NodeCache::decayed_suspicion(NodeId node, SimTime now) const {
   if (s.score == 0.0) return 0.0;
   if (now <= s.updated) return s.score;
   const double dt = static_cast<double>(now - s.updated);
-  const double half_life =
-      static_cast<double>(std::max<SimDuration>(suspicion_config_.half_life, 1));
-  return s.score * std::exp2(-dt / half_life);
+  return s.score * std::exp2(-dt / static_cast<double>(kSuspicionHalfLife));
 }
 
 void NodeCache::report_suspicion(NodeId node, double amount,
@@ -268,7 +272,7 @@ double NodeCache::suspicion(NodeId node, SimTime now) const {
 
 bool NodeCache::quarantined(NodeId node, SimTime now) const {
   if (!suspicion_enabled_ || node >= suspicion_.size()) return false;
-  return decayed_suspicion(node, now) >= suspicion_config_.quarantine_threshold;
+  return decayed_suspicion(node, now) >= kQuarantineThreshold;
 }
 
 std::size_t NodeCache::quarantined_count(SimTime now) const {

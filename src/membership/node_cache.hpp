@@ -24,38 +24,6 @@
 
 namespace p2panon::membership {
 
-/// Behavioral-suspicion policy (corruption resilience extension). The
-/// paper's predictor captures *liveness*; suspicion captures *behavior* —
-/// evidence that a node corrupted or stalled traffic, fed back from the
-/// responder's ack channel. Scores decay exponentially so a quarantined
-/// node earns its way back after `half_life`-scale good behavior.
-struct SuspicionConfig {
-  SimDuration half_life = 5 * kMinute;
-  /// Decayed score at or above this excludes the node from mix selection
-  /// entirely (quarantine) until it decays back below.
-  double quarantine_threshold = 2.0;
-  /// Biased mix choice scores candidates q / (1 + bias_penalty * s): any
-  /// suspicion demotes a node below equally-live clean peers.
-  double bias_penalty = 1.0;
-};
-
-/// Bounded-trust merge policy (control-plane resilience extension, DESIGN
-/// §9). Liveness claims are bounded by physics: a node running since the
-/// epoch can have accumulated at most `now` of uptime, and an indirect
-/// claim about a node we have observed directly cannot exceed our own
-/// observation extrapolated forward. Claims past those bounds (plus
-/// `claim_slack` of tolerance for clock skew) are capped or rejected, and
-/// the subject earns `inflation_suspicion` through the existing suspicion
-/// machinery — so a persistent inflater quarantines itself out of the mix
-/// pool.
-struct TrustConfig {
-  /// Tolerance added to every bound before a claim counts as inflated.
-  SimDuration claim_slack = 30 * kSecond;
-  /// Suspicion filed against the subject of an inflated claim (requires
-  /// enable_suspicion; silently dropped otherwise).
-  double inflation_suspicion = 0.5;
-};
-
 class NodeCache {
  public:
   struct Entry {
@@ -142,16 +110,21 @@ class NodeCache {
   /// Drops everything (tests / node reset).
   void clear();
 
-  // --- bounded trust (default OFF: until enable_bounded_trust() is
-  // called, merge behavior is byte-identical to the seed) ---
+  // --- bounded trust (control-plane resilience extension, DESIGN §9;
+  // default OFF: until enable_bounded_trust() is called, merge behavior is
+  // byte-identical to the seed) ---
 
-  /// Turns bounded-trust merging on: direct observations cap the subject's
-  /// claimed uptime at `now + claim_slack`, and indirect claims that exceed
-  /// either the physical bound or our own direct observation are rejected
-  /// (filing suspicion on the subject when suspicion is enabled).
-  void enable_bounded_trust(const TrustConfig& config);
+  /// Turns bounded-trust merging on. Liveness claims are bounded by
+  /// physics: a node running since the epoch can have accumulated at most
+  /// `now` of uptime, and an indirect claim about a node we have observed
+  /// directly cannot exceed our own observation extrapolated forward.
+  /// Direct claims past the first bound (plus 30 s of slack for clock
+  /// skew) are capped; indirect claims past either bound are rejected. The
+  /// subject of an inflated claim earns 0.5 suspicion when suspicion is
+  /// enabled, so a persistent inflater quarantines itself out of the mix
+  /// pool.
+  void enable_bounded_trust();
   bool bounded_trust_enabled() const { return trust_enabled_; }
-  const TrustConfig& trust_config() const { return trust_config_; }
 
   const MergeStats& merge_stats() const { return merge_stats_; }
 
@@ -159,15 +132,20 @@ class NodeCache {
   /// `stale_after` is the age past which an entry counts as stale.
   AgeStats age_stats(SimTime now, SimDuration stale_after) const;
 
-  // --- behavioral suspicion (default OFF: until enable_suspicion() is
-  // called, every method below is a no-op / returns 0 and selection
-  // behavior is byte-identical to the seed) ---
+  // --- behavioral suspicion (corruption resilience extension; default
+  // OFF: until enable_suspicion() is called, every method below is a
+  // no-op / returns 0 and selection behavior is byte-identical to the
+  // seed) ---
 
-  /// Turns suspicion tracking on. Called at setup time by whoever owns the
-  /// cache mutably (harness, tests); reporting itself is const, see below.
-  void enable_suspicion(const SuspicionConfig& config);
+  /// Turns suspicion tracking on. The paper's predictor captures
+  /// *liveness*; suspicion captures *behavior* — evidence that a node
+  /// corrupted or stalled traffic, fed back from the responder's ack
+  /// channel. Scores decay with a 5 min half-life, so a quarantined node
+  /// earns its way back through good behavior. Called at setup time by
+  /// whoever owns the cache mutably (harness, tests); reporting itself is
+  /// const, see below.
+  void enable_suspicion();
   bool suspicion_enabled() const { return suspicion_enabled_; }
-  const SuspicionConfig& suspicion_config() const { return suspicion_config_; }
 
   /// Accrues `amount` suspicion on `node` (corruption evidence ~1.0,
   /// stall evidence ~0.25), on top of the decayed current score. Const:
@@ -178,8 +156,10 @@ class NodeCache {
   /// Decayed suspicion score; 0 when disabled or never reported.
   double suspicion(NodeId node, SimTime now) const;
 
-  /// True when the decayed score is at or above the quarantine threshold;
-  /// quarantined nodes are skipped by sample_known and top_by_predictor.
+  /// True when the decayed score is at or above the quarantine threshold
+  /// (2.0); quarantined nodes are skipped by sample_known and
+  /// top_by_predictor, which also demotes any remaining suspicion s by
+  /// scoring q / (1 + s).
   bool quarantined(NodeId node, SimTime now) const;
 
   std::size_t quarantined_count(SimTime now) const;
@@ -197,7 +177,6 @@ class NodeCache {
   std::vector<Entry> entries_;
   std::size_t known_count_ = 0;
   bool trust_enabled_ = false;
-  TrustConfig trust_config_;
   MergeStats merge_stats_;
 
   struct Suspicion {
@@ -207,7 +186,6 @@ class NodeCache {
   double decayed_suspicion(NodeId node, SimTime now) const;
 
   bool suspicion_enabled_ = false;
-  SuspicionConfig suspicion_config_;
   mutable std::vector<Suspicion> suspicion_;
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "membership/gossip.hpp"  // record wire helpers
+#include "membership/gossip.hpp"  // helpers shared with gossip
 #include "obs/capacity/census.hpp"
 
 namespace p2panon::membership {
@@ -13,12 +13,10 @@ constexpr std::uint8_t kKindEventInterLeader = 2;  // leader -> other leaders
 constexpr std::uint8_t kKindKeepalive = 3;         // leader -> unit members
 constexpr std::uint8_t kKindLeaderAnnounce = 4;    // new leader -> unit+peers
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+constexpr SimDuration kKeepaliveInterval = 2 * kSecond;  // leader -> members
+// Failover mode: a member that hears no keepalive from its leader for
+// three intervals declares the leader dead.
+constexpr SimDuration kLeaderSilenceLimit = 3 * kKeepaliveInterval;
 }  // namespace
 
 OneHopMembership::OneHopMembership(sim::Simulator& simulator,
@@ -78,20 +76,7 @@ NodeId OneHopMembership::believed_leader(NodeId observer,
 }
 
 void OneHopMembership::start() {
-  if (config_.seed_full_membership) {
-    const SimTime now = simulator_.now();
-    const std::size_t n = caches_.size();
-    for (NodeId owner = 0; owner < n; ++owner) {
-      for (NodeId subject = 0; subject < n; ++subject) {
-        if (subject == owner) continue;
-        if (churn_.is_up(subject)) {
-          caches_[owner].heard_directly(subject, 0, now);
-        } else {
-          caches_[owner].heard_left_directly(subject, now);
-        }
-      }
-    }
-  }
+  seed_from_ground_truth(caches_, churn_, simulator_.now());
 
   demux_.set_handler(net::Channel::kGossip,
                      [this](NodeId from, NodeId to, ByteView payload) {
@@ -106,27 +91,22 @@ void OneHopMembership::start() {
     // Failover mode replaces the per-unit ground-truth keepalive tasks
     // with a per-node watchdog: whoever believes itself leader does
     // keepalive duty (including empty heartbeats, so silence is a
-    // signal), and members time the leader out after leader_miss_threshold
-    // intervals. Task phases come from deterministic per-node streams.
+    // signal), and members time the leader out after kLeaderSilenceLimit.
+    // Task phases come from deterministic per-node streams.
     const std::size_t n = caches_.size();
-    const std::uint64_t base = rng_.next_u64();
-    node_rngs_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      node_rngs_.emplace_back(base ^
-                              mix64(static_cast<std::uint64_t>(i) + 1));
-    }
+    node_rngs_ = node_streams(rng_, n);
     last_leader_heard_.assign(n, simulator_.now());
     static const auto kWatchdogEvent =
         obs::capacity::event_type("onehop.watchdog");
     watchdog_tasks_.reserve(n);
     for (NodeId node = 0; node < n; ++node) {
       auto task = std::make_unique<sim::PeriodicTask>(
-          simulator_, config_.keepalive_interval,
+          simulator_, kKeepaliveInterval,
           [this, node] { watchdog_tick(node); }, kWatchdogEvent);
       task->start_at(
           simulator_.now() +
           static_cast<SimDuration>(node_rngs_[node].next_below(
-              static_cast<std::uint64_t>(config_.keepalive_interval))));
+              static_cast<std::uint64_t>(kKeepaliveInterval))));
       watchdog_tasks_.push_back(std::move(task));
     }
     return;
@@ -137,11 +117,11 @@ void OneHopMembership::start() {
   keepalive_tasks_.reserve(config_.units);
   for (std::size_t unit = 0; unit < config_.units; ++unit) {
     auto task = std::make_unique<sim::PeriodicTask>(
-        simulator_, config_.keepalive_interval,
+        simulator_, kKeepaliveInterval,
         [this, unit] { keepalive_tick(unit); }, kKeepaliveEvent);
     task->start_at(simulator_.now() +
                    static_cast<SimDuration>(rng_.next_below(
-                       static_cast<std::uint64_t>(config_.keepalive_interval))));
+                       static_cast<std::uint64_t>(kKeepaliveInterval))));
     keepalive_tasks_.push_back(std::move(task));
   }
 }
@@ -209,10 +189,7 @@ void OneHopMembership::on_churn(NodeId node, bool up, SimTime when) {
   }
   // A leave is noticed by the unit leader's keepalive machinery after a
   // short detection delay.
-  const SimDuration delay =
-      config_.detection_delay_min +
-      static_cast<SimDuration>(rng_.next_below(static_cast<std::uint64_t>(
-          config_.detection_delay_max - config_.detection_delay_min + 1)));
+  const SimDuration delay = detection_delay(rng_);
   static const auto kDetectEvent = obs::capacity::event_type("onehop.detect");
   simulator_.schedule_after(
       delay,
@@ -327,10 +304,7 @@ void OneHopMembership::watchdog_tick(NodeId node) {
   }
   if (bleader == kInvalidNode) return;
   const SimDuration silence = now - last_leader_heard_[node];
-  const SimDuration threshold =
-      static_cast<SimDuration>(config_.leader_miss_threshold) *
-      config_.keepalive_interval;
-  if (silence <= threshold) return;
+  if (silence <= kLeaderSilenceLimit) return;
   // Leader silent too long: declare it dead locally and re-elect. The
   // lowest-id rule means every member with the same beliefs elects the
   // same successor; only the successor itself announces.

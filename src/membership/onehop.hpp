@@ -33,28 +33,21 @@
 namespace p2panon::membership {
 
 struct OneHopConfig {
-  std::size_t units = 32;                        // id-space partitions
-  SimDuration keepalive_interval = 2 * kSecond;  // leader -> members batch
-  SimDuration detection_delay_min = 500 * kMillisecond;
-  SimDuration detection_delay_max = 2 * kSecond;
-  bool seed_full_membership = true;
+  std::size_t units = 32;  // id-space partitions
 
-  // --- Control-plane resilience (DESIGN §9); defaults OFF = byte-
-  // identical to the seed. ---
-
-  /// Deterministic leader failover. The ground-truth mode resolves each
-  /// unit's leader from churn state directly — a simulator shortcut that a
-  /// fault-plan crash (invisible to the churn model) silently defeats: the
-  /// crashed leader keeps its role while every keepalive it sends is
-  /// dropped, and the unit's caches rot. With failover on, leadership is a
-  /// pure function of each node's *believed* membership (lowest believed-
-  /// alive id in the unit): every node runs a watchdog; members that miss
-  /// `leader_miss_threshold` keepalive intervals declare the leader dead,
-  /// re-elect locally, and the new leader announces itself to the unit and
-  /// to the other leaders. A recovered lower-id leader reclaims the role
-  /// automatically the moment its keepalives are heard again.
+  /// Deterministic leader failover (control-plane resilience, DESIGN §9;
+  /// default OFF = byte-identical to the seed). The ground-truth mode
+  /// resolves each unit's leader from churn state directly — a simulator
+  /// shortcut that a fault-plan crash (invisible to the churn model)
+  /// silently defeats: the crashed leader keeps its role while every
+  /// keepalive it sends is dropped, and the unit's caches rot. With
+  /// failover on, leadership is a pure function of each node's *believed*
+  /// membership (lowest believed-alive id in the unit): every node runs a
+  /// watchdog; members that miss 3 keepalive intervals declare the leader
+  /// dead, re-elect locally, and the new leader announces itself to the
+  /// unit and to the other leaders. A recovered lower-id leader reclaims
+  /// the role automatically the moment its keepalives are heard again.
   bool deterministic_failover = false;
-  std::size_t leader_miss_threshold = 3;
 };
 
 class OneHopMembership final : public MembershipProvider {

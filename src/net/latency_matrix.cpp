@@ -1,18 +1,13 @@
 #include "net/latency_matrix.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace p2panon::net {
 
 LatencyMatrix::LatencyMatrix(std::size_t num_nodes,
                              std::vector<SimDuration> delays)
-    : n_(num_nodes), delays_(std::move(delays)) {
-  if (delays_.size() != n_ * n_) {
-    throw std::invalid_argument("LatencyMatrix: delays must be N*N");
-  }
-}
+    : n_(num_nodes), delays_(std::move(delays)) {}
 
 LatencyMatrix LatencyMatrix::synthetic(std::size_t num_nodes, Rng rng,
                                        SimDuration target_mean_rtt) {
@@ -72,30 +67,6 @@ SimDuration LatencyMatrix::mean_rtt() const {
   // Each ordered pair contributes its one-way delay twice (there and back),
   // but we also counted each ordered pair once, so normalize accordingly.
   return static_cast<SimDuration>(sum / pairs);
-}
-
-std::string LatencyMatrix::serialize() const {
-  std::ostringstream out;
-  out << n_ << "\n";
-  for (std::size_t i = 0; i < delays_.size(); ++i) {
-    out << delays_[i] << (i + 1 == delays_.size() ? "\n" : " ");
-  }
-  return out.str();
-}
-
-LatencyMatrix LatencyMatrix::parse(const std::string& text) {
-  std::istringstream in(text);
-  std::size_t n = 0;
-  if (!(in >> n) || n == 0) {
-    throw std::invalid_argument("LatencyMatrix::parse: bad size header");
-  }
-  std::vector<SimDuration> delays(n * n);
-  for (auto& d : delays) {
-    if (!(in >> d)) {
-      throw std::invalid_argument("LatencyMatrix::parse: truncated matrix");
-    }
-  }
-  return LatencyMatrix(n, std::move(delays));
 }
 
 }  // namespace p2panon::net

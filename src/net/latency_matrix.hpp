@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,9 +25,6 @@ class LatencyMatrix {
   /// that the mean RTT equals `target_mean_rtt` (the paper's 152 ms).
   static LatencyMatrix synthetic(std::size_t num_nodes, Rng rng,
                                  SimDuration target_mean_rtt = from_millis(152));
-
-  /// Builds from explicit one-way delays; `delays` is row-major N x N.
-  LatencyMatrix(std::size_t num_nodes, std::vector<SimDuration> delays);
 
   /// One-way network delay from a to b. Symmetric by construction.
   SimDuration one_way(NodeId a, NodeId b) const {
@@ -51,12 +47,10 @@ class LatencyMatrix {
   /// Mean RTT over all ordered pairs (a != b).
   SimDuration mean_rtt() const;
 
-  /// Serializes to a text form ("N\n" then N*N microsecond values);
-  /// round-trips with parse().
-  std::string serialize() const;
-  static LatencyMatrix parse(const std::string& text);
-
  private:
+  /// Takes explicit one-way delays; `delays` is row-major N x N.
+  LatencyMatrix(std::size_t num_nodes, std::vector<SimDuration> delays);
+
   std::size_t n_;
   std::vector<SimDuration> delays_;
 };

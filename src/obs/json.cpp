@@ -32,150 +32,6 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-namespace {
-
-/// Hand-rolled validating parser; no allocation, no value materialization.
-class Checker {
- public:
-  explicit Checker(std::string_view text) : text_(text) {}
-
-  bool run() {
-    skip_ws();
-    if (!value(0)) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  static constexpr int kMaxDepth = 512;
-
-  bool value(int depth) {
-    if (depth > kMaxDepth || pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return object(depth);
-      case '[': return array(depth);
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object(int depth) {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool array(int depth) {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (c == '"') { ++pos_; return true; }
-      if (c < 0x20) return false;  // raw control character
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              return false;
-            }
-          }
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;  // unterminated
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    if (!digit()) return false;
-    if (text_[pos_] == '0') {
-      ++pos_;
-    } else {
-      while (digit()) ++pos_;
-    }
-    if (peek() == '.') {
-      ++pos_;
-      if (!digit()) return false;
-      while (digit()) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (!digit()) return false;
-      while (digit()) ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool digit() const {
-    return pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]));
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-bool json_valid(std::string_view text) { return Checker(text).run(); }
-
 // ---------------------------------------------------------------------------
 // DOM parser
 
@@ -208,7 +64,8 @@ std::string_view JsonValue::as_string(std::string_view fallback) const {
 
 namespace {
 
-/// Materializing parser; same grammar and depth cap as Checker.
+/// Recursive-descent parser (RFC 8259 grammar, nesting capped at
+/// kMaxDepth levels below the root).
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -428,5 +285,7 @@ class Parser {
 std::unique_ptr<JsonValue> json_parse(std::string_view text) {
   return Parser(text).run();
 }
+
+bool json_valid(std::string_view text) { return json_parse(text) != nullptr; }
 
 }  // namespace p2panon::obs

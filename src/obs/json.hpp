@@ -22,11 +22,6 @@ namespace p2panon::obs {
 /// added; control characters become \u00XX sequences.
 std::string json_escape(std::string_view s);
 
-/// Strict recursive-descent check that `text` is exactly one valid JSON
-/// value (RFC 8259 grammar, nesting capped at 512 levels). Trailing
-/// whitespace is allowed; trailing garbage is not.
-bool json_valid(std::string_view text);
-
 /// Parsed JSON value. Objects keep insertion order; numbers keep the raw
 /// token so integer precision survives (see header comment).
 class JsonValue {
@@ -59,8 +54,12 @@ class JsonValue {
   std::string_view as_string(std::string_view fallback = "") const;
 };
 
-/// Parses exactly one JSON value (same grammar and nesting cap as
-/// json_valid). Returns nullptr on any syntax error or trailing garbage.
+/// Parses exactly one JSON value (RFC 8259 grammar, nesting capped at 512
+/// levels). Surrounding whitespace is allowed; trailing garbage is not.
+/// Returns nullptr on any syntax error.
 std::unique_ptr<JsonValue> json_parse(std::string_view text);
+
+/// True when `text` is exactly one valid JSON value: json_parse succeeds.
+bool json_valid(std::string_view text);
 
 }  // namespace p2panon::obs

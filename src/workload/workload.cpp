@@ -29,16 +29,15 @@ double WorkloadEngine::rate_multiplier(SimTime t) const {
     case LoadShape::kSteady:
       return 1.0;
     case LoadShape::kDiurnal: {
-      if (config_.diurnal_period <= 0) return 1.0;
       const double phase =
           2.0 * kPi *
           (static_cast<double>(t - window_start_) /
-           static_cast<double>(config_.diurnal_period));
-      const double m = 1.0 + config_.diurnal_amplitude * std::sin(phase);
+           static_cast<double>(kDiurnalPeriod));
+      const double m = 1.0 + kDiurnalAmplitude * std::sin(phase);
       return std::max(m, 1e-6);
     }
     case LoadShape::kFlashCrowd:
-      return flash_.contains(t) ? config_.flash_multiplier : 1.0;
+      return flash_.contains(t) ? kFlashMultiplier : 1.0;
   }
   return 1.0;
 }
@@ -55,13 +54,13 @@ TrafficClass WorkloadEngine::pick_class() {
 std::size_t WorkloadEngine::class_size(TrafficClass cls) const {
   switch (cls) {
     case TrafficClass::kBulk:
-      return config_.bulk_size;
+      return kBulkSize;
     case TrafficClass::kInteractive:
-      return config_.interactive_size;
+      return kInteractiveSize;
     case TrafficClass::kStreaming:
-      return config_.streaming_size;
+      return kStreamingSize;
   }
-  return config_.interactive_size;
+  return kInteractiveSize;
 }
 
 Arrival WorkloadEngine::next(SimTime now) {
@@ -74,10 +73,10 @@ Arrival WorkloadEngine::next(SimTime now) {
     case LoadShape::kSteady:
       break;
     case LoadShape::kDiurnal:
-      peak = 1.0 + std::max(config_.diurnal_amplitude, 0.0);
+      peak = 1.0 + kDiurnalAmplitude;
       break;
     case LoadShape::kFlashCrowd:
-      peak = std::max(config_.flash_multiplier, 1.0);
+      peak = kFlashMultiplier;
       break;
   }
   const double mean_at_peak =
@@ -94,7 +93,7 @@ Arrival WorkloadEngine::next(SimTime now) {
   Arrival arrival;
   arrival.wait = candidate - now;
   arrival.cls = pick_class();
-  arrival.size = std::max<std::size_t>(1, class_size(arrival.cls));
+  arrival.size = class_size(arrival.cls);
   return arrival;
 }
 

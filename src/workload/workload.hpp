@@ -67,6 +67,20 @@ inline FlashWindow flash_crowd_window(SimTime start, SimDuration span) {
   return FlashWindow{begin, begin + span / 4};
 }
 
+// Message payload size per class.
+constexpr std::size_t kBulkSize = 4096;
+constexpr std::size_t kInteractiveSize = 256;
+constexpr std::size_t kStreamingSize = 1024;
+
+// Diurnal shape: multiplier = 1 + kDiurnalAmplitude * sin(2*pi * t /
+// kDiurnalPeriod).
+constexpr SimDuration kDiurnalPeriod = 10 * kMinute;
+constexpr double kDiurnalAmplitude = 0.6;
+
+// Flash-crowd shape: arrival rate is multiplied by this inside the flash
+// window and 1.0 outside it.
+constexpr double kFlashMultiplier = 4.0;
+
 struct WorkloadConfig {
   // Master switch. Off means off: with enabled=false no engine is built,
   // no RNG stream is forked, and runs are byte-identical to the legacy
@@ -84,19 +98,6 @@ struct WorkloadConfig {
   double bulk_weight = 0.25;
   double interactive_weight = 0.5;
   double streaming_weight = 0.25;
-
-  // Message payload size per class.
-  std::size_t bulk_size = 4096;
-  std::size_t interactive_size = 256;
-  std::size_t streaming_size = 1024;
-
-  // Diurnal shape: multiplier = 1 + amplitude * sin(2*pi * t/period).
-  SimDuration diurnal_period = 10 * kMinute;
-  double diurnal_amplitude = 0.6;
-
-  // Flash-crowd shape: arrival rate is multiplied by this inside the
-  // flash window and 1.0 outside it.
-  double flash_multiplier = 4.0;
 };
 
 // One generated arrival: wait this long from "now", then send a message of

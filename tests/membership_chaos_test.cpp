@@ -26,17 +26,13 @@ namespace {
 
 using membership::LivenessInfo;
 using membership::NodeCache;
-using membership::TrustConfig;
 
 // --- bounded-trust merge rules ----------------------------------------------------
 
 TEST(BoundedTrustTest, DirectClaimCappedAndSuspicionFiled) {
   NodeCache cache(8);
-  cache.enable_suspicion({});
-  TrustConfig trust;
-  trust.claim_slack = 30 * kSecond;
-  trust.inflation_suspicion = 0.5;
-  cache.enable_bounded_trust(trust);
+  cache.enable_suspicion();
+  cache.enable_bounded_trust();  // 30 s claim slack, 0.5 suspicion
 
   // At t = 100 s no node can have been up 500 s; the claim is capped at
   // now + slack and the subject earns suspicion, but stays usable.
@@ -57,8 +53,8 @@ TEST(BoundedTrustTest, DirectClaimCappedAndSuspicionFiled) {
 
 TEST(BoundedTrustTest, ImpossibleIndirectClaimRejected) {
   NodeCache cache(8);
-  cache.enable_suspicion({});
-  cache.enable_bounded_trust({});
+  cache.enable_suspicion();
+  cache.enable_bounded_trust();
 
   // 600 s of claimed uptime at t = 60 s is impossible: rejected outright,
   // the node is not even learned, and suspicion is filed on the subject.
@@ -75,7 +71,7 @@ TEST(BoundedTrustTest, ImpossibleIndirectClaimRejected) {
 
 TEST(BoundedTrustTest, IndirectCannotOutrankOwnDirectObservation) {
   NodeCache cache(8);
-  cache.enable_bounded_trust({});  // claim_slack default 30 s
+  cache.enable_bounded_trust();  // 30 s claim slack
 
   // We observed node 2 ourselves: 100 s of uptime at t = 1000 s. Ten
   // seconds later a rumor claims 500 s of uptime — possible on the global
@@ -290,9 +286,7 @@ TEST(AntiEntropyTest, DigestRepairReconvergesFasterAfterBlackout) {
   membership::GossipConfig base;
   base.refresh_records = 2;
   membership::GossipConfig repaired = base;
-  repaired.anti_entropy_interval = 15 * kSecond;
-  repaired.per_node_rng = true;
-  repaired.bounded_trust = true;
+  repaired.resilient = true;
 
   BlackoutFixture base_fx(base, plan);
   const double base_accuracy = base_fx.run();

@@ -158,9 +158,7 @@ TEST(SuspicionTest, DisabledIsInertAndByteIdentical) {
 TEST(SuspicionTest, ScoreDecaysExponentially) {
   NodeCache cache(8);
   cache.heard_directly(3, 0, 0);
-  SuspicionConfig config;
-  config.half_life = 5 * kMinute;
-  cache.enable_suspicion(config);
+  cache.enable_suspicion();  // 5 min half-life
   cache.report_suspicion(3, 2.0, 0);
   EXPECT_DOUBLE_EQ(cache.suspicion(3, 0), 2.0);
   // One half-life -> half the score; two -> a quarter.
@@ -177,10 +175,7 @@ TEST(SuspicionTest, QuarantineExcludesFromSelectionUntilDecayedClean) {
   for (NodeId node = 0; node < 5; ++node) {
     cache.heard_directly(node, 900 * kSecond, now);
   }
-  SuspicionConfig config;
-  config.half_life = 5 * kMinute;
-  config.quarantine_threshold = 2.0;
-  cache.enable_suspicion(config);
+  cache.enable_suspicion();  // 5 min half-life, quarantine at 2.0
   cache.report_suspicion(1, 4.0, now);
   ASSERT_TRUE(cache.quarantined(1, now));
   EXPECT_EQ(cache.quarantined_count(now), 1u);
@@ -217,12 +212,9 @@ TEST(SuspicionTest, BiasedChoiceDemotesSuspectedButCleanNodes) {
   cache.heard_directly(1, 900 * kSecond, now);
   cache.heard_directly(2, 900 * kSecond, now);
   cache.heard_directly(3, 1 * kSecond, now);
-  SuspicionConfig config;
-  config.quarantine_threshold = 100.0;  // never quarantine in this test
-  config.bias_penalty = 1.0;
-  cache.enable_suspicion(config);
-  // Sub-quarantine suspicion on node 1 drops it below its equally-live
-  // peer: q/(1+s) ranks node 2 first.
+  cache.enable_suspicion();
+  // Sub-quarantine suspicion (1.0 < 2.0) on node 1 drops it below its
+  // equally-live peer: q/(1+s) ranks node 2 first.
   cache.report_suspicion(1, 1.0, now);
   const auto top = cache.top_by_predictor(2, now, {});
   ASSERT_EQ(top.size(), 2u);
@@ -232,7 +224,7 @@ TEST(SuspicionTest, BiasedChoiceDemotesSuspectedButCleanNodes) {
 TEST(SuspicionTest, ClearResetsSuspicion) {
   NodeCache cache(4);
   cache.heard_directly(1, 0, 0);
-  cache.enable_suspicion({});
+  cache.enable_suspicion();
   cache.report_suspicion(1, 10.0, 0);
   EXPECT_TRUE(cache.quarantined(1, 0));
   cache.clear();
@@ -285,7 +277,7 @@ TEST(GossipTest, BeliefAccuracyStaysHighUnderChurn) {
   // With 10-minute sessions and second-scale dissemination, live nodes
   // should believe correctly about the vast majority of peers.
   EXPECT_GT(gossip.belief_accuracy(), 0.9);
-  EXPECT_GT(gossip.gossip_messages_sent(), 0u);
+  EXPECT_GT(gossip.messages_sent(), 0u);
 }
 
 TEST(GossipTest, UptimeEstimatesReachOtherCaches) {
@@ -322,7 +314,6 @@ TEST(GossipTest, PredictorRanksLongLivedNodesHigher) {
                               [&](NodeId id) { return churn_model.is_up(id); });
   net::Demux demux(transport, n);
   GossipConfig config;
-  config.seed_full_membership = true;
   GossipMembership gossip(simulator, demux, churn_model, config, Rng(12));
   gossip.start();
   churn_model.start();

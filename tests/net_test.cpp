@@ -39,19 +39,6 @@ TEST(LatencyMatrixTest, HeterogeneousDelays) {
   EXPECT_GT(hi, 2 * lo);  // real spread, not a constant matrix
 }
 
-TEST(LatencyMatrixTest, SerializeRoundTrips) {
-  const auto matrix = LatencyMatrix::synthetic(16, Rng(4));
-  const auto parsed = LatencyMatrix::parse(matrix.serialize());
-  ASSERT_EQ(parsed.num_nodes(), 16u);
-  for (NodeId a = 0; a < 16; ++a) {
-    for (NodeId b = 0; b < 16; ++b) {
-      EXPECT_EQ(parsed.one_way(a, b), matrix.one_way(a, b));
-    }
-  }
-  EXPECT_THROW(LatencyMatrix::parse("garbage"), std::invalid_argument);
-  EXPECT_THROW(LatencyMatrix::parse("3\n1 2 3"), std::invalid_argument);
-}
-
 TEST(SimTransportTest, DeliversAfterLatency) {
   sim::Simulator simulator;
   const auto matrix = LatencyMatrix::synthetic(4, Rng(5));

@@ -76,6 +76,32 @@ TEST(RegistryTest, SnapshotIsValidJson) {
 }
 
 // ---------------------------------------------------------------------------
+// JSON grammar: the validator and the DOM parser accept exactly the same
+// documents (RFC 8259, nesting capped at 512 levels below the root).
+
+TEST(JsonTest, ValidatorAndParserAgreeOnEveryVerdict) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const std::vector<std::string> rejected = {
+      "", "{", "[1,]", "{\"a\":1,}", "{\"a\" 1}", "[1 2]",
+      "01", "1.", "-", "+1", ".5", "1e",
+      "\"abc", "\"\\q\"", "\"\\u12G4\"", std::string("\"a\x01z\""),
+      "tru", "{} x", "[1] [2]", nested(514)};
+  const std::vector<std::string> accepted = {
+      "0", "-0.5e+3", "\"\\ud83d\\ude00\"", " \n\t{\"a\": [1, 2]} \r\n",
+      nested(513)};
+  for (const std::string& text : rejected) {
+    EXPECT_FALSE(json_valid(text)) << text.substr(0, 40);
+    EXPECT_EQ(json_parse(text), nullptr) << text.substr(0, 40);
+  }
+  for (const std::string& text : accepted) {
+    EXPECT_TRUE(json_valid(text)) << text.substr(0, 40);
+    EXPECT_NE(json_parse(text), nullptr) << text.substr(0, 40);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // HdrHistogram vs the metrics-layer reference
 
 TEST(HdrHistogramTest, ExactBelowSixtyFour) {
@@ -455,9 +481,7 @@ TEST(OffMeansOffTest, MembershipResilienceOffIsByteIdentical) {
 
   harness::ChaosConfig spelled = tiny_chaos(3);
   spelled.environment.membership_kind = harness::MembershipKind::kGossip;
-  spelled.environment.gossip.anti_entropy_interval = 0;
-  spelled.environment.gossip.per_node_rng = false;
-  spelled.environment.gossip.bounded_trust = false;
+  spelled.environment.gossip.resilient = false;
   spelled.environment.sampled = false;
   Registry registry;
   spelled.environment.metrics = &registry;
@@ -477,11 +501,11 @@ TEST(OffMeansOffTest, MembershipResilienceOffIsByteIdentical) {
   EXPECT_EQ(registry.counter_value("fault_injections_total",
                                    {{"kind", "stale_injected"}}), 0u);
 
-  // The knobs are not dead: the same schedule with anti-entropy on, and
+  // The switch is not dead: the same schedule with resilience on, and
   // sampled, produces repair rounds and cache-health series (the
   // fingerprint is free to differ — repair legitimately adds traffic).
   harness::ChaosConfig on = tiny_chaos(3);
-  on.environment.gossip.anti_entropy_interval = 15 * kSecond;
+  on.environment.gossip.resilient = true;
   on.environment.sampled = true;
   Registry on_registry;
   on.environment.metrics = &on_registry;

@@ -64,7 +64,7 @@ TEST(WorkloadEngineTest, ClassMixAndSizesFollowTheConfig) {
   for (int i = 0; i < 200; ++i) {
     const auto arrival = engine.next(now);
     ASSERT_EQ(arrival.cls, workload::TrafficClass::kInteractive);
-    ASSERT_EQ(arrival.size, config.interactive_size);
+    ASSERT_EQ(arrival.size, workload::kInteractiveSize);
     ASSERT_GT(arrival.wait, 0);
     now += arrival.wait;
   }
@@ -93,28 +93,27 @@ TEST(WorkloadEngineTest, FlashWindowIsTheSharedFoldedDefinition) {
 
   workload::WorkloadConfig config = mixed_workload();
   config.shape = workload::LoadShape::kFlashCrowd;
-  config.flash_multiplier = 4.0;
   workload::WorkloadEngine engine(config, start, span, Rng(1));
   EXPECT_EQ(engine.flash_window().begin, window.begin);
   EXPECT_EQ(engine.flash_window().end, window.end);
   EXPECT_DOUBLE_EQ(engine.rate_multiplier(window.begin - 1), 1.0);
-  EXPECT_DOUBLE_EQ(engine.rate_multiplier(window.begin), 4.0);
-  EXPECT_DOUBLE_EQ(engine.rate_multiplier(window.end - 1), 4.0);
+  EXPECT_DOUBLE_EQ(engine.rate_multiplier(window.begin),
+                   workload::kFlashMultiplier);
+  EXPECT_DOUBLE_EQ(engine.rate_multiplier(window.end - 1),
+                   workload::kFlashMultiplier);
   EXPECT_DOUBLE_EQ(engine.rate_multiplier(window.end), 1.0);
 }
 
 TEST(WorkloadEngineTest, DiurnalMultiplierSwingsAroundTheMean) {
   workload::WorkloadConfig config = mixed_workload();
   config.shape = workload::LoadShape::kDiurnal;
-  config.diurnal_period = 10 * kMinute;
-  config.diurnal_amplitude = 0.6;
   const SimTime start = kMinute;
+  const SimDuration period = workload::kDiurnalPeriod;
   workload::WorkloadEngine engine(config, start, 20 * kMinute, Rng(1));
+  // 1 -/+ the 0.6 amplitude at the quarter and three-quarter period.
   EXPECT_NEAR(engine.rate_multiplier(start), 1.0, 1e-9);
-  EXPECT_NEAR(engine.rate_multiplier(start + config.diurnal_period / 4), 1.6,
-              1e-9);
-  EXPECT_NEAR(engine.rate_multiplier(start + 3 * config.diurnal_period / 4),
-              0.4, 1e-9);
+  EXPECT_NEAR(engine.rate_multiplier(start + period / 4), 1.6, 1e-9);
+  EXPECT_NEAR(engine.rate_multiplier(start + 3 * period / 4), 0.4, 1e-9);
 }
 
 // ---------------------------------------------------------------------------

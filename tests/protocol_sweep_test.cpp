@@ -165,48 +165,5 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(WeightedAllocationSessionTest, DeliversWithWeightedSpread) {
-  // End-to-end with the future-work weighted allocation enabled.
-  sim::Simulator simulator;
-  const auto latency = net::LatencyMatrix::synthetic(64, Rng(70));
-  net::SimTransport transport(simulator, latency, [](NodeId) { return true; });
-  net::Demux demux(transport, 64);
-  crypto::KeyDirectory directory;
-  Rng key_rng(71);
-  auto keys = directory.provision(64, key_rng);
-  FastOnionCodec onion;
-  AnonRouter router(simulator, demux, onion, directory, std::move(keys),
-                    [](NodeId) { return true; }, RouterConfig{}, Rng(72));
-  router.start();
-  membership::NodeCache cache(64);
-  const SimTime now = 0;
-  // Heterogeneous predictors: half old nodes, half young.
-  for (NodeId node = 0; node < 64; ++node) {
-    cache.heard_directly(node,
-                         (node % 2 ? 2000 : 50) * kSecond, now);
-  }
-
-  SessionConfig config =
-      ProtocolSpec::simera(4, 2, MixChoice::kBiased).session_config({});
-  config.erasure.m = 2;
-  config.erasure.n = 8;
-  config.erasure.k = 4;
-  config.weighted_allocation = true;
-  Session session(router, cache, 0, 1, config, Rng(73));
-
-  ReceivedMessage received;
-  router.set_message_handler(
-      [&](const ReceivedMessage& msg) { received = msg; });
-  session.construct([&](bool, std::size_t) {});
-  simulator.run_until(10 * kSecond);
-  ASSERT_TRUE(session.ready());
-  Bytes message(1024, 0x77);
-  const MessageId id = session.send_message(message);
-  simulator.run_until(30 * kSecond);
-  EXPECT_EQ(received.message_id, id);
-  EXPECT_EQ(received.data, message);
-  EXPECT_EQ(session.segments_sent(), 8u);
-}
-
 }  // namespace
 }  // namespace p2panon::anon
