@@ -106,6 +106,24 @@ TEST(ChaosDeterminismTest, SameSeedSameFingerprint) {
   EXPECT_EQ(first.fingerprint(), second.fingerprint());
 }
 
+// Full-set construction under drizzle: attempts that establish some paths
+// keep them and top up only the missing slots. Pinned whole, because no
+// other fingerprint runs the top-up flow. The config is the 64-node,
+// 6-minute mild-loss run the trace tests use, at seed 1.
+TEST(ChaosDeterminismTest, FullConstructionTopUpIsPinned) {
+  ChaosConfig config =
+      small_chaos(ChaosScenario::kMildLossDrizzle, 1, /*adaptive=*/false);
+  config.environment.num_nodes = 64;
+  config.measure = 6 * kMinute;
+  config.send_interval = 10 * kSecond;
+  config.session.require_full_construction = true;
+  const auto result = run_chaos_experiment(config);
+  EXPECT_EQ(result.construct_attempts, 13u);
+  EXPECT_EQ(result.fingerprint(),
+            "1:13:30:29:22:7:0:93:76:0:17:16:120:0:0:0:0:0:0:0:220:0:0:0:0:"
+            "124:0:0:0:7:49504:22:0:0:0:0:0:0");
+}
+
 TEST(ChaosDeterminismTest, DifferentSeedsDiverge) {
   const auto a = run_chaos_experiment(
       small_chaos(ChaosScenario::kFlashCrowdCrash, 22, false));

@@ -387,5 +387,112 @@ TEST(RebuildPathTest, AckTimeoutTriggersRebuildAndResend) {
   EXPECT_EQ(session.established_paths(), 1u);
 }
 
+// --- session recovery flows under churn, pinned to exact ledgers ------------------
+//
+// No chaos fingerprint covers on-demand construction or proactive
+// replacement, so these two runs pin them. Both share one setup: 96 nodes
+// at seed 1 under Pareto churn with 10-minute median sessions, nodes 0 and
+// 1 pinned up, SimEra(4,2)/biased, and a 1 KB message every 10 s from
+// minute 10 to minute 20.
+
+struct ChurnedSessionRun {
+  std::uint64_t segments_sent = 0;
+  std::uint64_t acks_matched = 0;
+  std::uint64_t segments_expired = 0;
+  std::uint64_t segments_retransmitted = 0;
+  std::size_t pending = 0;
+  std::uint64_t rebuilds = 0;
+  std::uint64_t proactive_replacements = 0;
+  std::uint64_t delivered = 0;
+};
+
+// With `on_demand` every message goes out through send_message_on_demand
+// and nothing is constructed up front; otherwise construct() runs at
+// minute 10 and the sends start once it succeeds.
+ChurnedSessionRun run_churned_session(const anon::SessionConfig& config,
+                                      bool on_demand) {
+  harness::EnvironmentConfig env_config;
+  env_config.num_nodes = 96;
+  env_config.seed = 1;
+  env_config.session_distribution = "pareto:median=600";
+  harness::Environment env(env_config);
+  env.churn().pin_up(0);
+  env.churn().pin_up(1);
+  anon::Session session(env.router(), env.membership().cache(0), 0, 1,
+                        config, Rng(131));
+
+  ChurnedSessionRun run;
+  env.router().set_message_handler([&](const anon::ReceivedMessage& msg) {
+    if (msg.responder == 1) ++run.delivered;
+  });
+  const Bytes payload(1024, 0x5a);
+  std::function<void()> send_one;
+  send_one = [&] {
+    if (env.simulator().now() > 20 * kMinute) return;
+    if (on_demand) {
+      session.send_message_on_demand(payload);
+    } else {
+      session.send_message(payload);
+    }
+    env.simulator().schedule_after(10 * kSecond, send_one);
+  };
+  env.simulator().schedule_at(10 * kMinute, [&] {
+    if (on_demand) {
+      send_one();
+    } else {
+      session.construct([&](bool ok, std::size_t) {
+        if (ok) send_one();
+      });
+    }
+  });
+  env.start();
+  env.simulator().run_until(20 * kMinute + 30 * kSecond);
+
+  run.segments_sent = session.segments_sent();
+  run.acks_matched = session.acks_matched();
+  run.segments_expired = session.segments_expired();
+  run.segments_retransmitted = session.segments_retransmitted();
+  run.pending = session.pending_segment_count();
+  for (const auto& info : session.paths()) run.rebuilds += info.rebuilds;
+  run.proactive_replacements = session.proactive_replacements();
+  return run;
+}
+
+anon::SessionConfig churned_session_config() {
+  return anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kBiased)
+      .session_config({});
+}
+
+TEST(SessionFlowPinTest, OnDemandReprovisionsExpiredSlots) {
+  // Expired segments fail their slots, so later sends provision them
+  // again through the combined construct + payload message.
+  const auto run = run_churned_session(churned_session_config(),
+                                       /*on_demand=*/true);
+  EXPECT_EQ(run.segments_sent, 244u);
+  EXPECT_EQ(run.acks_matched, 239u);
+  EXPECT_EQ(run.segments_expired, 5u);
+  EXPECT_EQ(run.segments_retransmitted, 0u);
+  EXPECT_EQ(run.pending, 0u);
+  EXPECT_EQ(run.delivered, 61u);
+}
+
+TEST(SessionFlowPinTest, ProactiveReplacementRebuildsWeakPaths) {
+  // Ack-timeout rebuilds resend their kept segments, and the predictor
+  // check replaces one weak path.
+  anon::SessionConfig config = churned_session_config();
+  config.auto_reconstruct = true;
+  config.replace_threshold = 0.3;
+  config.replace_check_interval = 20 * kSecond;
+  const auto run = run_churned_session(config, /*on_demand=*/false);
+  EXPECT_EQ(run.segments_sent, 245u);
+  EXPECT_EQ(run.acks_matched, 239u);
+  EXPECT_EQ(run.segments_expired, 0u);
+  EXPECT_EQ(run.segments_retransmitted, 6u);
+  EXPECT_EQ(run.pending, 0u);
+  EXPECT_EQ(run.rebuilds, 8u);
+  EXPECT_EQ(run.proactive_replacements, 1u);
+  EXPECT_EQ(run.delivered, 60u);
+}
+
 }  // namespace
 }  // namespace p2panon
