@@ -168,8 +168,7 @@ int run_byzantine_sweep(std::uint64_t seed, std::size_t seeds,
     cell.auth_rejected += result.auth_rejected;
     cell.nacks += result.auth_nacks;
     cell.quarantined += result.quarantined_nodes;
-    cell.violations += result.messages_unaccounted + result.total_leaks() +
-                       (result.ledger_closed() ? 0 : 1);
+    cell.violations += result.violations();
   }
 
   metrics::Table table({"p_corrupt", "protocol", "arm", "accepted", "correct",
@@ -570,8 +569,7 @@ int run_overload_sweep(std::uint64_t seed, std::size_t seeds,
     cell.backpressure += r.backpressure_signals;
     cell.session_shed += r.session_messages_shed;
     cell.stalls_suppressed += r.session_stalls_suppressed;
-    cell.violations += r.messages_unaccounted + r.total_leaks() +
-                       (r.ledger_closed() ? 0 : 1);
+    cell.violations += r.violations();
   }
 
   metrics::Table table({"protocol", "shape", "arm", "attempts", "accepted",
@@ -927,8 +925,7 @@ int run_traced(const std::string& trace_path, const std::string& jsonl_path,
       static_cast<unsigned long long>(result.messages_accepted),
       static_cast<unsigned long long>(result.segments_retransmitted),
       static_cast<unsigned long long>(result.drops.total()),
-      static_cast<unsigned long long>(result.messages_unaccounted +
-                                      result.total_leaks()));
+      static_cast<unsigned long long>(result.violations()));
   if (!timeseries_path.empty()) {
     if (!timeseries.write_csv(timeseries_path)) {
       std::fprintf(stderr, "chaos_sweep: cannot write %s\n",
@@ -1125,8 +1122,7 @@ int main(int argc, char** argv) {
         attempted += result.attempted_delivery_rate();
         accepted += result.delivery_rate();
         retx += result.segments_retransmitted;
-        violations += result.messages_unaccounted + result.total_leaks() +
-                      (result.ledger_closed() ? 0 : 1);
+        violations += result.violations();
         drop_cells[0]->inc(result.drops.sender_dead);
         drop_cells[1]->inc(result.drops.receiver_dead);
         drop_cells[2]->inc(result.drops.link_loss);

@@ -240,11 +240,7 @@ StreamId AnonRouter::initiate_path(NodeId initiator,
 
   // The initiator's own sid for this path: what P_1 will see as its
   // upstream sid.
-  StreamId sid;
-  do {
-    sid = rng_.next_u64();
-  } while (sid == 0 || pending_[initiator].count(sid) > 0 ||
-           reverse_handlers_[initiator].count(sid) > 0);
+  const StreamId sid = new_initiator_sid(initiator);
 
   // The construction chain is correlated by the initiator-side sid: the
   // construct relays, the ack's trip back, and the timeout all inherit it
@@ -259,21 +255,26 @@ StreamId AnonRouter::initiate_path(NodeId initiator,
         .add("hops", static_cast<std::uint64_t>(relays.size()));
     tracer.span_begin("anon", "path_construct", sid, args);
   }
+  arm_pending(initiator, sid, timeout, std::move(callback), "path_construct");
+  send_forward(initiator, relays.front(), kTypeConstruct, sid, 0, onion_blob);
+  return sid;
+}
 
+void AnonRouter::arm_pending(NodeId initiator, StreamId sid,
+                             SimDuration timeout, ConstructCallback callback,
+                             const char* span) {
   static const auto kTimeoutEvent =
       obs::capacity::event_type("router.timeout");
   PendingConstruction pending;
   pending.callback = std::move(callback);
+  pending.span = span;
   pending.timeout_event = simulator_.schedule_after(
       timeout,
       [this, initiator, sid] {
         finish_pending(initiator, sid, /*ok=*/false, /*timed_out=*/true);
       },
       kTimeoutEvent);
-  pending_[initiator].emplace(sid, std::move(pending));
-
-  send_forward(initiator, relays.front(), kTypeConstruct, sid, 0, onion_blob);
-  return sid;
+  pending_[initiator][sid] = std::move(pending);
 }
 
 void AnonRouter::finish_pending(NodeId initiator, StreamId sid, bool ok,
@@ -342,7 +343,11 @@ void AnonRouter::handle_forward(NodeId from, NodeId to, ByteView payload) {
       if (payload.size() < 17) return;
       const std::uint64_t seq = get_u64be(payload, 9);
       if (config_.overload.enabled) {
-        if (payload.size() < 18) return;
+        // Short frames and class bytes past kControl (a corrupted frame)
+        // are dropped alike.
+        constexpr auto kMaxClass =
+            static_cast<std::uint8_t>(SegmentPriority::kControl);
+        if (payload.size() < 18 || payload[17] > kMaxClass) return;
         const auto priority = static_cast<SegmentPriority>(payload[17]);
         on_payload(from, to, sid, seq, payload.subspan(18), priority);
       } else {
@@ -433,28 +438,36 @@ bool AnonRouter::should_shed(NodeId node, SegmentPriority priority) {
 }
 
 void AnonRouter::count_shed(SegmentPriority priority) {
-  shed_ctrs_[static_cast<std::size_t>(priority) & 3]->inc();
+  shed_ctrs_[static_cast<std::size_t>(priority)]->inc();
 }
 
 void AnonRouter::signal_backpressure(NodeId node, NodeId upstream,
                                      StreamId upstream_sid,
                                      SegmentPriority priority) {
   backpressure_ctr_->inc();
-  const Bytes cls(1, static_cast<std::uint8_t>(priority));
-  send_reverse(node, upstream, kTypeBackpressure, upstream_sid, 0, cls);
+  send_reverse_byte(node, upstream, kTypeBackpressure, upstream_sid,
+                    static_cast<std::uint8_t>(priority));
+}
+
+void AnonRouter::send_reverse_byte(NodeId from, NodeId to, std::uint8_t type,
+                                   StreamId sid, std::uint8_t value) {
+  const std::uint8_t frame[1] = {value};
+  send_reverse(from, to, type, sid, 0, frame);
+}
+
+bool AnonRouter::relay_reverse_byte(NodeId to, std::uint8_t type, StreamId sid,
+                                    std::uint8_t value) {
+  const RelayEntry* entry = tables_[to].find_by_downstream(sid);
+  if (entry == nullptr) return false;
+  send_reverse_byte(to, entry->upstream, type, entry->upstream_sid, value);
+  return true;
 }
 
 void AnonRouter::on_backpressure(NodeId to, StreamId sid,
                                  std::uint8_t shed_class) {
-  // Relay on the path: map downstream sid -> upstream sid and pass it on
-  // (same plain-frame chain ConstructAck rides).
-  RelayEntry* entry = tables_[to].find_by_downstream(sid);
-  if (entry != nullptr) {
-    const Bytes cls(1, shed_class);
-    send_reverse(to, entry->upstream, kTypeBackpressure, entry->upstream_sid,
-                 0, cls);
-    return;
-  }
+  // Relay on the path: pass it on (same plain-frame chain ConstructAck
+  // rides).
+  if (relay_reverse_byte(to, kTypeBackpressure, sid, shed_class)) return;
   // Initiator: surface the signal to the session owning this path.
   const auto it = reverse_handlers_[to].find(sid);
   if (it == reverse_handlers_[to].end()) return;
@@ -500,8 +513,7 @@ void AnonRouter::on_construct(NodeId from, NodeId to, StreamId sid,
       // rides the existing ConstructAck chain back to the initiator, whose
       // session retries elsewhere with its normal backoff.
       admission_rejects_ctr_->inc();
-      Bytes status(1, 0);
-      send_reverse(to, from, kTypeConstructAck, sid, 0, status);
+      send_reverse_byte(to, from, kTypeConstructAck, sid, 0);
       return;
     }
     charge_load(to);  // construct processing occupies the queue too
@@ -509,12 +521,27 @@ void AnonRouter::on_construct(NodeId from, NodeId to, StreamId sid,
   const bool traced = obs::Tracer::instance().enabled();
   std::optional<HopRelaySpan> hop_span;
   if (traced) hop_span.emplace(to, "construct");
-  const auto peeled = onion_.peel_path_onion(node_keys_[to], onion_blob);
+  const auto hop = install_hop(from, to, sid, onion_blob, "construct");
+  if (!hop.has_value()) return;
+  if (hop->peeled.hop.last) {
+    // End of the forwarding path (§4.1): the construct message stops here;
+    // confirm to the initiator along the cached upstream chain.
+    send_reverse_byte(to, from, kTypeConstructAck, sid, 1);
+  } else {
+    send_forward(to, hop->peeled.hop.next, kTypeConstruct, hop->down_sid, 0,
+                 hop->peeled.rest);
+  }
+}
+
+std::optional<AnonRouter::InstalledHop> AnonRouter::install_hop(
+    NodeId from, NodeId to, StreamId sid, ByteView onion_blob,
+    const char* where) {
+  auto peeled = onion_.peel_path_onion(node_keys_[to], onion_blob);
   // The next-hop check matters for codecs without authentication (the
   // statistical FastOnionCodec): a corrupted onion "peels" into garbage.
   if (!peeled.has_value() || peeled->hop.next >= node_keys_.size()) {
-    record_peel_failure(to, "construct");
-    return;
+    record_peel_failure(to, where);
+    return std::nullopt;
   }
   RelayEntry entry;
   entry.upstream = from;
@@ -522,32 +549,17 @@ void AnonRouter::on_construct(NodeId from, NodeId to, StreamId sid,
   entry.downstream = peeled->hop.next;
   entry.key = peeled->hop.relay_key;
   entry.last_relay = peeled->hop.last;
-  const SimTime now = simulator_.now();
   const StreamId down_sid =
-      tables_[to].install(std::move(entry), now, config_.state_ttl);
+      tables_[to].install(std::move(entry), simulator_.now(),
+                          config_.state_ttl);
   ++messages_forwarded_;
   forwarded_ctr_->inc();
-
-  if (peeled->hop.last) {
-    // End of the forwarding path (§4.1): the construct message stops here;
-    // confirm to the initiator along the cached upstream chain.
-    Bytes status(1, 1);
-    send_reverse(to, from, kTypeConstructAck, sid, 0, status);
-  } else {
-    send_forward(to, peeled->hop.next, kTypeConstruct, down_sid, 0,
-                 peeled->rest);
-  }
+  return InstalledHop{std::move(*peeled), down_sid};
 }
 
 void AnonRouter::on_construct_ack(NodeId to, StreamId sid, bool ok) {
   // Am I a relay on this path? Then map downstream sid -> upstream sid.
-  RelayEntry* entry = tables_[to].find_by_downstream(sid);
-  if (entry != nullptr) {
-    Bytes status(1, ok ? 1 : 0);
-    send_reverse(to, entry->upstream, kTypeConstructAck, entry->upstream_sid,
-                 0, status);
-    return;
-  }
+  if (relay_reverse_byte(to, kTypeConstructAck, sid, ok ? 1 : 0)) return;
   // Otherwise it may be addressed to me as the initiator.
   finish_pending(to, sid, ok, /*timed_out=*/false);
 }
@@ -661,41 +673,30 @@ void AnonRouter::on_construct_payload(NodeId from, NodeId to, StreamId sid,
   const bool traced = obs::Tracer::instance().enabled();
   std::optional<HopRelaySpan> hop_span;
   if (traced) hop_span.emplace(to, "construct_payload");
-  const auto peeled = onion_.peel_path_onion(node_keys_[to], onion_blob);
-  if (!peeled.has_value() || peeled->hop.next >= node_keys_.size()) {
-    record_peel_failure(to, "construct_payload");
-    return;
-  }
-  RelayEntry entry;
-  entry.upstream = from;
-  entry.upstream_sid = sid;
-  entry.downstream = peeled->hop.next;
-  entry.key = peeled->hop.relay_key;
-  entry.last_relay = peeled->hop.last;
-  const SimTime now = simulator_.now();
-  const StreamId down_sid =
-      tables_[to].install(std::move(entry), now, config_.state_ttl);
-  ++messages_forwarded_;
-  forwarded_ctr_->inc();
+  const auto hop =
+      install_hop(from, to, sid, onion_blob, "construct_payload");
+  if (!hop.has_value()) return;
+  const PathHop& next = hop->peeled.hop;
+  const Bytes& rest = hop->peeled.rest;
 
   PooledBytes inner(pool_, payload_blob.size());
   inner->assign(payload_blob.begin(), payload_blob.end());
-  if (!onion_.unwrap_layer_in_place(peeled->hop.relay_key, seq, *inner)) {
+  if (!onion_.unwrap_layer_in_place(next.relay_key, seq, *inner)) {
     record_peel_failure(to, "construct_payload");
     return;
   }
-  if (peeled->hop.last) {
+  if (next.last) {
     // Construction ends here (§4.1); the stripped payload carries on to
     // the responder as a normal payload message. It keeps the control
     // classification it travelled with.
-    send_forward(to, peeled->hop.next, kTypePayload, down_sid, seq, *inner,
+    send_forward(to, next.next, kTypePayload, hop->down_sid, seq, *inner,
                  SegmentPriority::kControl);
   } else {
-    PooledBytes combined(pool_, 4 + peeled->rest.size() + inner->size());
-    put_u32be(*combined, static_cast<std::uint32_t>(peeled->rest.size()));
-    append(*combined, peeled->rest);
+    PooledBytes combined(pool_, 4 + rest.size() + inner->size());
+    put_u32be(*combined, static_cast<std::uint32_t>(rest.size()));
+    append(*combined, rest);
     append(*combined, *inner);
-    send_forward(to, peeled->hop.next, kTypeConstructPayload, down_sid, seq,
+    send_forward(to, next.next, kTypeConstructPayload, hop->down_sid, seq,
                  *combined);
   }
 }
@@ -713,18 +714,7 @@ void AnonRouter::send_retarget(NodeId initiator, StreamId sid,
     args.add("initiator", static_cast<std::uint64_t>(initiator));
     tracer.span_begin("anon", "retarget", sid, args);
   }
-  static const auto kTimeoutEvent =
-      obs::capacity::event_type("router.timeout");
-  PendingConstruction pending;
-  pending.callback = std::move(callback);
-  pending.span = "retarget";
-  pending.timeout_event = simulator_.schedule_after(
-      timeout,
-      [this, initiator, sid] {
-        finish_pending(initiator, sid, /*ok=*/false, /*timed_out=*/true);
-      },
-      kTimeoutEvent);
-  pending_[initiator][sid] = std::move(pending);
+  arm_pending(initiator, sid, timeout, std::move(callback), "retarget");
   send_forward(initiator, first_relay, kTypeRetarget, sid, seq, blob);
 }
 
@@ -757,9 +747,8 @@ void AnonRouter::on_retarget(NodeId to, StreamId sid, std::uint64_t seq,
   const NodeId new_destination = get_u32be(*inner, 0);
   if (new_destination >= node_keys_.size()) return;
   tables_[to].retarget(*entry, new_destination);
-  Bytes status(1, 1);
-  send_reverse(to, entry->upstream, kTypeConstructAck, entry->upstream_sid,
-               0, status);
+  send_reverse_byte(to, entry->upstream, kTypeConstructAck,
+                    entry->upstream_sid, 1);
 }
 
 void AnonRouter::on_teardown(NodeId to, StreamId sid) {
@@ -1035,11 +1024,7 @@ void AnonRouter::responder_ack(NodeId responder, RelayEntry& entry,
   ack.type = ReverseCore::Type::kAck;
   ack.message_id = message_id;
   ack.segment_index = segment_index;
-  const std::uint64_t seq = entry.reverse_seq++;
-  const Bytes wrapped = onion_.wrap_layer(
-      entry.key, seq | kReverseBit, serialize_reverse_core(ack));
-  send_reverse(responder, entry.upstream, kTypePayloadRev, entry.upstream_sid,
-               seq, wrapped);
+  send_reverse_core(responder, entry, ack);
 }
 
 void AnonRouter::responder_nack(NodeId responder, RelayEntry& entry,
@@ -1053,12 +1038,17 @@ void AnonRouter::responder_nack(NodeId responder, RelayEntry& entry,
   nack.type = ReverseCore::Type::kCorruptNack;
   nack.message_id = message_id;
   nack.segment_index = segment_index;
+  send_reverse_core(responder, entry, nack);
+  auth_nacks_ctr_->inc();
+}
+
+void AnonRouter::send_reverse_core(NodeId responder, RelayEntry& entry,
+                                   const ReverseCore& core) {
   const std::uint64_t seq = entry.reverse_seq++;
-  const Bytes wrapped = onion_.wrap_layer(
-      entry.key, seq | kReverseBit, serialize_reverse_core(nack));
+  const Bytes wrapped = onion_.wrap_layer(entry.key, seq | kReverseBit,
+                                          serialize_reverse_core(core));
   send_reverse(responder, entry.upstream, kTypePayloadRev, entry.upstream_sid,
                seq, wrapped);
-  auth_nacks_ctr_->inc();
 }
 
 void AnonRouter::on_payload_rev(NodeId to, StreamId sid, std::uint64_t seq,
@@ -1122,11 +1112,7 @@ bool AnonRouter::send_response(NodeId responder, MessageId message_id,
     core.needed_segments = static_cast<std::uint16_t>(reassembly.needed);
     core.total_segments = static_cast<std::uint16_t>(reassembly.total);
     core.segment = segments[i].data;
-    const std::uint64_t seq = entry->reverse_seq++;
-    const Bytes wrapped = onion_.wrap_layer(
-        entry->key, seq | kReverseBit, serialize_reverse_core(core));
-    send_reverse(responder, entry->upstream, kTypePayloadRev,
-                 entry->upstream_sid, seq, wrapped);
+    send_reverse_core(responder, *entry, core);
   }
   return true;
 }

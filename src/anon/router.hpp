@@ -40,6 +40,8 @@ class ByteCensus;
 
 namespace p2panon::anon {
 
+struct ReverseCore;
+
 /// Shed-priority class a payload segment travels with. Numeric order is
 /// shed order: under overload the lowest classes are shed first and
 /// kControl (construct/ack/teardown machinery and anything the session
@@ -328,7 +330,26 @@ class AnonRouter {
                      const std::vector<std::uint32_t>& indices,
                      const std::vector<erasure::Segment>& pool,
                      const std::vector<StreamId>& pool_sids);
+  struct InstalledHop {
+    OnionCodec::PeeledPath peeled;
+    StreamId down_sid = 0;  // the sid this relay forwards on
+  };
+  /// Peels `to`'s layer of a path onion that arrived from `from` on
+  /// `sid`, installs the relay entry (§4.1) and counts the forward. On a
+  /// layer that does not open or names no node it records a peel failure
+  /// at `where` and returns nullopt.
+  std::optional<InstalledHop> install_hop(NodeId from, NodeId to,
+                                          StreamId sid, ByteView onion_blob,
+                                          const char* where);
+  /// Seals `core` under the responder's entry key and sends it up the
+  /// entry's reverse path (acks, corrupt-nacks and response segments).
+  void send_reverse_core(NodeId responder, RelayEntry& entry,
+                         const ReverseCore& core);
   void sweep();
+  /// Holds `callback` until the construct-ack for the initiator's `sid`
+  /// arrives or `timeout` passes; `span` is the trace span it closes.
+  void arm_pending(NodeId initiator, StreamId sid, SimDuration timeout,
+                   ConstructCallback callback, const char* span);
   void finish_pending(NodeId initiator, StreamId sid, bool ok, bool timed_out);
   void record_peel_failure(NodeId node, const char* where);
 
@@ -353,6 +374,15 @@ class AnonRouter {
                     SegmentPriority priority = SegmentPriority::kControl);
   void send_reverse(NodeId from, NodeId to, std::uint8_t type, StreamId sid,
                     std::uint64_t seq, ByteView blob);
+  /// A plain one-byte reverse frame (construct-ack status, backpressure
+  /// class).
+  void send_reverse_byte(NodeId from, NodeId to, std::uint8_t type,
+                         StreamId sid, std::uint8_t value);
+  /// Relay step for one-byte reverse frames: maps the downstream `sid` to
+  /// the upstream one and passes the byte on. False when `to` relays no
+  /// path with that downstream sid.
+  bool relay_reverse_byte(NodeId to, std::uint8_t type, StreamId sid,
+                          std::uint8_t value);
 
   sim::Simulator& simulator_;
   net::Demux& demux_;
@@ -421,7 +451,8 @@ class AnonRouter {
   obs::Counter* auth_fallback_failed_ctr_;
   // Overload outcomes. Registered eagerly like every other series; they
   // stay 0 in legacy runs. The control-class shed counter exists so the
-  // sweep gate can assert it is still zero — the code never increments it.
+  // sweep gate can assert it is still zero — should_shed never sheds
+  // control, and handle_forward drops class bytes past kControl.
   obs::Counter* shed_ctrs_[4];  // indexed by SegmentPriority
   obs::Counter* admission_rejects_ctr_;
   obs::Counter* backpressure_ctr_;

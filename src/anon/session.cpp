@@ -83,7 +83,7 @@ Session::Session(AnonRouter& router, const membership::NodeCache& cache,
     biased_selects_ctr_ = reg.counter("anon_mix_biased_selects_total");
   }
   paths_.resize(config_.erasure.k);
-  path_info_.resize(config_.erasure.k);
+  keys_.resize(config_.erasure.k);
   path_health_.resize(config_.erasure.k);
   congested_until_.resize(config_.erasure.k, 0);
   last_backpressure_.resize(config_.erasure.k, 0);
@@ -105,7 +105,7 @@ Session::~Session() {
   for (auto& pending : pending_segments_) {
     router_.simulator().cancel(pending.second.timeout_event);
   }
-  for (const Path& path : paths_) {
+  for (const PathInfo& path : paths_) {
     if (path.sid != 0) {
       router_.unregister_reverse_handler(initiator_, path.sid);
     }
@@ -164,34 +164,35 @@ void Session::attempt_construction() {
 
   attempt_outstanding_ = config_.erasure.k;
   for (std::size_t index = 0; index < config_.erasure.k; ++index) {
-    Path& path = paths_[index];
-    if (path.sid != 0) {
-      router_.unregister_reverse_handler(initiator_, path.sid);
-    }
-    path = Path{};
-    path.relays = (*selected)[index];
-    path.relay_keys.reserve(path.relays.size());
-    for (std::size_t i = 0; i < path.relays.size(); ++i) {
-      path.relay_keys.push_back(crypto::random_symmetric_key(rng_));
-    }
-    path.responder_key = crypto::random_symmetric_key(rng_);
-    path.state = PathState::kPending;
-    sync_path_info(index);
-
-    build_path(index, [this, index](bool ok) {
-      Path& built = paths_[index];
-      built.state = ok ? PathState::kEstablished : PathState::kFailed;
-      sync_path_info(index);
+    provision_path(index, std::move((*selected)[index]));
+    build_path(index, [this](bool) {
       if (--attempt_outstanding_ == 0) finish_attempt();
     });
   }
 }
 
+void Session::provision_path(std::size_t index, std::vector<NodeId> relays) {
+  PathInfo& path = paths_[index];
+  if (path.sid != 0) {
+    router_.unregister_reverse_handler(initiator_, path.sid);
+    path.sid = 0;
+  }
+  path.relays = std::move(relays);
+  PathKeys& keys = keys_[index];
+  keys = PathKeys{};
+  keys.relay_keys.reserve(path.relays.size());
+  for (std::size_t i = 0; i < path.relays.size(); ++i) {
+    keys.relay_keys.push_back(crypto::random_symmetric_key(rng_));
+  }
+  keys.responder_key = crypto::random_symmetric_key(rng_);
+  path.state = PathState::kPending;
+}
+
 void Session::build_path(std::size_t index, std::function<void(bool)> done) {
-  Path& path = paths_[index];
+  PathInfo& path = paths_[index];
   const SimTime started = router_.simulator().now();
-  const StreamId sid = router_.initiate_path(
-      initiator_, path.relays, path.relay_keys, responder_,
+  path.sid = router_.initiate_path(
+      initiator_, path.relays, keys_[index].relay_keys, responder_,
       config_.construct_timeout,
       [this, index, started, alive = alive_, done = std::move(done)](bool ok) {
         if (!*alive) return;
@@ -201,15 +202,58 @@ void Session::build_path(std::size_t index, std::function<void(bool)> done) {
           path_health_[index].rtt_valid = false;
           observe_rtt(index, router_.simulator().now() - started);
         }
+        paths_[index].state = ok ? PathState::kEstablished : PathState::kFailed;
         done(ok);
       });
-  path.sid = sid;
+  register_reverse(index);
+}
+
+void Session::register_reverse(std::size_t index) {
   router_.register_reverse_handler(
-      initiator_, sid,
+      initiator_, paths_[index].sid,
       [this, index, alive = alive_](const ReverseDelivery& delivery) {
         if (!*alive) return;
         on_reverse(index, delivery);
       });
+}
+
+void Session::release_path(std::size_t index) {
+  PathInfo& path = paths_[index];
+  if (path.state == PathState::kEstablished && path.sid != 0 &&
+      !path.relays.empty()) {
+    router_.send_teardown(initiator_, path.sid, path.relays.front());
+  }
+  if (path.sid != 0) {
+    router_.unregister_reverse_handler(initiator_, path.sid);
+    path.sid = 0;
+  }
+  path.state = PathState::kUnbuilt;
+}
+
+std::vector<NodeId> Session::other_relays(std::size_t index,
+                                          bool live_only) const {
+  std::vector<NodeId> out;
+  for (std::size_t j = 0; j < paths_.size(); ++j) {
+    if (j == index) continue;
+    const PathInfo& other = paths_[j];
+    if (live_only && other.state != PathState::kEstablished &&
+        other.state != PathState::kPending) {
+      continue;
+    }
+    out.insert(out.end(), other.relays.begin(), other.relays.end());
+  }
+  return out;
+}
+
+std::optional<std::size_t> Session::next_established_path(
+    std::size_t from, bool may_reuse) const {
+  for (std::size_t step = 1; step <= paths_.size(); ++step) {
+    const std::size_t candidate = (from + step) % paths_.size();
+    if (paths_[candidate].state != PathState::kEstablished) continue;
+    if (candidate == from && !may_reuse) continue;
+    return candidate;
+  }
+  return std::nullopt;
 }
 
 void Session::finish_attempt() {
@@ -238,17 +282,7 @@ void Session::finish_attempt() {
   // Whole-set retry with a fresh relay set (the paper's "another set of
   // relay nodes for another attempt").
   for (std::size_t index = 0; index < paths_.size(); ++index) {
-    Path& path = paths_[index];
-    if (path.state == PathState::kEstablished && path.sid != 0 &&
-        !path.relays.empty()) {
-      router_.send_teardown(initiator_, path.sid, path.relays.front());
-    }
-    if (path.sid != 0) {
-      router_.unregister_reverse_handler(initiator_, path.sid);
-      path.sid = 0;
-    }
-    path.state = PathState::kUnbuilt;
-    sync_path_info(index);
+    release_path(index);
   }
   if (construct_attempts_ < config_.max_construct_attempts) {
     retry_construction();
@@ -265,45 +299,21 @@ void Session::top_up_missing_paths() {
   }
   attempt_outstanding_ = missing.size();
   std::size_t started = 0;
+  const SimTime now = router_.simulator().now();
   for (std::size_t index : missing) {
     // Exclude relays of every kept path (and of top-ups already started
     // this round, whose relays are in place by now) for disjointness.
-    std::vector<NodeId> exclude;
-    for (std::size_t j = 0; j < paths_.size(); ++j) {
-      if (j == index) continue;
-      if (paths_[j].state == PathState::kEstablished ||
-          paths_[j].state == PathState::kPending) {
-        exclude.insert(exclude.end(), paths_[j].relays.begin(),
-                       paths_[j].relays.end());
-      }
-    }
-    const SimTime now = router_.simulator().now();
-    auto selected = select_relays(1, now, exclude);
+    auto selected =
+        select_relays(1, now, other_relays(index, /*live_only=*/true));
     if (!selected.has_value()) {
       // No disjoint relays for this slot right now; leave it for the
       // next round.
       --attempt_outstanding_;
       continue;
     }
-    Path& path = paths_[index];
-    if (path.sid != 0) {
-      router_.unregister_reverse_handler(initiator_, path.sid);
-    }
-    path = Path{};
-    path.relays = std::move((*selected)[0]);
-    path.relay_keys.reserve(path.relays.size());
-    for (std::size_t i = 0; i < path.relays.size(); ++i) {
-      path.relay_keys.push_back(crypto::random_symmetric_key(rng_));
-    }
-    path.responder_key = crypto::random_symmetric_key(rng_);
-    path.state = PathState::kPending;
-    sync_path_info(index);
+    provision_path(index, std::move((*selected)[0]));
     ++started;
-
-    build_path(index, [this, index](bool ok) {
-      Path& built = paths_[index];
-      built.state = ok ? PathState::kEstablished : PathState::kFailed;
-      sync_path_info(index);
+    build_path(index, [this](bool) {
       if (--attempt_outstanding_ == 0) finish_attempt();
     });
   }
@@ -350,7 +360,7 @@ bool Session::ready() const {
 
 std::size_t Session::established_paths() const {
   std::size_t count = 0;
-  for (const Path& path : paths_) {
+  for (const PathInfo& path : paths_) {
     if (path.state == PathState::kEstablished) ++count;
   }
   return count;
@@ -361,8 +371,7 @@ MessageId Session::send_message(ByteView data) {
 }
 
 MessageId Session::send_message(ByteView data, SegmentPriority priority) {
-  const auto usable = usable_paths();
-  if (usable.empty()) return 0;
+  if (established_paths() == 0) return 0;
 
   // Bounded send queue: refuse the whole message up front when the pending
   // ledger has no room for its segments. Bulk is refused earlier (at 3/4 of
@@ -381,39 +390,14 @@ MessageId Session::send_message(ByteView data, SegmentPriority priority) {
     }
   }
 
-  MessageId id;
-  do {
-    id = rng_.next_u64();
-  } while (id == 0);
-
-  // Encode with the session codec (cached in the router's codec table so
-  // RS matrices are not rebuilt per message) into the session's scratch
-  // vector, reusing the segment buffers across messages.
-  session_codec().encode_into(data, encode_scratch_);
-  const auto& segments = encode_scratch_;
-
-  // One digest per message, reused by every segment's trailer (and kept in
-  // the pending ledger so retransmits carry it too). Zero bytes of work
-  // with segment_auth off.
-  crypto::MessageDigest digest{};
-  if (config_.segment_auth) digest = crypto::message_digest(data);
-
+  const auto [id, digest] = start_message(data, /*on_demand=*/false);
   const Allocation alloc = allocate_even(config_.erasure);
-  ++messages_sent_;
-  msgs_ctr_->inc();
   // Segment sends, their delay timers, and every retransmit they spawn all
   // inherit the message id as correlation: the trace groups the message's
   // whole causal tree under one id.
   obs::CorrelationScope corr_scope(id);
-  auto& tracer = obs::Tracer::instance();
-  if (tracer.enabled()) {
-    obs::TraceArgs args;
-    args.add("bytes", static_cast<std::uint64_t>(data.size()))
-        .add("segments", static_cast<std::uint64_t>(segments.size()));
-    tracer.instant("anon", "message_send", id, args);
-  }
   const SimTime now = router_.simulator().now();
-  for (std::size_t s = 0; s < segments.size(); ++s) {
+  for (std::size_t s = 0; s < encode_scratch_.size(); ++s) {
     const std::size_t path_index = alloc[s];
     if (paths_[path_index].state != PathState::kEstablished) continue;
     if (priority == SegmentPriority::kBulk &&
@@ -425,22 +409,47 @@ MessageId Session::send_message(ByteView data, SegmentPriority priority) {
       shed_congested_ctr_->inc();
       continue;
     }
-    send_segment_on_path(path_index, id, segments[s], data.size(),
-                         /*retries=*/0, digest, priority);
+    const erasure::Segment& segment = encode_scratch_[s];
+    send_segment_on_path(path_index, {.message_id = id,
+                                      .segment_index = segment.index,
+                                      .segment = segment,
+                                      .original_size = data.size(),
+                                      .digest = digest,
+                                      .priority = priority});
   }
   return id;
 }
 
-void Session::apply_auth_trailer(PayloadCore& core, const Path& path,
-                                 const crypto::MessageDigest& digest) const {
-  if (!config_.segment_auth) return;
-  core.auth_flags = PayloadCore::kAuthTagged;
-  core.message_digest = digest;
-  core.auth_tag = crypto::segment_tag(
-      crypto::derive_segment_auth_key(path.responder_key), core.message_id,
-      core.segment_index, core.original_size, core.needed_segments,
-      core.total_segments, digest, core.segment);
+Session::MessageStart Session::start_message(ByteView data, bool on_demand) {
+  MessageStart start;
+  do {
+    start.id = rng_.next_u64();
+  } while (start.id == 0);
+
+  // Encode with the session codec (cached in the router's codec table so
+  // RS matrices are not rebuilt per message) into the session's scratch
+  // vector, reusing the segment buffers across messages.
+  router_.codec_for(config_.erasure.m, config_.erasure.n)
+      .encode_into(data, encode_scratch_);
+
+  // One digest per message, reused by every segment's trailer (and kept in
+  // the pending ledger so retransmits carry it too). Zero bytes of work
+  // with segment_auth off.
+  if (config_.segment_auth) start.digest = crypto::message_digest(data);
+
+  ++messages_sent_;
+  msgs_ctr_->inc();
+  auto& tracer = obs::Tracer::instance();
+  if (tracer.enabled()) {
+    obs::TraceArgs args;
+    args.add("bytes", static_cast<std::uint64_t>(data.size()))
+        .add("segments", static_cast<std::uint64_t>(encode_scratch_.size()));
+    if (on_demand) args.add("on_demand", static_cast<std::uint64_t>(1));
+    tracer.instant("anon", "message_send", start.id, args);
+  }
+  return start;
 }
+
 
 void Session::report_path_suspicion(std::size_t path_index, double weight,
                                     obs::Counter* evidence_ctr) {
@@ -458,49 +467,70 @@ void Session::report_path_suspicion(std::size_t path_index, double weight,
 }
 
 void Session::send_segment_on_path(std::size_t path_index,
-                                   MessageId message_id,
-                                   const erasure::Segment& segment,
-                                   std::size_t original_size,
-                                   std::size_t retries,
-                                   const crypto::MessageDigest& digest,
-                                   SegmentPriority priority) {
+                                   PendingSegment seg) {
   // Rebuild-driven resends arrive here from a construct-ack chain; pin the
   // correlation back to the message so the timeout event and the relay
   // hops below stay on the message's causal tree.
-  obs::CorrelationScope corr_scope(message_id);
+  obs::CorrelationScope corr_scope(seg.message_id);
+  begin_segment_span(path_index, seg, /*combined_construct=*/false);
+  const std::uint64_t seq = keys_[path_index].next_seq++;
+  Bytes blob = seal_segment(path_index, seq, seg);
+  const PathInfo& path = paths_[path_index];
+  router_.send_payload(initiator_, path.sid, path.relays.front(), seq,
+                       std::move(blob), seg.priority);
+  track_segment(path_index, std::move(seg), /*fail_pending_path=*/false);
+}
+
+void Session::begin_segment_span(std::size_t path_index,
+                                 const PendingSegment& seg,
+                                 bool combined_construct) const {
   auto& tracer = obs::Tracer::instance();
-  if (tracer.enabled()) {
-    obs::TraceArgs args;
-    args.add("segment", static_cast<std::uint64_t>(segment.index))
-        .add("path", static_cast<std::uint64_t>(path_index))
-        .add("retries", static_cast<std::uint64_t>(retries));
-    tracer.span_begin("anon",
-                      retries == 0 ? "segment" : "segment_retransmit",
-                      message_id, args);
+  if (!tracer.enabled()) return;
+  obs::TraceArgs args;
+  args.add("segment", static_cast<std::uint64_t>(seg.segment_index))
+      .add("path", static_cast<std::uint64_t>(path_index))
+      .add("retries", static_cast<std::uint64_t>(seg.retries));
+  if (combined_construct) {
+    args.add("combined_construct", static_cast<std::uint64_t>(1));
   }
-  Path& path = paths_[path_index];
+  tracer.span_begin("anon",
+                    seg.retries == 0 ? "segment" : "segment_retransmit",
+                    seg.message_id, args);
+}
+
+Bytes Session::seal_segment(std::size_t path_index, std::uint64_t seq,
+                            const PendingSegment& seg) {
+  const PathKeys& keys = keys_[path_index];
   PayloadCore core;
-  core.message_id = message_id;
-  core.segment_index = segment.index;
-  core.original_size = static_cast<std::uint32_t>(original_size);
+  core.message_id = seg.message_id;
+  core.segment_index = seg.segment_index;
+  core.original_size = static_cast<std::uint32_t>(seg.original_size);
   core.needed_segments = static_cast<std::uint16_t>(config_.erasure.m);
   core.total_segments = static_cast<std::uint16_t>(config_.erasure.n);
-  core.segment = segment.data;
-  core.responder_key = path.responder_key;
-  apply_auth_trailer(core, path, digest);
-
+  core.segment = seg.segment.data;
+  core.responder_key = keys.responder_key;
+  if (config_.segment_auth) {
+    core.auth_flags = PayloadCore::kAuthTagged;
+    core.message_digest = seg.digest;
+    core.auth_tag = crypto::segment_tag(
+        crypto::derive_segment_auth_key(keys.responder_key), core.message_id,
+        core.segment_index, core.original_size, core.needed_segments,
+        core.total_segments, seg.digest, core.segment);
+  }
   Bytes blob = router_.onion().seal_payload_core(
       core, router_.directory().public_key(responder_), rng_);
-  const std::uint64_t seq = path.next_seq++;
   blob.reserve(blob.size() +
-               path.relay_keys.size() * router_.onion().layer_overhead());
-  for (std::size_t i = path.relay_keys.size(); i-- > 0;) {
-    router_.onion().wrap_layer_in_place(path.relay_keys[i], seq, blob);
+               keys.relay_keys.size() * router_.onion().layer_overhead());
+  for (std::size_t i = keys.relay_keys.size(); i-- > 0;) {
+    router_.onion().wrap_layer_in_place(keys.relay_keys[i], seq, blob);
   }
-  router_.send_payload(initiator_, path.sid, path.relays.front(), seq,
-                       std::move(blob), priority);
+  return blob;
+}
+
+void Session::track_segment(std::size_t path_index, PendingSegment seg,
+                            bool fail_pending_path) {
   ++segments_sent_;
-  path_info_[path_index].sends++;
+  ++paths_[path_index].sends;
   seg_sent_ctr_->inc();
 
   // Register the pending ack with its timeout. With adaptive timeouts the
@@ -509,30 +539,32 @@ void Session::send_segment_on_path(std::size_t path_index,
   SimDuration timeout = config_.ack_timeout;
   if (config_.adaptive_timeouts) {
     timeout = current_rto(path_index);
-    const std::size_t shift = std::min<std::size_t>(retries, 6);
+    const std::size_t shift = std::min<std::size_t>(seg.retries, 6);
     timeout = std::min(timeout << shift, kRtoMax);
   }
-  const std::uint64_t key = pending_key(message_id, segment.index);
-  PendingSegment pending;
-  pending.message_id = message_id;
-  pending.segment_index = segment.index;
-  pending.segment = segment;
-  pending.original_size = original_size;
-  pending.path_index = path_index;
-  pending.sent_at = router_.simulator().now();
-  pending.retries = retries;
-  pending.digest = digest;
-  pending.priority = priority;
+  const std::uint64_t key = pending_key(seg.message_id, seg.segment_index);
+  seg.path_index = path_index;
+  seg.sent_at = router_.simulator().now();
   static const auto kSegmentTimerEvent =
       obs::capacity::event_type("session.timer");
-  pending.timeout_event = router_.simulator().schedule_after(
+  seg.timeout_event = router_.simulator().schedule_after(
       timeout,
-      [this, key, alive = alive_] {
+      [this, key, fail_pending_path, alive = alive_] {
         if (!*alive) return;
-        on_segment_timeout(key, /*fail_pending_path=*/false);
+        on_segment_timeout(key, fail_pending_path);
       },
       kSegmentTimerEvent);
-  pending_segments_[key] = std::move(pending);
+  pending_segments_[key] = std::move(seg);
+}
+
+Session::PendingSegment Session::take_for_resend(PendingLedger::iterator it,
+                                                 const char* outcome) {
+  PendingSegment seg = std::move(it->second);
+  pending_segments_.erase(it);
+  ++segments_retransmitted_;
+  seg_retx_ctr_->inc();
+  end_segment_span(seg, outcome);
+  return seg;
 }
 
 void Session::on_segment_timeout(std::uint64_t key, bool fail_pending_path) {
@@ -567,39 +599,21 @@ void Session::on_segment_timeout(std::uint64_t key, bool fail_pending_path) {
     // the timed-out one; the same path still qualifies while it is below
     // the failure threshold.
     if (it->second.retries < config_.max_segment_retries) {
-      std::size_t target = paths_.size();
-      for (std::size_t step = 1; step <= paths_.size(); ++step) {
-        const std::size_t candidate = (failed_path + step) % paths_.size();
-        if (paths_[candidate].state != PathState::kEstablished) continue;
-        if (declare_failed && candidate == failed_path) continue;
-        target = candidate;
-        break;
-      }
-      if (target < paths_.size()) {
-        const PendingSegment seg = std::move(it->second);
-        pending_segments_.erase(it);
-        ++segments_retransmitted_;
-        seg_retx_ctr_->inc();
-        end_segment_span(seg, "retransmitted");
+      const auto target =
+          next_established_path(failed_path, /*may_reuse=*/!declare_failed);
+      if (target.has_value()) {
+        PendingSegment seg = take_for_resend(it, "retransmitted");
         if (declare_failed) mark_path_failed(failed_path);
-        send_segment_on_path(target, seg.message_id, seg.segment,
-                             seg.original_size, seg.retries + 1, seg.digest,
-                             seg.priority);
+        ++seg.retries;
+        send_segment_on_path(*target, std::move(seg));
         return;
       }
     }
     // Retry budget exhausted (or no surviving path): the segment is lost
     // for good and the ledger records it.
     expire_segment(key);
-    Path& p = paths_[failed_path];
-    if (fail_pending_path && p.state == PathState::kPending) {
-      p.state = PathState::kFailed;
-      sync_path_info(failed_path);
-      if (path_failure_handler_) path_failure_handler_(failed_path);
-      if (config_.auto_reconstruct) schedule_rebuild(failed_path);
-    } else if (declare_failed) {
-      mark_path_failed(failed_path);
-    }
+    if (fail_pending_path && fail_pending_combined(failed_path)) return;
+    if (declare_failed) mark_path_failed(failed_path);
     return;
   }
 
@@ -611,18 +625,19 @@ void Session::on_segment_timeout(std::uint64_t key, bool fail_pending_path) {
   } else {
     expire_segment(key);
   }
-  if (fail_pending_path) {
-    // A pending combined path that times out is simply failed.
-    Path& p = paths_[failed_path];
-    if (p.state == PathState::kPending) {
-      p.state = PathState::kFailed;
-      sync_path_info(failed_path);
-      if (path_failure_handler_) path_failure_handler_(failed_path);
-      if (config_.auto_reconstruct) rebuild_path(failed_path);
-      return;
-    }
-  }
+  if (fail_pending_path && fail_pending_combined(failed_path)) return;
   mark_path_failed(failed_path);
+}
+
+bool Session::fail_pending_combined(std::size_t path_index) {
+  // A combined path never confirmed by an ack is simply failed: no
+  // path_failed instant and no failure counter, unlike mark_path_failed.
+  PathInfo& path = paths_[path_index];
+  if (path.state != PathState::kPending) return false;
+  path.state = PathState::kFailed;
+  if (path_failure_handler_) path_failure_handler_(path_index);
+  if (config_.auto_reconstruct) schedule_rebuild(path_index);
+  return true;
 }
 
 void Session::end_segment_span(const PendingSegment& seg,
@@ -689,10 +704,9 @@ SimDuration Session::current_rto(std::size_t path_index) const {
 }
 
 void Session::mark_path_failed(std::size_t path_index) {
-  Path& path = paths_[path_index];
+  PathInfo& path = paths_[path_index];
   if (path.state != PathState::kEstablished) return;
   path.state = PathState::kFailed;
-  sync_path_info(path_index);
   path_failures_ctr_->inc();
   auto& tracer = obs::Tracer::instance();
   if (tracer.enabled()) {
@@ -729,17 +743,9 @@ void Session::rebuild_path(std::size_t path_index) {
   // restart the rebuild loop against a dead session forever.
   if (torn_down_) return;
   // Exclude relays used by the other live paths to keep disjointness.
-  std::vector<NodeId> exclude;
-  for (std::size_t j = 0; j < paths_.size(); ++j) {
-    if (j == path_index) continue;
-    if (paths_[j].state == PathState::kEstablished ||
-        paths_[j].state == PathState::kPending) {
-      exclude.insert(exclude.end(), paths_[j].relays.begin(),
-                     paths_[j].relays.end());
-    }
-  }
   const SimTime now = router_.simulator().now();
-  auto selected = select_relays(1, now, exclude);
+  auto selected =
+      select_relays(1, now, other_relays(path_index, /*live_only=*/true));
   if (!selected.has_value()) {
     if (config_.adaptive_timeouts) {
       // Not enough disjoint relays right now: try again later instead of
@@ -754,25 +760,9 @@ void Session::rebuild_path(std::size_t path_index) {
     return;
   }
 
-  Path& path = paths_[path_index];
-  if (path.sid != 0) {
-    router_.unregister_reverse_handler(initiator_, path.sid);
-  }
-  const std::uint64_t rebuilds = path_info_[path_index].rebuilds + 1;
-  path = Path{};
-  path.relays = (*selected)[0];
-  for (std::size_t i = 0; i < path.relays.size(); ++i) {
-    path.relay_keys.push_back(crypto::random_symmetric_key(rng_));
-  }
-  path.responder_key = crypto::random_symmetric_key(rng_);
-  path.state = PathState::kPending;
-  path_info_[path_index].rebuilds = rebuilds;
-  sync_path_info(path_index);
-
+  provision_path(path_index, std::move((*selected)[0]));
+  ++paths_[path_index].rebuilds;
   build_path(path_index, [this, path_index](bool ok) {
-    Path& built = paths_[path_index];
-    built.state = ok ? PathState::kEstablished : PathState::kFailed;
-    sync_path_info(path_index);
     if (ok) {
       path_health_[path_index].rebuild_failures = 0;
       path_health_[path_index].consecutive_timeouts = 0;
@@ -811,11 +801,10 @@ void Session::resend_pending(std::size_t old_path_index,
   }
   segments_retransmitted_ += to_resend.size();
   seg_retx_ctr_->inc(to_resend.size());
-  for (const PendingSegment& pending : to_resend) {
+  for (PendingSegment& pending : to_resend) {
     end_segment_span(pending, "resent_on_rebuild");
-    send_segment_on_path(new_path_index, pending.message_id, pending.segment,
-                         pending.original_size, /*retries=*/0,
-                         pending.digest, pending.priority);
+    pending.retries = 0;
+    send_segment_on_path(new_path_index, std::move(pending));
   }
 }
 
@@ -847,16 +836,16 @@ void Session::on_reverse(std::size_t path_index,
     on_backpressure(path_index);
     return;
   }
-  Path& path = paths_[path_index];
+  const PathKeys& keys = keys_[path_index];
   // Strip the relay layers (R_1 outermost) and the responder-core layer,
   // all in place in the session-owned scratch buffer.
   Bytes& blob = reverse_scratch_;
   blob.assign(delivery.blob.begin(), delivery.blob.end());
   const std::uint64_t seq = delivery.seq | AnonRouter::kReverseBit;
-  for (const RelayKey& key : path.relay_keys) {
+  for (const RelayKey& key : keys.relay_keys) {
     if (!router_.onion().unwrap_layer_in_place(key, seq, blob)) return;
   }
-  if (!router_.onion().unwrap_layer_in_place(path.responder_key, seq, blob)) {
+  if (!router_.onion().unwrap_layer_in_place(keys.responder_key, seq, blob)) {
     return;
   }
   const auto core = parse_reverse_core(blob);
@@ -889,7 +878,7 @@ void Session::handle_reverse_core(std::size_t path_index,
         path_health_[it->second.path_index].consecutive_timeouts = 0;
       }
       ++acks_matched_;
-      path_info_[it->second.path_index].acks++;
+      ++paths_[it->second.path_index].acks;
       path_health_[it->second.path_index].consecutive_nacks = 0;
       seg_acked_ctr_->inc();
       end_segment_span(it->second, "acked");
@@ -899,7 +888,6 @@ void Session::handle_reverse_core(std::size_t path_index,
     // the path end to end.
     if (paths_[path_index].state == PathState::kPending) {
       paths_[path_index].state = PathState::kEstablished;
-      sync_path_info(path_index);
     }
     ++acks_received_;
     if (ack_handler_) {
@@ -911,7 +899,6 @@ void Session::handle_reverse_core(std::size_t path_index,
   if (core.type == ReverseCore::Type::kCorruptNack) {
     // The responder's verdict that a segment sent down this path arrived
     // tampered with. Evidence first, then recovery.
-    ++nacks_received_;
     nacks_rx_ctr_->inc();
     report_path_suspicion(path_index, kCorruptSuspicion, susp_corrupt_ctr_);
     // Recovery comes with segment_auth; without it a stray verdict is
@@ -926,24 +913,14 @@ void Session::handle_reverse_core(std::size_t path_index,
       // timer. Retransmit on a different established path while retry
       // budget remains; otherwise close the ledger on it.
       router_.simulator().cancel(it->second.timeout_event);
-      std::size_t target = paths_.size();
+      std::optional<std::size_t> target;
       if (it->second.retries < config_.max_segment_retries) {
-        for (std::size_t step = 1; step < paths_.size(); ++step) {
-          const std::size_t candidate = (path_index + step) % paths_.size();
-          if (paths_[candidate].state != PathState::kEstablished) continue;
-          target = candidate;
-          break;
-        }
+        target = next_established_path(path_index, /*may_reuse=*/false);
       }
-      if (target < paths_.size()) {
-        const PendingSegment seg = std::move(it->second);
-        pending_segments_.erase(it);
-        ++segments_retransmitted_;
-        seg_retx_ctr_->inc();
-        end_segment_span(seg, "retransmitted_after_nack");
-        send_segment_on_path(target, seg.message_id, seg.segment,
-                             seg.original_size, seg.retries + 1, seg.digest,
-                             seg.priority);
+      if (target.has_value()) {
+        PendingSegment seg = take_for_resend(it, "retransmitted_after_nack");
+        ++seg.retries;
+        send_segment_on_path(*target, std::move(seg));
       } else {
         expire_segment(key);
       }
@@ -988,7 +965,7 @@ void Session::handle_reverse_core(std::size_t path_index,
   }
   if (!reassembly.delivered &&
       reassembly.segments.size() >= reassembly.needed) {
-    const auto decoded = session_codec_for(reassembly.needed, reassembly.total)
+    const auto decoded = router_.codec_for(reassembly.needed, reassembly.total)
                              .decode(reassembly.segments,
                                      reassembly.original_size);
     if (decoded.has_value()) {
@@ -1002,145 +979,62 @@ MessageId Session::send_message_on_demand(ByteView data) {
   const SimTime now = router_.simulator().now();
 
   // (Re)provision every unbuilt/failed path with fresh relays and keys;
-  // their construction rides the payload message itself.
+  // their construction rides the payload message itself. The exclusion is
+  // wider than a rebuild's: failed slots keep their relays out too.
   std::vector<bool> needs_construction(paths_.size(), false);
   for (std::size_t index = 0; index < paths_.size(); ++index) {
-    Path& path = paths_[index];
-    if (path.state == PathState::kEstablished ||
-        path.state == PathState::kPending) {
+    const PathState state = paths_[index].state;
+    if (state == PathState::kEstablished || state == PathState::kPending) {
       continue;
     }
-    std::vector<NodeId> exclude;
-    for (std::size_t j = 0; j < paths_.size(); ++j) {
-      if (j != index) {
-        exclude.insert(exclude.end(), paths_[j].relays.begin(),
-                       paths_[j].relays.end());
-      }
-    }
-    auto selected = select_relays(1, now, exclude);
+    auto selected =
+        select_relays(1, now, other_relays(index, /*live_only=*/false));
     if (!selected.has_value()) continue;
-    if (path.sid != 0) {
-      router_.unregister_reverse_handler(initiator_, path.sid);
-    }
-    const std::uint64_t rebuilds = path_info_[index].rebuilds;
-    path = Path{};
-    path.relays = (*selected)[0];
-    for (std::size_t i = 0; i < path.relays.size(); ++i) {
-      path.relay_keys.push_back(crypto::random_symmetric_key(rng_));
-    }
-    path.responder_key = crypto::random_symmetric_key(rng_);
-    path.sid = router_.new_initiator_sid(initiator_);
-    path.state = PathState::kPending;
-    path_info_[index].rebuilds = rebuilds;
-    router_.register_reverse_handler(
-        initiator_, path.sid,
-        [this, index, alive = alive_](const ReverseDelivery& delivery) {
-          if (!*alive) return;
-          on_reverse(index, delivery);
-        });
+    provision_path(index, std::move((*selected)[0]));
+    paths_[index].sid = router_.new_initiator_sid(initiator_);
+    register_reverse(index);
     needs_construction[index] = true;
-    sync_path_info(index);
   }
 
-  MessageId id;
-  do {
-    id = rng_.next_u64();
-  } while (id == 0);
-
-  session_codec().encode_into(data, encode_scratch_);
-  const auto& segments = encode_scratch_;
-  crypto::MessageDigest digest{};
-  if (config_.segment_auth) digest = crypto::message_digest(data);
+  const auto [id, digest] = start_message(data, /*on_demand=*/true);
   const Allocation alloc = allocate_even(config_.erasure);
-  ++messages_sent_;
-  msgs_ctr_->inc();
   obs::CorrelationScope corr_scope(id);
-  if (obs::Tracer::instance().enabled()) {
-    obs::TraceArgs args;
-    args.add("bytes", static_cast<std::uint64_t>(data.size()))
-        .add("segments", static_cast<std::uint64_t>(segments.size()))
-        .add("on_demand", static_cast<std::uint64_t>(1));
-    obs::Tracer::instance().instant("anon", "message_send", id, args);
-  }
   bool sent_any = false;
-  for (std::size_t s = 0; s < segments.size(); ++s) {
+  for (std::size_t s = 0; s < encode_scratch_.size(); ++s) {
     const std::size_t path_index = alloc[s];
-    Path& path = paths_[path_index];
-    if (path.state == PathState::kEstablished) {
-      send_segment_on_path(path_index, id, segments[s], data.size(),
-                           /*retries=*/0, digest);
-      sent_any = true;
-    } else if (path.state == PathState::kPending) {
-      if (needs_construction[path_index]) {
-        // First segment on this new path: combined construct + payload.
-        needs_construction[path_index] = false;
-        const Bytes onion_blob = router_.onion().build_path_onion(
-            path.relays, path.relay_keys, responder_, router_.directory(),
-            rng_);
-        PayloadCore core;
-        core.message_id = id;
-        core.segment_index = segments[s].index;
-        core.original_size = static_cast<std::uint32_t>(data.size());
-        core.needed_segments = static_cast<std::uint16_t>(config_.erasure.m);
-        core.total_segments = static_cast<std::uint16_t>(config_.erasure.n);
-        core.segment = segments[s].data;
-        core.responder_key = path.responder_key;
-        apply_auth_trailer(core, path, digest);
-        Bytes blob = router_.onion().seal_payload_core(
-            core, router_.directory().public_key(responder_), rng_);
-        const std::uint64_t seq = path.next_seq++;
-        blob.reserve(blob.size() +
-                     path.relay_keys.size() * router_.onion().layer_overhead());
-        for (std::size_t i = path.relay_keys.size(); i-- > 0;) {
-          router_.onion().wrap_layer_in_place(path.relay_keys[i], seq, blob);
-        }
-        if (obs::Tracer::instance().enabled()) {
-          obs::TraceArgs args;
-          args.add("segment", static_cast<std::uint64_t>(segments[s].index))
-              .add("path", static_cast<std::uint64_t>(path_index))
-              .add("retries", static_cast<std::uint64_t>(0))
-              .add("combined_construct", static_cast<std::uint64_t>(1));
-          obs::Tracer::instance().span_begin("anon", "segment", id, args);
-        }
-        router_.send_construct_with_payload(initiator_, path.sid,
-                                            path.relays.front(), seq,
-                                            onion_blob, blob);
-        ++segments_sent_;
-        seg_sent_ctr_->inc();
-        // Track it like any pending segment: the end-to-end ack confirms
-        // both the path and the delivery. A timed-out pending combined
-        // path is simply failed (fail_pending_path).
-        SimDuration timeout = config_.ack_timeout;
-        if (config_.adaptive_timeouts) timeout = current_rto(path_index);
-        const std::uint64_t key = pending_key(id, segments[s].index);
-        PendingSegment pending;
-        pending.message_id = id;
-        pending.segment_index = segments[s].index;
-        pending.segment = segments[s];
-        pending.original_size = data.size();
-        pending.path_index = path_index;
-        pending.sent_at = now;
-        pending.digest = digest;
-        static const auto kResendTimerEvent =
-            obs::capacity::event_type("session.timer");
-        pending.timeout_event = router_.simulator().schedule_after(
-            timeout,
-            [this, key, alive = alive_] {
-              if (!*alive) return;
-              on_segment_timeout(key, /*fail_pending_path=*/true);
-            },
-            kResendTimerEvent);
-        pending_segments_[key] = std::move(pending);
-        sent_any = true;
-      } else {
-        // Later segments follow the construct message down the same path;
-        // FIFO per-hop delivery means the state is cached by the time
-        // they arrive.
-        send_segment_on_path(path_index, id, segments[s], data.size(),
-                             /*retries=*/0, digest);
-        sent_any = true;
-      }
+    const PathInfo& path = paths_[path_index];
+    if (path.state != PathState::kEstablished &&
+        path.state != PathState::kPending) {
+      continue;
     }
+    sent_any = true;
+    const erasure::Segment& segment = encode_scratch_[s];
+    PendingSegment seg{.message_id = id,
+                       .segment_index = segment.index,
+                       .segment = segment,
+                       .original_size = data.size(),
+                       .digest = digest};
+    if (!needs_construction[path_index]) {
+      // Established, or a later segment following the construct message
+      // down the same path: FIFO per-hop delivery means the state is cached
+      // by the time it arrives.
+      send_segment_on_path(path_index, std::move(seg));
+      continue;
+    }
+    // First segment on this new path: combined construct + payload. The
+    // end-to-end ack confirms both the path and the delivery; a timed-out
+    // pending combined path is simply failed (fail_pending_path).
+    needs_construction[path_index] = false;
+    const Bytes onion_blob = router_.onion().build_path_onion(
+        path.relays, keys_[path_index].relay_keys, responder_,
+        router_.directory(), rng_);
+    const std::uint64_t seq = keys_[path_index].next_seq++;
+    const Bytes blob = seal_segment(path_index, seq, seg);
+    begin_segment_span(path_index, seg, /*combined_construct=*/true);
+    router_.send_construct_with_payload(initiator_, path.sid,
+                                        path.relays.front(), seq, onion_blob,
+                                        blob);
+    track_segment(path_index, std::move(seg), /*fail_pending_path=*/true);
   }
   return sent_any ? id : 0;
 }
@@ -1149,33 +1043,32 @@ void Session::redirect(NodeId new_responder, RedirectHandler handler) {
   responder_ = new_responder;
   // Fresh responder keys: the old responder must not be able to read
   // traffic intended for the new one.
-  for (Path& path : paths_) {
-    path.responder_key = crypto::random_symmetric_key(rng_);
+  for (PathKeys& keys : keys_) {
+    keys.responder_key = crypto::random_symmetric_key(rng_);
   }
 
   auto remaining = std::make_shared<std::size_t>(0);
   auto succeeded = std::make_shared<std::size_t>(0);
   auto done = std::make_shared<RedirectHandler>(std::move(handler));
-  for (std::size_t index = 0; index < paths_.size(); ++index) {
-    Path& path = paths_[index];
-    if (path.state != PathState::kEstablished) continue;
-    ++*remaining;
+  for (const PathInfo& path : paths_) {
+    if (path.state == PathState::kEstablished) ++*remaining;
   }
   if (*remaining == 0) {
     (*done)(0);
     return;
   }
   for (std::size_t index = 0; index < paths_.size(); ++index) {
-    Path& path = paths_[index];
+    const PathInfo& path = paths_[index];
     if (path.state != PathState::kEstablished) continue;
     // Layer the 4-byte destination so only the last relay can read it.
+    PathKeys& keys = keys_[index];
     Bytes blob;
     blob.reserve(4 +
-                 path.relay_keys.size() * router_.onion().layer_overhead());
+                 keys.relay_keys.size() * router_.onion().layer_overhead());
     put_u32be(blob, new_responder);
-    const std::uint64_t seq = path.next_seq++;
-    for (std::size_t i = path.relay_keys.size(); i-- > 0;) {
-      router_.onion().wrap_layer_in_place(path.relay_keys[i], seq, blob);
+    const std::uint64_t seq = keys.next_seq++;
+    for (std::size_t i = keys.relay_keys.size(); i-- > 0;) {
+      router_.onion().wrap_layer_in_place(keys.relay_keys[i], seq, blob);
     }
     router_.send_retarget(
         initiator_, path.sid, path.relays.front(), seq, std::move(blob),
@@ -1207,39 +1100,9 @@ void Session::teardown() {
     expire_segment(it->first);
   }
   for (std::size_t index = 0; index < paths_.size(); ++index) {
-    Path& path = paths_[index];
-    if (path.state == PathState::kEstablished && !path.relays.empty()) {
-      router_.send_teardown(initiator_, path.sid, path.relays.front());
-    }
-    if (path.sid != 0) {
-      router_.unregister_reverse_handler(initiator_, path.sid);
-    }
-    path = Path{};
-    sync_path_info(index);
+    release_path(index);
+    paths_[index].relays.clear();
   }
-}
-
-void Session::sync_path_info(std::size_t index) {
-  path_info_[index].relays = paths_[index].relays;
-  path_info_[index].state = paths_[index].state;
-  path_info_[index].sid = paths_[index].sid;
-}
-
-std::vector<std::size_t> Session::usable_paths() const {
-  std::vector<std::size_t> out;
-  for (std::size_t j = 0; j < paths_.size(); ++j) {
-    if (paths_[j].state == PathState::kEstablished) out.push_back(j);
-  }
-  return out;
-}
-
-const erasure::Codec& Session::session_codec() {
-  return session_codec_for(config_.erasure.m, config_.erasure.n);
-}
-
-const erasure::Codec& Session::session_codec_for(std::size_t m,
-                                                 std::size_t n) {
-  return router_.codec_for(m, n);
 }
 
 }  // namespace p2panon::anon

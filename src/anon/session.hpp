@@ -183,7 +183,7 @@ class Session {
     std::uint64_t sends = 0;  // segments sent on this path slot
     std::uint64_t acks = 0;   // acks matched to segments sent on it
   };
-  const std::vector<PathInfo>& paths() const { return path_info_; }
+  const std::vector<PathInfo>& paths() const { return paths_; }
 
   // --- statistics ---
   std::size_t construct_attempts() const { return construct_attempts_; }
@@ -192,10 +192,6 @@ class Session {
   std::uint64_t acks_received() const { return acks_received_; }
   std::uint64_t path_failures_detected() const { return failures_detected_; }
   std::uint64_t proactive_replacements() const { return proactive_replacements_; }
-  /// Corruption verdicts (ReverseCore::kCorruptNack) received from the
-  /// responder across all paths. Always counted, even with segment_auth
-  /// off (a legacy session never receives any).
-  std::uint64_t corrupt_nacks_received() const { return nacks_received_; }
   /// Staleness-aware selection tallies (0 unless staleness_aware): how
   /// often biased choice degraded to random because the cache was stale.
   std::uint64_t mix_stale_fallbacks() const {
@@ -222,8 +218,8 @@ class Session {
   /// had signalled overload after the segment was sent.
   std::uint64_t stalls_suppressed() const { return stalls_suppressed_; }
 
-  // Segment ledger: every send_segment_on_path call ends in exactly one of
-  // {acked, expired, retransmitted} or is still pending, so
+  // Segment ledger: every segment sent (plain, combined or resent) ends in
+  // exactly one of {acked, expired, retransmitted} or is still pending, so
   //   segments_sent == acks_matched + segments_expired
   //                    + segments_retransmitted + pending_segment_count
   // holds at all times — the chaos harness asserts it (no silent loss in
@@ -246,13 +242,12 @@ class Session {
   const SessionConfig& config() const { return config_; }
 
  private:
-  struct Path {
-    std::vector<NodeId> relays;
+  /// A slot's key material, drawn fresh each time the slot is provisioned.
+  /// PathInfo holds the rest of the slot (relays, state, sid).
+  struct PathKeys {
     std::vector<RelayKey> relay_keys;
     RelayKey responder_key{};
-    StreamId sid = 0;
-    PathState state = PathState::kUnbuilt;
-    std::uint64_t next_seq = 0;
+    std::uint64_t next_seq = 0;  // layer nonce of the next forward message
   };
 
   struct PendingSegment {
@@ -267,6 +262,8 @@ class Session {
     crypto::MessageDigest digest{};  // auth trailer for retransmits
     SegmentPriority priority = SegmentPriority::kInteractive;
   };
+  // In-flight segments keyed by (message_id, segment_index).
+  using PendingLedger = std::unordered_map<std::uint64_t, PendingSegment>;
 
   /// Per-path RTT estimator and failure streaks (adaptive mode only).
   struct PathHealth {
@@ -282,23 +279,64 @@ class Session {
   void finish_attempt();
   void top_up_missing_paths();
   void retry_construction();
+  /// Provisions slot `index` for a new path over `relays`: drops the old
+  /// sid's reverse handler, resets the slot, draws the L relay keys and
+  /// then the responder key from the session's stream, and marks the slot
+  /// pending. Every flow that (re)builds a slot starts here.
+  void provision_path(std::size_t index, std::vector<NodeId> relays);
+  /// Launches construction of a provisioned slot. The slot is marked
+  /// established or failed before `done` runs.
   void build_path(std::size_t index, std::function<void(bool)> done);
+  /// Routes reverse deliveries on the slot's current sid to on_reverse.
+  void register_reverse(std::size_t index);
+  /// Tears an established slot down, drops its reverse handler and marks
+  /// it unbuilt. Its relays stay recorded.
+  void release_path(std::size_t index);
+  /// Relays of the other slots, which a new path for `index` must avoid.
+  /// With `live_only`, only established and pending slots count.
+  std::vector<NodeId> other_relays(std::size_t index, bool live_only) const;
+  /// Next established slot after `from` in round-robin order; `from`
+  /// itself comes last and only when `may_reuse`.
+  std::optional<std::size_t> next_established_path(std::size_t from,
+                                                   bool may_reuse) const;
   void on_reverse(std::size_t path_index, const ReverseDelivery& delivery);
   void handle_reverse_core(std::size_t path_index, const ReverseCore& core);
-  void send_segment_on_path(
-      std::size_t path_index, MessageId message_id,
-      const erasure::Segment& segment, std::size_t original_size,
-      std::size_t retries = 0, const crypto::MessageDigest& digest = {},
-      SegmentPriority priority = SegmentPriority::kInteractive);
+
+  struct MessageStart {
+    MessageId id = 0;
+    crypto::MessageDigest digest{};
+  };
+  /// Draws the message id, encodes `data` into encode_scratch_, digests it
+  /// (segment_auth only), counts the message and emits its message_send
+  /// trace instant.
+  MessageStart start_message(ByteView data, bool on_demand);
+  /// Seals `seg` and sends it down an established (or already
+  /// constructing) slot, then tracks it.
+  void send_segment_on_path(std::size_t path_index, PendingSegment seg);
+  /// Opens the segment's async span, named like end_segment_span's.
+  void begin_segment_span(std::size_t path_index, const PendingSegment& seg,
+                          bool combined_construct) const;
+  /// The payload onion for `seg` on slot `path_index` under layer nonce
+  /// `seq`: payload core, auth trailer (segment_auth only), responder
+  /// seal, then the relay layers innermost first.
+  Bytes seal_segment(std::size_t path_index, std::uint64_t seq,
+                     const PendingSegment& seg);
+  /// Counts `seg` as sent on slot `path_index`, enters it in the pending
+  /// ledger and arms its ack timer.
+  void track_segment(std::size_t path_index, PendingSegment seg,
+                     bool fail_pending_path);
+  /// Removes a pending entry for a resend: counts the retransmission and
+  /// closes the entry's segment span with `outcome`.
+  PendingSegment take_for_resend(PendingLedger::iterator it,
+                                 const char* outcome);
   /// Relay backpressure signal arriving on a path's reverse handler.
   void on_backpressure(std::size_t path_index);
-  /// Fills in the auth trailer when segment_auth is on (no-op otherwise,
-  /// keeping the wire bytes identical to the seed).
-  void apply_auth_trailer(PayloadCore& core, const Path& path,
-                          const crypto::MessageDigest& digest) const;
   void report_path_suspicion(std::size_t path_index, double weight,
                              obs::Counter* evidence_ctr);
   void on_segment_timeout(std::uint64_t key, bool fail_pending_path);
+  /// Fails a slot still pending from combined construction whose segment
+  /// timed out; false when the slot is no longer pending.
+  bool fail_pending_combined(std::size_t path_index);
   void expire_segment(std::uint64_t key);
   /// Closes the segment's "segment"/"segment_retransmit" async span (picked
   /// by its retry count) with the given outcome. No-op while tracing is off.
@@ -311,16 +349,12 @@ class Session {
   void expire_kept_pending(std::size_t path_index);
   void resend_pending(std::size_t old_path_index, std::size_t new_path_index);
   void check_predictors();
-  void sync_path_info(std::size_t index);
   /// All relay selection funnels through here so the staleness tallies are
   /// mirrored into the registry regardless of which flow (construct,
   /// top-up, rebuild, proactive replace) asked.
   std::optional<std::vector<std::vector<NodeId>>> select_relays(
       std::size_t paths, SimTime now,
       const std::vector<NodeId>& extra_exclude = {});
-  std::vector<std::size_t> usable_paths() const;
-  const erasure::Codec& session_codec();
-  const erasure::Codec& session_codec_for(std::size_t m, std::size_t n);
 
   AnonRouter& router_;
   const membership::NodeCache& cache_;
@@ -330,8 +364,8 @@ class Session {
   Rng rng_;
   MixSelector selector_;
 
-  std::vector<Path> paths_;
-  std::vector<PathInfo> path_info_;
+  std::vector<PathInfo> paths_;
+  std::vector<PathKeys> keys_;
   std::vector<PathHealth> path_health_;
   // Backpressure state per path slot (zeros until a relay signals; sized
   // eagerly, no RNG). congested_until_: bulk is withheld from the path
@@ -351,8 +385,8 @@ class Session {
   Rng backoff_rng_;  // forked from rng_ only in adaptive mode
 
   // Encode scratch reused across send_message calls: the codec fills it in
-  // place, and send_segment_on_path copies what it must keep (payload core
-  // and the pending-ack ledger), so nothing references it across events.
+  // place, and each send copies its segment into the pending-ack entry, so
+  // nothing references it across events.
   std::vector<erasure::Segment> encode_scratch_;
 
   // Reverse-path scratch: on_reverse strips every relay layer plus the
@@ -361,8 +395,7 @@ class Session {
   // before handle_reverse_core can re-enter the send path.
   Bytes reverse_scratch_;
 
-  // In-flight segments keyed by (message_id, segment_index).
-  std::unordered_map<std::uint64_t, PendingSegment> pending_segments_;
+  PendingLedger pending_segments_;
 
   // Response reassembly keyed by (message id, response id) — the same
   // request can receive several distinct responses (rendezvous push).
@@ -390,7 +423,6 @@ class Session {
   std::uint64_t segments_retransmitted_ = 0;
   std::uint64_t failures_detected_ = 0;
   std::uint64_t proactive_replacements_ = 0;
-  std::uint64_t nacks_received_ = 0;
   std::uint64_t mirrored_fallbacks_ = 0;
   std::uint64_t mirrored_biased_ = 0;
   std::uint64_t messages_shed_ = 0;

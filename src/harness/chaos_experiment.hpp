@@ -235,6 +235,11 @@ struct ChaosResult {
            leaked_pending_constructions + leaked_reverse_handlers +
            leaked_reassembly;
   }
+  /// Accounting violations: unaccounted messages plus residual-state leaks,
+  /// and one more when the segment ledger does not close.
+  std::uint64_t violations() const {
+    return messages_unaccounted + total_leaks() + (ledger_closed() ? 0 : 1);
+  }
   /// Order-sensitive digest of every counter — equal fingerprints mean
   /// bit-identical runs.
   std::string fingerprint() const;

@@ -685,6 +685,56 @@ TEST(RouterSessionTest, OnDemandSecondSegmentFollowsConstruction) {
   EXPECT_EQ(received.message_id, id);
   EXPECT_EQ(received.data, message);
   EXPECT_EQ(session.segments_sent(), 8u);
+  // Every segment counts toward its slot, the combined ones included: the
+  // health scoreboard's stall detector reads these per-slot tallies.
+  std::uint64_t slot_sends = 0;
+  for (const auto& info : session.paths()) slot_sends += info.sends;
+  EXPECT_EQ(slot_sends, session.segments_sent());
+}
+
+TEST(RouterSessionTest, OutOfRangeClassByteIsDroppedNotShedAsControl) {
+  // A saturated tail-drop relay (capacity 1, no drain: the construct
+  // alone fills it) sheds every payload class, and it sheds nothing of the
+  // control class. A payload frame whose class byte is past kControl, as a
+  // byzantine flip can leave it, must be dropped as malformed, not counted
+  // as a control shed.
+  obs::Registry registry;
+  RouterConfig router_config;
+  router_config.metrics = &registry;
+  router_config.overload.enabled = true;
+  router_config.overload.relay_queue_capacity = 1;
+  router_config.overload.drain_rate_per_s = 0.0;
+  RoutingFixture fx(router_config);
+  Session session(*fx.router, fx.cache, 0, 1,
+                  fx.session_config(ProtocolSpec::curmix(MixChoice::kRandom)),
+                  Rng(46));
+  bool constructed = false;
+  session.construct([&](bool ok, std::size_t) { constructed = ok; });
+  fx.simulator.run_until(10 * kSecond);
+  ASSERT_TRUE(constructed);
+
+  // [type=payload][sid][seq][class][blob] from the initiator to P_1.
+  const auto& path = session.paths()[0];
+  const auto payload_frame = [&](std::uint8_t cls) {
+    Bytes frame{3};
+    put_u64be(frame, path.sid);
+    put_u64be(frame, 0);
+    frame.push_back(cls);
+    frame.resize(frame.size() + 64, 0x5a);
+    return frame;
+  };
+  const auto sheds = [&](const char* cls) {
+    return registry.counter_value("anon_overload_sheds_total",
+                                  {{"class", cls}});
+  };
+  const NodeId first_relay = path.relays.front();
+  const auto bulk = static_cast<std::uint8_t>(SegmentPriority::kBulk);
+  fx.demux.send(net::Channel::kAnonForward, 0, first_relay, payload_frame(7));
+  fx.demux.send(net::Channel::kAnonForward, 0, first_relay,
+                payload_frame(bulk));
+  fx.simulator.run_until(20 * kSecond);
+  EXPECT_EQ(sheds("bulk"), 1u);  // the relay is saturated
+  EXPECT_EQ(sheds("control"), 0u);
 }
 
 TEST(RouterSessionTest, SessionDestructionMidFlightIsSafe) {
