@@ -8,10 +8,12 @@
 //   * --json <path>: hand-rolled timing harness that writes a BenchReport
 //     document (same shape as micro_erasure's --json) with ChaCha20 /
 //     AEAD / onion-layer throughput, the speedup of the dispatched ChaCha20
-//     kernel over the in-binary scalar reference, and the heap-allocation
+//     kernel over the in-binary scalar reference, the heap-allocation
 //     count of the pooled in-place relay path (0 in steady state; the
-//     counting operator new hooks are linked into this binary). CI diffs
-//     this against the committed BENCH_crypto.json baseline.
+//     counting operator new hooks are linked into this binary), and the
+//     per-call time of X25519, its fixed-base form and both sealed-box
+//     directions, plus the fixed-base speedup over the ladder on u = 9.
+//     CI diffs this against the committed BENCH_crypto.json baseline.
 //
 // Benchmarks use the out-of-place chacha20_xor so every iteration sees the
 // same plaintext (the old in-place loop re-encrypted its own output, so the
@@ -21,6 +23,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -152,6 +157,17 @@ void BM_X25519(benchmark::State& state) {
 }
 BENCHMARK(BM_X25519);
 
+// The ephemeral keygen of every sealed box: the fixed-base comb.
+void BM_X25519Base(benchmark::State& state) {
+  Rng rng(4);
+  const KeyPair a = KeyPair::generate(rng);
+  for (auto _ : state) {
+    auto pub = x25519_base(a.private_key);
+    benchmark::DoNotOptimize(pub.data());
+  }
+}
+BENCHMARK(BM_X25519Base);
+
 void BM_SealedBoxSeal(benchmark::State& state) {
   Rng rng(5);
   const KeyPair recipient = KeyPair::generate(rng);
@@ -163,6 +179,19 @@ void BM_SealedBoxSeal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SealedBoxSeal);
+
+void BM_SealedBoxOpen(benchmark::State& state) {
+  Rng rng(5);
+  const KeyPair recipient = KeyPair::generate(rng);
+  Bytes msg(1024);
+  rng.fill(msg.data(), msg.size());
+  const Bytes sealed = sealed_box_seal(recipient.public_key, msg, rng);
+  for (auto _ : state) {
+    auto opened = sealed_box_open(recipient, sealed);
+    benchmark::DoNotOptimize(opened);
+  }
+}
+BENCHMARK(BM_SealedBoxOpen);
 
 template <typename Codec>
 void BM_BuildPathOnion(benchmark::State& state) {
@@ -347,6 +376,56 @@ int run_json_report(const std::string& path) {
              static_cast<std::uint64_t>(alloc_probe::active() ? 1 : 0));
   report.add("relay_path_allocs",
              (allocs_after - allocs_before) / kProbeRounds);
+
+  // Asymmetric path, in microseconds per call: the variable-base ladder,
+  // the fixed-base comb, and the sealed box that pays one of each to seal
+  // and one ladder to open. The comb's speedup is over the ladder on the
+  // same base point (u = 9), measured in this run. Every call is timed once
+  // per round and keeps its fastest round, so a burst of host load lands
+  // on both sides of the ratio alike.
+  const KeyPair alice = KeyPair::generate(rng);
+  const KeyPair bob = KeyPair::generate(rng);
+  X25519Key nine{};
+  nine[0] = 9;
+  Bytes box_plain(1024);
+  rng.fill(box_plain.data(), box_plain.size());
+  const Bytes box = sealed_box_seal(bob.public_key, box_plain, rng);
+  enum { kDh, kLadderBase, kCombBase, kSeal, kOpen, kTimedCalls };
+  const std::function<void()> calls[kTimedCalls] = {
+      [&] {
+        const X25519Key shared = x25519(alice.private_key, bob.public_key);
+        benchmark::DoNotOptimize(shared.data());
+      },
+      [&] {
+        const X25519Key pub = x25519(alice.private_key, nine);
+        benchmark::DoNotOptimize(pub.data());
+      },
+      [&] {
+        const X25519Key pub = x25519_base(alice.private_key);
+        benchmark::DoNotOptimize(pub.data());
+      },
+      [&] {
+        const Bytes sealed = sealed_box_seal(bob.public_key, box_plain, rng);
+        benchmark::DoNotOptimize(sealed.data());
+      },
+      [&] {
+        const auto opened = sealed_box_open(bob, box);
+        benchmark::DoNotOptimize(opened);
+      },
+  };
+  double us[kTimedCalls];
+  std::fill(std::begin(us), std::end(us),
+            std::numeric_limits<double>::infinity());
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < kTimedCalls; ++i) {
+      us[i] = std::min(us[i], 1e6 / measure_bytes_per_sec(1, calls[i]));
+    }
+  }
+  report.add("x25519_us", us[kDh]);
+  report.add("x25519_base_us", us[kCombBase]);
+  report.add("x25519_base_speedup", us[kLadderBase] / us[kCombBase]);
+  report.add("sealed_box_seal_us", us[kSeal]);
+  report.add("sealed_box_open_us", us[kOpen]);
 
   return report.write_if_requested(path) ? 0 : 1;
 }

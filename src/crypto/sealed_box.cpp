@@ -52,6 +52,14 @@ std::optional<Bytes> sealed_box_open(const KeyPair& recipient,
   X25519Key eph_pub;
   std::memcpy(eph_pub.data(), sealed.data(), eph_pub.size());
   const X25519Key shared = x25519(recipient.private_key, eph_pub);
+  // A low-order eph_pub (u = 0, u = 1, ...) gives the all-zero secret for
+  // every recipient, so anyone could derive the key and forge the box
+  // (RFC 7748 section 6.1). The comparison runs over all 32 bytes.
+  static constexpr X25519Key kZero{};
+  if (constant_time_equal(ByteView(shared.data(), shared.size()),
+                          ByteView(kZero.data(), kZero.size()))) {
+    return std::nullopt;
+  }
   const ChaChaKey key = derive_key(shared, eph_pub, recipient.public_key);
   const ChaChaNonce nonce{};
   return aead_open(key, nonce,

@@ -27,7 +27,8 @@ Bytes sealed_box_seal(const X25519Key& recipient_public, ByteView plaintext,
                       Rng& rng);
 
 /// Opens a sealed box with the recipient's keypair; nullopt on failure
-/// (wrong key, truncation, tampering).
+/// (wrong key, truncation, tampering, or a low-order ephemeral key whose
+/// shared secret is all zeros).
 std::optional<Bytes> sealed_box_open(const KeyPair& recipient,
                                      ByteView sealed);
 

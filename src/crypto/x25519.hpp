@@ -1,8 +1,17 @@
 // X25519 Diffie–Hellman over Curve25519 (RFC 7748).
 //
-// Field arithmetic mod 2^255 - 19 with five 51-bit limbs and a Montgomery
-// ladder; the implementation favors auditability over speed. Verified
-// against the RFC 7748 §5.2 and §6.1 vectors.
+// Field arithmetic mod 2^255 - 19 in five 51-bit limbs. Products reduce
+// exactly while every input limb is below 2^54, and a sum or difference of
+// two product outputs stays below that, so neither scalar multiplication
+// spends carry passes between products.
+//
+// x25519 is a constant-time Montgomery ladder, the only variable-base path.
+// x25519_base computes [k]B on the birationally equivalent edwards25519
+// with ref10's fixed-base comb: signed radix-16 digits, 64 mixed additions
+// over a 30 KB table of multiples of B, and 4 doublings. Each digit reads
+// all 8 entries of its table row, so no memory access depends on the
+// scalar. The table is built once per process, on first use (thread-safe). x25519_base(k) returns the same bytes as x25519(k, 9).
+// Verified against the RFC 7748 §5.2 and §6.1 vectors.
 #pragma once
 
 #include <array>
