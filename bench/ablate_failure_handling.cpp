@@ -9,6 +9,8 @@
 //   4. on-demand   — combined construction+payload per message (§4.2).
 // Reported: fraction of messages the responder reconstructs.
 #include <cstdio>
+#include <functional>
+#include <iterator>
 
 #include "anon/protocols.hpp"
 #include "anon/session.hpp"
@@ -58,8 +60,10 @@ double run_mode(const Mode& mode, std::uint64_t seed, std::size_t nodes) {
 
   const SimTime start = 30 * kMinute;
   const SimTime end = start + 30 * kMinute;
-  auto sender = std::make_shared<std::function<void()>>();
-  *sender = [&, sender] {
+  // Held by this frame, which outlives run_until: each rescheduled copy
+  // refers back to it without owning it.
+  std::function<void()> sender;
+  sender = [&] {
     if (env.simulator().now() > end) return;
     Bytes payload(1024, 0x5c);
     ++sent;  // application attempts count, delivered or not
@@ -68,15 +72,15 @@ double run_mode(const Mode& mode, std::uint64_t seed, std::size_t nodes) {
     } else {
       session.send_message(payload);
     }
-    env.simulator().schedule_after(10 * kSecond, *sender);
+    env.simulator().schedule_after(10 * kSecond, sender);
   };
 
   env.simulator().schedule_at(start, [&] {
     if (mode.on_demand) {
-      (*sender)();  // no up-front construction at all
+      sender();  // no up-front construction at all
     } else {
       session.construct([&](bool ok, std::size_t) {
-        if (ok) (*sender)();
+        if (ok) sender();
       });
     }
   });
@@ -97,11 +101,7 @@ int main(int argc, char** argv) {
   auto& threads = flags.add_int("threads", 0, "worker threads (0 = auto)");
   auto& json_path = obs::add_json_flag(flags);
   flags.parse(argc, argv);
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
-  const std::size_t workers =
-      threads > 0 ? static_cast<std::size_t>(threads)
-                  : default_worker_threads();
+  const std::size_t runs = scaled_runs(seeds);
 
   const Mode modes[] = {
       {"none (static paths)", false, 0.0, false},
@@ -113,16 +113,17 @@ int main(int argc, char** argv) {
   std::printf("# Ablation: §4.5 failure handling, SimEra(4,2)/biased, "
               "median 10 min churn, 30 min of 1 KB messages, %zu seeds\n",
               runs);
+  const auto rates = run_cells(
+      std::size(modes), runs, worker_threads(threads),
+      [&](std::size_t mode, std::size_t run) {
+        return run_mode(modes[mode], static_cast<std::uint64_t>(seed) + run,
+                        static_cast<std::size_t>(nodes));
+      });
   metrics::Table table({"mode", "delivery rate"});
-  for (const Mode& mode : modes) {
-    std::vector<double> rates(runs);
-    parallel_for(runs, workers, [&](std::size_t i) {
-      rates[i] = run_mode(mode, static_cast<std::uint64_t>(seed) + i,
-                          static_cast<std::size_t>(nodes));
-    });
+  for (std::size_t m = 0; m < std::size(modes); ++m) {
     double total = 0;
-    for (double r : rates) total += r;
-    table.add_row({mode.name,
+    for (const double rate : rates[m]) total += rate;
+    table.add_row({modes[m].name,
                    format_double(100.0 * total / static_cast<double>(runs), 1) +
                        "%"});
   }

@@ -1,10 +1,23 @@
-// Chaos sweep: delivered fraction under every scripted fault scenario,
-// fixed 5 s timeouts (the paper's configuration) vs the adaptive
-// RTO/backoff mode, averaged over seeds.
+// Chaos sweep: five seeded sweeps over the chaos, durability and
+// anonymity harnesses, selected with --sweep NAME. Each is a grid of
+// configuration cells averaged over seeds; every (cell, seed) run shares
+// one run_cells worker pool. --seeds 0 (the default) runs the sweep's
+// committed seed count, so `chaos_sweep --sweep X --json F` alone
+// reproduces BENCH_X.json.
 //
-// A pinned SimEra(4,2) pair exchanges a 512 B message every 5 s through a
-// 96-node network while the scenario's FaultPlan runs (see
-// harness/chaos_experiment.hpp). Reported per scenario x mode:
+//   scenarios   (default, 6 seeds) delivered fraction under every scripted
+//               fault scenario, fixed 5 s timeouts (the paper's
+//               configuration) vs the adaptive RTO/backoff mode;
+//   byzantine   (3 seeds) corruption probability x protocol x defense arm;
+//   membership  (5 seeds) control-plane faults x recovery arms;
+//   overload    (2 seeds) load shape x protocol x shed/drop arm;
+//   anonymity   (6 seeds) protocol x {compromised-f grid, cover traffic,
+//               churn} under a passive global observer.
+//
+// The scenarios sweep pins a SimEra(4,2) pair that exchanges a 512 B
+// message every 5 s through a 96-node network while the scenario's
+// FaultPlan runs (see harness/chaos_experiment.hpp). Reported per
+// scenario x mode:
 //   * attempted delivery — delivered / send_message calls. Charges a mode
 //     for refusing sends while its paths are down, so stalling cannot
 //     hide behind a shrunken denominator;
@@ -14,7 +27,7 @@
 //     open segment ledgers across all runs (the chaos invariants; must
 //     be 0).
 //
-// With --trace <path> the sweep is skipped and ONE run of --trace-scenario
+// With --trace <path> no sweep runs: ONE run of --trace-scenario
 // executes with the span tracer on, writing Chrome trace-event JSON (opens
 // in Perfetto / chrome://tracing; feed it to tools/trace_analyze for the
 // offline causal report) and, with --jsonl, a sampled causal log. The
@@ -26,7 +39,10 @@
 // adds its summary to --json.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <iterator>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/config.hpp"
@@ -45,6 +61,44 @@ using namespace p2panon;
 using namespace p2panon::harness;
 
 namespace {
+
+/// What every sweep reads from the command line.
+struct SweepArgs {
+  std::uint64_t seed;  // a cell's runs use seed, seed + 1, ...
+  std::size_t runs;    // seeds per cell
+  std::size_t nodes;   // --nodes; the membership and overload sweeps fix 64
+  std::size_t workers;
+  std::string json_path;
+  std::string flow_log;  // anonymity sweep only
+};
+
+/// `field` (a data member, a getter or a lambda) summed over one cell's
+/// runs in seed order.
+template <typename Result, typename Field>
+auto sum(const std::vector<Result>& runs, Field field) {
+  std::decay_t<std::invoke_result_t<Field&, const Result&>> total{};
+  for (const Result& run : runs) total += std::invoke(field, run);
+  return total;
+}
+
+/// The three protocols the byzantine, overload and anonymity sweeps
+/// compare. `spec` uses random mix choice; the byzantine suspicion arm
+/// switches it to biased.
+struct Protocol {
+  const char* name;  // byzantine and overload table column
+  const char* slug;  // overload and anonymity report keys
+  anon::ProtocolSpec spec;
+};
+
+const Protocol kProtocols[] = {
+    {"curmix", "curmix",
+     anon::ProtocolSpec::curmix(anon::MixChoice::kRandom)},
+    {"simrep(2)", "simrep2",
+     anon::ProtocolSpec::simrep(2, anon::MixChoice::kRandom)},
+    {"simera(4,2)", "simera4",
+     anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kRandom)},
+};
+constexpr std::size_t kProtocolCount = std::size(kProtocols);
 
 ChaosConfig sweep_config(ChaosScenario scenario, std::uint64_t seed,
                          bool adaptive, std::size_t nodes) {
@@ -67,9 +121,9 @@ ChaosConfig sweep_config(ChaosScenario scenario, std::uint64_t seed,
 
 // --- byzantine sweep -------------------------------------------------------
 //
-// --byzantine-sweep replaces the scenario sweep with an integrity study:
-// the corrupted-relay-quorum scenario is rerun across per-datagram flip
-// probabilities, protocols, and three defense arms:
+// --sweep byzantine is an integrity study: the corrupted-relay-quorum
+// scenario is rerun across per-datagram flip probabilities, protocols, and
+// three defense arms:
 //
 //   off             seed behavior — FastOnionCodec passes byte flips
 //                   through, so corrupted reconstructions can DELIVER
@@ -91,111 +145,58 @@ constexpr double kByzProbs[] = {0.10, 0.25, 0.50};
 constexpr ByzArm kByzArms[] = {{"off", false, false},
                                {"tags", true, false},
                                {"tags+suspicion", true, true}};
-constexpr const char* kByzProtoNames[] = {"curmix", "simrep(2)",
-                                          "simera(4,2)"};
 
-anon::ProtocolSpec byz_spec(std::size_t proto, anon::MixChoice mix) {
-  switch (proto) {
-    case 0: return anon::ProtocolSpec::curmix(mix);
-    case 1: return anon::ProtocolSpec::simrep(2, mix);
-    default: return anon::ProtocolSpec::simera(4, 2, mix);
-  }
-}
-
-int run_byzantine_sweep(std::uint64_t seed, std::size_t seeds,
-                        std::size_t nodes, std::size_t workers,
-                        const std::string& json_path) {
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
-  constexpr std::size_t kProbCount = sizeof(kByzProbs) / sizeof(kByzProbs[0]);
-  constexpr std::size_t kArmCount = sizeof(kByzArms) / sizeof(kByzArms[0]);
-  constexpr std::size_t kProtoCount = 3;
-
-  struct Job {
-    std::size_t prob;
-    std::size_t proto;
-    std::size_t arm;
-    std::size_t run;
-  };
-  std::vector<Job> jobs;
-  for (std::size_t p = 0; p < kProbCount; ++p) {
-    for (std::size_t proto = 0; proto < kProtoCount; ++proto) {
-      for (std::size_t arm = 0; arm < kArmCount; ++arm) {
-        for (std::size_t run = 0; run < runs; ++run) {
-          jobs.push_back({p, proto, arm, run});
-        }
-      }
-    }
-  }
-
+int run_byzantine_sweep(const SweepArgs& args) {
+  constexpr std::size_t kArmCount = std::size(kByzArms);
   std::printf("# Byzantine sweep: corrupted-relay-quorum, %zu nodes, "
               "512 B every 5 s, %zu seeds per cell\n",
-              nodes, runs);
+              args.nodes, args.runs);
 
-  std::vector<ChaosResult> results(jobs.size());
-  parallel_for(jobs.size(), workers, [&](std::size_t i) {
-    const Job& job = jobs[i];
-    const ByzArm& arm = kByzArms[job.arm];
-    const anon::MixChoice mix =
-        arm.suspicion ? anon::MixChoice::kBiased : anon::MixChoice::kRandom;
-    ChaosConfig config =
-        sweep_config(ChaosScenario::kCorruptedRelayQuorum, seed + job.run,
-                     /*adaptive=*/false, nodes);
-    config.spec = byz_spec(job.proto, mix);
-    config.byzantine_probability = kByzProbs[job.prob];
-    config.session.segment_auth = arm.tags;
-    config.session.relay_suspicion = arm.suspicion;
-    results[i] = run_chaos_experiment(config);
-  });
-
-  struct Cell {
-    std::uint64_t accepted = 0;
-    std::uint64_t correct = 0;
-    std::uint64_t wrong = 0;
-    std::uint64_t auth_rejected = 0;
-    std::uint64_t nacks = 0;
-    std::uint64_t quarantined = 0;
-    std::uint64_t violations = 0;
-  };
-  Cell cells[kProbCount][kProtoCount][kArmCount];
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
-    const ChaosResult& result = results[i];
-    Cell& cell = cells[job.prob][job.proto][job.arm];
-    cell.accepted += result.messages_accepted;
-    cell.correct += result.messages_delivered_correct;
-    cell.wrong += result.messages_delivered_wrong;
-    cell.auth_rejected += result.auth_rejected;
-    cell.nacks += result.auth_nacks;
-    cell.quarantined += result.quarantined_nodes;
-    cell.violations += result.violations();
-  }
+  // Cells run probability-major, then protocol, then arm.
+  const auto results = run_cells(
+      std::size(kByzProbs) * kProtocolCount * kArmCount, args.runs,
+      args.workers, [&](std::size_t cell, std::size_t run) {
+        const ByzArm& arm = kByzArms[cell % kArmCount];
+        ChaosConfig config =
+            sweep_config(ChaosScenario::kCorruptedRelayQuorum,
+                         args.seed + run, /*adaptive=*/false, args.nodes);
+        config.spec = kProtocols[cell / kArmCount % kProtocolCount].spec;
+        if (arm.suspicion) config.spec.mix = anon::MixChoice::kBiased;
+        config.byzantine_probability =
+            kByzProbs[cell / (kArmCount * kProtocolCount)];
+        config.session.segment_auth = arm.tags;
+        config.session.relay_suspicion = arm.suspicion;
+        return run_chaos_experiment(config);
+      });
 
   metrics::Table table({"p_corrupt", "protocol", "arm", "accepted", "correct",
                         "wrong", "failed_closed", "correct_rate",
                         "wrong_rate", "auth_rejected", "corrupt_nacks",
                         "quarantined", "violations"});
-  for (std::size_t p = 0; p < kProbCount; ++p) {
-    for (std::size_t proto = 0; proto < kProtoCount; ++proto) {
-      for (std::size_t arm = 0; arm < kArmCount; ++arm) {
-        const Cell& cell = cells[p][proto][arm];
-        const std::uint64_t closed =
-            cell.accepted - cell.correct - cell.wrong;
+  std::size_t cell = 0;
+  for (const double prob : kByzProbs) {
+    for (const Protocol& protocol : kProtocols) {
+      for (const ByzArm& arm : kByzArms) {
+        const std::vector<ChaosResult>& runs = results[cell++];
+        const std::uint64_t accepted =
+            sum(runs, &ChaosResult::messages_accepted);
+        const std::uint64_t correct =
+            sum(runs, &ChaosResult::messages_delivered_correct);
+        const std::uint64_t wrong =
+            sum(runs, &ChaosResult::messages_delivered_wrong);
         const double denom =
-            cell.accepted > 0 ? static_cast<double>(cell.accepted) : 1.0;
-        table.add_row({format_double(kByzProbs[p], 2),
-                       kByzProtoNames[proto], kByzArms[arm].name,
-                       std::to_string(cell.accepted),
-                       std::to_string(cell.correct),
-                       std::to_string(cell.wrong), std::to_string(closed),
-                       format_double(static_cast<double>(cell.correct) /
-                                         denom, 4),
-                       format_double(static_cast<double>(cell.wrong) / denom,
-                                     4),
-                       std::to_string(cell.auth_rejected),
-                       std::to_string(cell.nacks),
-                       std::to_string(cell.quarantined),
-                       std::to_string(cell.violations)});
+            accepted > 0 ? static_cast<double>(accepted) : 1.0;
+        table.add_row(
+            {format_double(prob, 2), protocol.name, arm.name,
+             std::to_string(accepted), std::to_string(correct),
+             std::to_string(wrong),
+             std::to_string(accepted - correct - wrong),
+             format_double(static_cast<double>(correct) / denom, 4),
+             format_double(static_cast<double>(wrong) / denom, 4),
+             std::to_string(sum(runs, &ChaosResult::auth_rejected)),
+             std::to_string(sum(runs, &ChaosResult::auth_nacks)),
+             std::to_string(sum(runs, &ChaosResult::quarantined_nodes)),
+             std::to_string(sum(runs, &ChaosResult::violations))});
       }
     }
   }
@@ -211,16 +212,16 @@ int run_byzantine_sweep(std::uint64_t seed, std::size_t seeds,
               "byzantine quorum.\n");
 
   obs::BenchReport report("chaos_byzantine_sweep");
-  report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
-  report.add("nodes", static_cast<std::uint64_t>(nodes));
+  report.add("runs_per_cell", static_cast<std::uint64_t>(args.runs));
+  report.add("nodes", static_cast<std::uint64_t>(args.nodes));
   report.add_section("byzantine", table.to_json());
-  if (!report.write_if_requested(json_path)) return 1;
+  if (!report.write_if_requested(args.json_path)) return 1;
   return 0;
 }
 
 // --- membership sweep ------------------------------------------------------
 //
-// --membership-sweep drives the *control plane* fault scenarios
+// --sweep membership drives the *control plane* fault scenarios
 // (harness/membership_chaos.hpp) through the durability harness: gossip
 // blackout, leader crash, stale injection, and claim inflation, each under
 // three arms — random mix choice (the liveness-ignorant floor), biased
@@ -285,80 +286,30 @@ bool check_control_fingerprint(obs::BenchReport& report,
   return fingerprint_ok;
 }
 
-int run_membership_sweep(std::uint64_t seed, std::size_t seeds,
-                         std::size_t workers, const std::string& json_path) {
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
+int run_membership_sweep(const SweepArgs& args) {
   constexpr MembershipScenario kMemScenarios[] = {
       MembershipScenario::kGossipBlackout, MembershipScenario::kLeaderCrash,
       MembershipScenario::kStaleInject, MembershipScenario::kClaimInflate};
   constexpr MembershipArm kArms[] = {MembershipArm::kRandom,
                                      MembershipArm::kBiased,
                                      MembershipArm::kResilient};
-  constexpr std::size_t kScenarioCount =
-      sizeof(kMemScenarios) / sizeof(kMemScenarios[0]);
-  constexpr std::size_t kArmCount = sizeof(kArms) / sizeof(kArms[0]);
-
-  struct Job {
-    std::size_t scenario;
-    std::size_t arm;
-    std::size_t run;
-  };
-  std::vector<Job> jobs;
-  for (std::size_t s = 0; s < kScenarioCount; ++s) {
-    for (std::size_t a = 0; a < kArmCount; ++a) {
-      for (std::size_t r = 0; r < runs; ++r) jobs.push_back({s, a, r});
-    }
-  }
+  constexpr std::size_t kArmCount = std::size(kArms);
 
   std::printf("# Membership sweep: control-plane faults x recovery arms, "
               "64 nodes, SimEra(4,2), %zu seeds per cell\n",
-              runs);
+              args.runs);
 
-  std::vector<DurabilityResult> results(jobs.size());
-  parallel_for(jobs.size(), workers, [&](std::size_t i) {
-    const Job& job = jobs[i];
-    MembershipChaosConfig config;
-    config.scenario = kMemScenarios[job.scenario];
-    config.arm = kArms[job.arm];
-    config.seed = seed + job.run;
-    results[i] = run_membership_chaos(config);
-  });
+  const auto results = run_cells(
+      std::size(kMemScenarios) * kArmCount, args.runs, args.workers,
+      [&](std::size_t cell, std::size_t run) {
+        MembershipChaosConfig config;
+        config.scenario = kMemScenarios[cell / kArmCount];
+        config.arm = kArms[cell % kArmCount];
+        config.seed = args.seed + run;
+        return run_membership_chaos(config);
+      });
 
-  struct Cell {
-    double durability = 0.0;
-    double attempts = 0.0;
-    double belief = 0.0;
-    std::uint64_t sent = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t stale_fallbacks = 0;
-    std::uint64_t biased_selects = 0;
-    std::uint64_t repair_accepted = 0;
-    std::uint64_t elections = 0;
-    fault::FaultyTransport::Counters faults;
-  };
-  std::vector<Cell> cells(kScenarioCount * kArmCount);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
-    const DurabilityResult& r = results[i];
-    Cell& cell = cells[job.scenario * kArmCount + job.arm];
-    cell.durability += r.durability_seconds;
-    cell.attempts += static_cast<double>(r.construct_attempts);
-    cell.belief += r.belief_accuracy;
-    cell.sent += r.messages_sent;
-    cell.delivered += r.messages_delivered;
-    cell.stale_fallbacks += r.mix_stale_fallbacks;
-    cell.biased_selects += r.mix_biased_selects;
-    cell.repair_accepted += r.control.repair_records_accepted;
-    cell.elections += r.control.elections;
-    cell.faults.dropped_gossip_blackout += r.faults.dropped_gossip_blackout;
-    cell.faults.dropped_gossip_loss += r.faults.dropped_gossip_loss;
-    cell.faults.stale_injected += r.faults.stale_injected;
-    cell.faults.claims_inflated += r.faults.claims_inflated;
-    cell.faults.dropped_crash += r.faults.dropped_crash;
-  }
-
-  const double denom = static_cast<double>(runs);
+  const double denom = static_cast<double>(args.runs);
   metrics::Table table({"scenario", "arm", "durability_s", "attempts",
                         "delivery", "belief", "stale_fallbacks",
                         "repair_accepted", "elections"});
@@ -366,33 +317,43 @@ int run_membership_sweep(std::uint64_t seed, std::size_t seeds,
                              "gossip-loss", "stale-inject", "claim-inflate",
                              "crash-drop"});
   obs::BenchReport report("chaos_membership_sweep");
-  for (std::size_t s = 0; s < kScenarioCount; ++s) {
-    for (std::size_t a = 0; a < kArmCount; ++a) {
-      const Cell& cell = cells[s * kArmCount + a];
-      const char* scenario = membership_scenario_name(kMemScenarios[s]);
-      const char* arm = membership_arm_name(kArms[a]);
-      const double durability = cell.durability / denom;
+  std::size_t cell = 0;
+  for (const MembershipScenario membership_scenario : kMemScenarios) {
+    for (const MembershipArm membership_arm : kArms) {
+      const std::vector<DurabilityResult>& runs = results[cell++];
+      const char* scenario = membership_scenario_name(membership_scenario);
+      const char* arm = membership_arm_name(membership_arm);
+      // The cell's sum of `field`, rendered.
+      const auto total = [&](auto field) {
+        return std::to_string(sum(runs, field));
+      };
+      const double durability =
+          sum(runs, &DurabilityResult::durability_seconds) / denom;
+      const double attempts =
+          static_cast<double>(sum(runs, &DurabilityResult::construct_attempts));
+      const std::uint64_t sent = sum(runs, &DurabilityResult::messages_sent);
+      const std::uint64_t delivered =
+          sum(runs, &DurabilityResult::messages_delivered);
+      const double delivery = sent > 0 ? 100.0 *
+                                             static_cast<double>(delivered) /
+                                             static_cast<double>(sent)
+                                       : 0.0;
+      const double belief = sum(runs, &DurabilityResult::belief_accuracy);
       table.add_row(
           {scenario, arm, format_double(durability, 1),
-           format_double(cell.attempts / denom, 1),
-           format_double(cell.sent > 0
-                             ? 100.0 * static_cast<double>(cell.delivered) /
-                                   static_cast<double>(cell.sent)
-                             : 0.0,
-                         1) +
-               "%",
-           format_double(100.0 * cell.belief / denom, 1) + "%",
-           std::to_string(cell.stale_fallbacks) + "/" +
-               std::to_string(cell.biased_selects),
-           std::to_string(cell.repair_accepted),
-           std::to_string(cell.elections)});
+           format_double(attempts / denom, 1), format_double(delivery, 1) + "%",
+           format_double(100.0 * belief / denom, 1) + "%",
+           total(&DurabilityResult::mix_stale_fallbacks) + "/" +
+               total(&DurabilityResult::mix_biased_selects),
+           total([](auto& r) { return r.control.repair_records_accepted; }),
+           total([](auto& r) { return r.control.elections; })});
       drop_table.add_row(
           {scenario, arm,
-           std::to_string(cell.faults.dropped_gossip_blackout),
-           std::to_string(cell.faults.dropped_gossip_loss),
-           std::to_string(cell.faults.stale_injected),
-           std::to_string(cell.faults.claims_inflated),
-           std::to_string(cell.faults.dropped_crash)});
+           total([](auto& r) { return r.faults.dropped_gossip_blackout; }),
+           total([](auto& r) { return r.faults.dropped_gossip_loss; }),
+           total([](auto& r) { return r.faults.stale_injected; }),
+           total([](auto& r) { return r.faults.claims_inflated; }),
+           total([](auto& r) { return r.faults.dropped_crash; })});
       report.add(std::string("durability_") + scenario + "_" + arm,
                  durability);
     }
@@ -414,17 +375,17 @@ int run_membership_sweep(std::uint64_t seed, std::size_t seeds,
   ChaosConfig spelled = control_chaos_config();
   spelled.environment.membership_kind = MembershipKind::kGossip;
   spelled.environment.gossip.resilient = false;
-  report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
+  report.add("runs_per_cell", static_cast<std::uint64_t>(args.runs));
   const bool fingerprint_ok = check_control_fingerprint(report, spelled);
   report.add_section("durability", table.to_json());
   report.add_section("membership_drops", drop_table.to_json());
-  if (!report.write_if_requested(json_path)) return 1;
+  if (!report.write_if_requested(args.json_path)) return 1;
   return fingerprint_ok ? 0 : 1;
 }
 
 // --- overload sweep --------------------------------------------------------
 //
-// --overload-sweep replaces the scenario sweep with a saturation study: the
+// --sweep overload is a saturation study: the
 // workload engine offers a bulk/interactive/streaming mix whose rate is
 // shaped {steady, diurnal, flash} while every relay runs a bounded leaky-
 // bucket queue, across 3 protocols x 2 arms:
@@ -450,14 +411,12 @@ constexpr OverloadArm kOvlArms[] = {{"shed", true}, {"drop", false}};
 constexpr workload::LoadShape kOvlShapes[] = {workload::LoadShape::kSteady,
                                               workload::LoadShape::kDiurnal,
                                               workload::LoadShape::kFlashCrowd};
-constexpr std::size_t kOvlArmCount = sizeof(kOvlArms) / sizeof(kOvlArms[0]);
-constexpr std::size_t kOvlShapeCount =
-    sizeof(kOvlShapes) / sizeof(kOvlShapes[0]);
-/// Short report-key slugs, shared with the anonymity sweep's protocols.
-constexpr const char* kOvlProtoSlugs[] = {"curmix", "simrep2", "simera4"};
+constexpr std::size_t kOvlArmCount = std::size(kOvlArms);
+constexpr std::size_t kOvlShapeCount = std::size(kOvlShapes);
 
-ChaosConfig overload_cell_config(std::size_t proto, workload::LoadShape shape,
-                                 bool shed, std::uint64_t seed) {
+ChaosConfig overload_cell_config(const anon::ProtocolSpec& spec,
+                                 workload::LoadShape shape, bool shed,
+                                 std::uint64_t seed) {
   ChaosConfig config;
   config.environment.num_nodes = 64;
   config.environment.seed = seed;
@@ -474,7 +433,7 @@ ChaosConfig overload_cell_config(std::size_t proto, workload::LoadShape shape,
   // raise it so retransmission absorbs background loss and offered load
   // stays the only stressor.
   config.session.path_fail_threshold = 40;
-  config.spec = byz_spec(proto, anon::MixChoice::kRandom);
+  config.spec = spec;
   config.workload.enabled = true;
   config.workload.shape = shape;
   // 4 msg/s (plus ~20% retransmit traffic from the drizzle) against a
@@ -493,140 +452,114 @@ ChaosConfig overload_cell_config(std::size_t proto, workload::LoadShape shape,
   return config;
 }
 
-int run_overload_sweep(std::uint64_t seed, std::size_t seeds,
-                       std::size_t workers, const std::string& json_path) {
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
-  constexpr std::size_t kProtoCount = 3;
-
-  struct Job {
-    std::size_t proto;
-    std::size_t shape;
-    std::size_t arm;
-    std::size_t run;
-  };
-  std::vector<Job> jobs;
-  for (std::size_t p = 0; p < kProtoCount; ++p) {
-    for (std::size_t s = 0; s < kOvlShapeCount; ++s) {
-      for (std::size_t a = 0; a < kOvlArmCount; ++a) {
-        for (std::size_t r = 0; r < runs; ++r) jobs.push_back({p, s, a, r});
-      }
-    }
-  }
-
+int run_overload_sweep(const SweepArgs& args) {
   std::printf("# Overload sweep: workload shapes x shed/drop arms, 64 "
               "nodes, mixed traffic at 4 msg/s vs 10/s relay drain, %zu "
               "seeds per cell\n",
-              runs);
+              args.runs);
 
-  std::vector<ChaosResult> results(jobs.size());
-  parallel_for(jobs.size(), workers, [&](std::size_t i) {
-    const Job& job = jobs[i];
-    results[i] = run_chaos_experiment(
-        overload_cell_config(job.proto, kOvlShapes[job.shape],
-                             kOvlArms[job.arm].shed, seed + job.run));
-  });
-
-  struct Cell {
-    std::uint64_t attempts = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t expired = 0;
-    std::uint64_t retx = 0;
-    std::uint64_t deferred = 0;
-    ChaosResult::ClassStats per_class[3];
-    std::uint64_t inter_p99_us = 0;  // worst run's p99
-    std::uint64_t sheds_bulk = 0, sheds_streaming = 0;
-    std::uint64_t sheds_interactive = 0, sheds_control = 0;
-    std::uint64_t admission = 0, backpressure = 0;
-    std::uint64_t session_shed = 0, stalls_suppressed = 0;
-    std::uint64_t violations = 0;
-  };
-  std::vector<Cell> cells(kProtoCount * kOvlShapeCount * kOvlArmCount);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
-    const ChaosResult& r = results[i];
-    Cell& cell = cells[(job.proto * kOvlShapeCount + job.shape) *
-                           kOvlArmCount +
-                       job.arm];
-    cell.attempts += r.send_attempts;
-    cell.accepted += r.messages_accepted;
-    cell.delivered += r.messages_delivered;
-    cell.expired += r.segments_expired;
-    cell.retx += r.segments_retransmitted;
-    cell.deferred += r.session_segments_deferred;
-    for (std::size_t c = 0; c < 3; ++c) {
-      cell.per_class[c].attempts += r.per_class[c].attempts;
-      cell.per_class[c].accepted += r.per_class[c].accepted;
-      cell.per_class[c].delivered += r.per_class[c].delivered;
-    }
-    cell.inter_p99_us = std::max(cell.inter_p99_us, r.interactive_p99_us);
-    cell.sheds_bulk += r.relay_sheds_bulk;
-    cell.sheds_streaming += r.relay_sheds_streaming;
-    cell.sheds_interactive += r.relay_sheds_interactive;
-    cell.sheds_control += r.relay_sheds_control;
-    cell.admission += r.admission_rejects;
-    cell.backpressure += r.backpressure_signals;
-    cell.session_shed += r.session_messages_shed;
-    cell.stalls_suppressed += r.session_stalls_suppressed;
-    cell.violations += r.violations();
-  }
+  // Cells run protocol-major, then shape, then arm.
+  const auto results = run_cells(
+      kProtocolCount * kOvlShapeCount * kOvlArmCount, args.runs,
+      args.workers, [&](std::size_t cell, std::size_t run) {
+        return run_chaos_experiment(overload_cell_config(
+            kProtocols[cell / (kOvlShapeCount * kOvlArmCount)].spec,
+            kOvlShapes[cell / kOvlArmCount % kOvlShapeCount],
+            kOvlArms[cell % kOvlArmCount].shed, args.seed + run));
+      });
 
   metrics::Table table({"protocol", "shape", "arm", "attempts", "accepted",
                         "goodput", "inter_gp", "bulk_gp", "inter_p99_ms",
                         "retx", "expired", "sheds b/s/i/c", "admission",
                         "bp", "violations"});
   obs::BenchReport report("chaos_overload_sweep");
-  for (std::size_t p = 0; p < kProtoCount; ++p) {
-    for (std::size_t s = 0; s < kOvlShapeCount; ++s) {
-      for (std::size_t a = 0; a < kOvlArmCount; ++a) {
-        const Cell& cell =
-            cells[(p * kOvlShapeCount + s) * kOvlArmCount + a];
-        const std::string key = std::string(kOvlProtoSlugs[p]) + "_" +
-                                workload::load_shape_name(kOvlShapes[s]) +
-                                "_" + kOvlArms[a].name;
-        const double goodput =
-            cell.attempts > 0 ? static_cast<double>(cell.delivered) /
-                                    static_cast<double>(cell.attempts)
-                              : 0.0;
+  std::size_t cell = 0;
+  for (const Protocol& protocol : kProtocols) {
+    for (const workload::LoadShape shape : kOvlShapes) {
+      for (const OverloadArm& arm : kOvlArms) {
+        const std::vector<ChaosResult>& runs = results[cell++];
+        const std::string key = std::string(protocol.slug) + "_" +
+                                workload::load_shape_name(shape) + "_" +
+                                arm.name;
+        const std::uint64_t attempts = sum(runs, &ChaosResult::send_attempts);
+        const std::uint64_t accepted =
+            sum(runs, &ChaosResult::messages_accepted);
+        const std::uint64_t delivered =
+            sum(runs, &ChaosResult::messages_delivered);
+        const std::uint64_t retx =
+            sum(runs, &ChaosResult::segments_retransmitted);
+        const std::uint64_t expired = sum(runs, &ChaosResult::segments_expired);
+        const double goodput = attempts > 0
+                                   ? static_cast<double>(delivered) /
+                                         static_cast<double>(attempts)
+                                   : 0.0;
+        // One traffic class's goodput over the runs' summed sends.
+        const auto class_goodput = [&](workload::TrafficClass c) {
+          ChaosResult::ClassStats total;
+          for (const ChaosResult& r : runs) {
+            const ChaosResult::ClassStats& stats =
+                r.per_class[static_cast<std::size_t>(c)];
+            total.attempts += stats.attempts;
+            total.delivered += stats.delivered;
+          }
+          return total.goodput();
+        };
+        const double inter_gp =
+            class_goodput(workload::TrafficClass::kInteractive);
+        const double bulk_gp = class_goodput(workload::TrafficClass::kBulk);
+        std::uint64_t inter_p99_us = 0;  // the worst run's p99
+        for (const ChaosResult& r : runs) {
+          inter_p99_us = std::max(inter_p99_us, r.interactive_p99_us);
+        }
+        const std::uint64_t sheds_bulk =
+            sum(runs, &ChaosResult::relay_sheds_bulk);
+        const std::uint64_t sheds_streaming =
+            sum(runs, &ChaosResult::relay_sheds_streaming);
+        const std::uint64_t sheds_interactive =
+            sum(runs, &ChaosResult::relay_sheds_interactive);
+        const std::uint64_t sheds_control =
+            sum(runs, &ChaosResult::relay_sheds_control);
+        const std::uint64_t admission =
+            sum(runs, &ChaosResult::admission_rejects);
+        const std::uint64_t backpressure =
+            sum(runs, &ChaosResult::backpressure_signals);
+        const std::uint64_t violations = sum(runs, &ChaosResult::violations);
         table.add_row(
-            {kByzProtoNames[p], workload::load_shape_name(kOvlShapes[s]),
-             kOvlArms[a].name, std::to_string(cell.attempts),
-             std::to_string(cell.accepted),
-             format_double(goodput, 3),
-             format_double(cell.per_class[1].goodput(), 3),
-             format_double(cell.per_class[0].goodput(), 3),
-             std::to_string(cell.inter_p99_us / 1000),
-             std::to_string(cell.retx), std::to_string(cell.expired),
-             std::to_string(cell.sheds_bulk) + "/" +
-                 std::to_string(cell.sheds_streaming) + "/" +
-                 std::to_string(cell.sheds_interactive) + "/" +
-                 std::to_string(cell.sheds_control),
-             std::to_string(cell.admission),
-             std::to_string(cell.backpressure),
-             std::to_string(cell.violations)});
-        report.add("attempts_" + key, cell.attempts);
-        report.add("accepted_" + key, cell.accepted);
-        report.add("delivered_" + key, cell.delivered);
-        report.add("segments_retx_" + key, cell.retx);
-        report.add("segments_expired_" + key, cell.expired);
-        report.add("segments_deferred_" + key, cell.deferred);
+            {protocol.name, workload::load_shape_name(shape), arm.name,
+             std::to_string(attempts), std::to_string(accepted),
+             format_double(goodput, 3), format_double(inter_gp, 3),
+             format_double(bulk_gp, 3), std::to_string(inter_p99_us / 1000),
+             std::to_string(retx), std::to_string(expired),
+             std::to_string(sheds_bulk) + "/" +
+                 std::to_string(sheds_streaming) + "/" +
+                 std::to_string(sheds_interactive) + "/" +
+                 std::to_string(sheds_control),
+             std::to_string(admission), std::to_string(backpressure),
+             std::to_string(violations)});
+        report.add("attempts_" + key, attempts);
+        report.add("accepted_" + key, accepted);
+        report.add("delivered_" + key, delivered);
+        report.add("segments_retx_" + key, retx);
+        report.add("segments_expired_" + key, expired);
+        report.add("segments_deferred_" + key,
+                   sum(runs, &ChaosResult::session_segments_deferred));
         report.add("goodput_" + key, goodput);
-        report.add("goodput_interactive_" + key,
-                   cell.per_class[1].goodput());
-        report.add("goodput_bulk_" + key, cell.per_class[0].goodput());
+        report.add("goodput_interactive_" + key, inter_gp);
+        report.add("goodput_bulk_" + key, bulk_gp);
         report.add("goodput_streaming_" + key,
-                   cell.per_class[2].goodput());
-        report.add("interactive_p99_us_" + key, cell.inter_p99_us);
-        report.add("sheds_bulk_" + key, cell.sheds_bulk);
-        report.add("sheds_streaming_" + key, cell.sheds_streaming);
-        report.add("sheds_interactive_" + key, cell.sheds_interactive);
-        report.add("sheds_control_" + key, cell.sheds_control);
-        report.add("admission_rejects_" + key, cell.admission);
-        report.add("backpressure_signals_" + key, cell.backpressure);
-        report.add("session_sheds_" + key, cell.session_shed);
-        report.add("stalls_suppressed_" + key, cell.stalls_suppressed);
-        report.add("violations_" + key, cell.violations);
+                   class_goodput(workload::TrafficClass::kStreaming));
+        report.add("interactive_p99_us_" + key, inter_p99_us);
+        report.add("sheds_bulk_" + key, sheds_bulk);
+        report.add("sheds_streaming_" + key, sheds_streaming);
+        report.add("sheds_interactive_" + key, sheds_interactive);
+        report.add("sheds_control_" + key, sheds_control);
+        report.add("admission_rejects_" + key, admission);
+        report.add("backpressure_signals_" + key, backpressure);
+        report.add("session_sheds_" + key,
+                   sum(runs, &ChaosResult::session_messages_shed));
+        report.add("stalls_suppressed_" + key,
+                   sum(runs, &ChaosResult::session_stalls_suppressed));
+        report.add("violations_" + key, violations);
       }
     }
   }
@@ -650,16 +583,16 @@ int run_overload_sweep(std::uint64_t seed, std::size_t seeds,
   spelled.workload = workload::WorkloadConfig{};
   spelled.environment.router.overload = anon::RouterConfig::OverloadConfig{};
   spelled.session.max_inflight_segments = 0;
-  report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
+  report.add("runs_per_cell", static_cast<std::uint64_t>(args.runs));
   const bool fingerprint_ok = check_control_fingerprint(report, spelled);
   report.add_section("overload", table.to_json());
-  if (!report.write_if_requested(json_path)) return 1;
+  if (!report.write_if_requested(args.json_path)) return 1;
   return fingerprint_ok ? 0 : 1;
 }
 
 // --- anonymity sweep -------------------------------------------------------
 //
-// --anonymity-sweep taps a LinkObserver into the wire and replays the
+// --sweep anonymity taps a LinkObserver into the wire and replays the
 // captured flow log through the offline attack engine (DESIGN §10):
 // predecessor (paper §5 Case 1 with a planted fraction-f insider set),
 // intersection over trial windows, and timing correlation at the
@@ -687,145 +620,113 @@ constexpr AnonymityArm kAnonArms[] = {
     {"f20", 0.20, false, false},  {"cover", 0.10, true, false},
     {"churn", 0.10, false, true},
 };
-constexpr std::size_t kAnonArmCount =
-    sizeof(kAnonArms) / sizeof(kAnonArms[0]);
+constexpr std::size_t kAnonArmCount = std::size(kAnonArms);
 
-/// Short report-key slugs for the three protocol arms.
-constexpr const char* kAnonProtoSlugs[] = {"curmix", "simrep2", "simera4"};
-
-AnonymityConfig anonymity_cell_config(std::size_t proto, std::size_t arm,
+AnonymityConfig anonymity_cell_config(const anon::ProtocolSpec& spec,
+                                      const AnonymityArm& arm,
                                       std::uint64_t seed,
                                       std::size_t nodes) {
-  const anon::ProtocolSpec specs[] = {
-      anon::ProtocolSpec::curmix(anon::MixChoice::kRandom),
-      anon::ProtocolSpec::simrep(2, anon::MixChoice::kRandom),
-      anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kRandom)};
-  const AnonymityArm& a = kAnonArms[arm];
   AnonymityConfig config;
   config.environment.num_nodes = nodes;
   config.environment.seed = seed;
-  config.spec = specs[proto];
-  config.compromised_fraction = a.fraction;
-  config.cover_traffic = a.cover;
+  config.spec = spec;
+  config.compromised_fraction = arm.fraction;
+  config.cover_traffic = arm.cover;
   config.trials = 36;  // 24 default; more trials tighten the f-grid gate
-  if (a.fast_churn) {
+  if (arm.fast_churn) {
     config.environment.session_distribution = "pareto:median=900";
     config.pin_all_up = false;  // measure rebuild-driven exposure
   }
   return config;
 }
 
-int run_anonymity_sweep(std::uint64_t seed, std::size_t seeds,
-                        std::size_t nodes, std::size_t workers,
-                        const std::string& json_path,
-                        const std::string& flow_log_path) {
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
-  constexpr std::size_t kProtoCount = 3;
-
-  struct Job {
-    std::size_t proto;
-    std::size_t arm;
-    std::size_t run;
-  };
-  std::vector<Job> jobs;
-  for (std::size_t p = 0; p < kProtoCount; ++p) {
-    for (std::size_t a = 0; a < kAnonArmCount; ++a) {
-      for (std::size_t r = 0; r < runs; ++r) jobs.push_back({p, a, r});
-    }
-  }
-
+int run_anonymity_sweep(const SweepArgs& args) {
   std::printf("# Anonymity sweep: passive global observer + offline "
               "attacks, %zu nodes, %zu seeds per cell\n",
-              nodes, runs);
+              args.nodes, args.runs);
 
-  std::vector<AnonymityResult> results(jobs.size());
-  parallel_for(jobs.size(), workers, [&](std::size_t i) {
-    const Job& job = jobs[i];
-    AnonymityConfig config =
-        anonymity_cell_config(job.proto, job.arm, seed + job.run, nodes);
-    // One representative capture (CurMix/base, first seed) as link-record
-    // JSONL, for tools/trace_analyze --flows cross-referencing.
-    if (!flow_log_path.empty() && job.proto == 0 && job.arm == 1 &&
-        job.run == 0) {
-      config.flow_log_path = flow_log_path;
-    }
-    results[i] = run_anonymity_experiment(config);
-  });
+  // Cells run protocol-major, then arm.
+  const auto results = run_cells(
+      kProtocolCount * kAnonArmCount, args.runs, args.workers,
+      [&](std::size_t cell, std::size_t run) {
+        const std::size_t protocol = cell / kAnonArmCount;
+        const std::size_t arm = cell % kAnonArmCount;
+        AnonymityConfig config =
+            anonymity_cell_config(kProtocols[protocol].spec, kAnonArms[arm],
+                                  args.seed + run, args.nodes);
+        // One representative capture (CurMix/base, first seed) as
+        // link-record JSONL, for tools/trace_analyze --flows
+        // cross-referencing.
+        if (!args.flow_log.empty() && protocol == 0 && arm == 1 && run == 0) {
+          config.flow_log_path = args.flow_log;
+        }
+        return run_anonymity_experiment(config);
+      });
 
-  struct Cell {
-    double pred_success = 0, pred_compromise = 0, pred_entropy = 0;
-    double pred_set = 0, gt_compromise = 0;
-    double inter_success = 0, inter_set = 0;
-    double corr_success = 0, corr_entropy = 0, corr_set = 0;
-    double eq4 = 0, exposure = 0, uniform_entropy = 0;
-    std::uint64_t trials = 0, constructed = 0, cover_msgs = 0;
-    std::uint64_t flows = 0, evicted = 0;
-  };
-  std::vector<Cell> cells(kProtoCount * kAnonArmCount);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
-    const AnonymityResult& r = results[i];
-    Cell& cell = cells[job.proto * kAnonArmCount + job.arm];
-    cell.pred_success += r.predecessor.success_rate;
-    cell.pred_compromise += r.predecessor.compromise_rate;
-    cell.pred_entropy += r.predecessor.posterior_entropy_bits;
-    cell.pred_set += r.predecessor.anonymity_set_mean;
-    cell.gt_compromise += r.ground_truth_compromise_rate;
-    cell.inter_success += r.intersection.success_rate;
-    cell.inter_set += r.intersection.anonymity_set_mean;
-    cell.corr_success += r.correlation.success_rate;
-    cell.corr_entropy += r.correlation.posterior_entropy_bits;
-    cell.corr_set += r.correlation.anonymity_set_mean;
-    cell.eq4 += r.eq4_identification;
-    cell.exposure += r.multipath_exposure;
-    cell.uniform_entropy += r.uniform_entropy;
-    cell.trials += r.trials_attempted;
-    cell.constructed += r.trials_constructed;
-    cell.cover_msgs += r.cover_messages;
-    cell.flows += r.flows_recorded;
-    cell.evicted += r.flows_evicted;
-  }
-
-  const double denom = static_cast<double>(runs);
+  const double denom = static_cast<double>(args.runs);
   metrics::Table table({"protocol", "arm", "pred_succ", "eq4",
                         "compromise", "1-(1-f)^k", "pred_H", "corr_succ",
                         "inter_set", "flows"});
   obs::BenchReport report("chaos_anonymity_sweep");
-  for (std::size_t p = 0; p < kProtoCount; ++p) {
-    for (std::size_t a = 0; a < kAnonArmCount; ++a) {
-      const Cell& cell = cells[p * kAnonArmCount + a];
-      const std::string proto = kAnonProtoSlugs[p];
-      const std::string arm = kAnonArms[a].name;
-      const std::string key = proto + "_" + arm;
-      table.add_row(
-          {anonymity_cell_config(p, a, 0, nodes).spec.name(), arm,
-           format_double(cell.pred_success / denom, 3),
-           format_double(cell.eq4 / denom, 3),
-           format_double(cell.pred_compromise / denom, 3),
-           format_double(cell.exposure / denom, 3),
-           format_double(cell.pred_entropy / denom, 2),
-           format_double(cell.corr_success / denom, 3),
-           format_double(cell.inter_set / denom, 1),
-           std::to_string(cell.flows)});
-      report.add("pred_success_" + key, cell.pred_success / denom);
-      report.add("pred_compromise_" + key, cell.pred_compromise / denom);
-      report.add("pred_entropy_" + key, cell.pred_entropy / denom);
-      report.add("pred_set_" + key, cell.pred_set / denom);
-      report.add("gt_compromise_" + key, cell.gt_compromise / denom);
-      report.add("inter_success_" + key, cell.inter_success / denom);
-      report.add("inter_set_" + key, cell.inter_set / denom);
-      report.add("corr_success_" + key, cell.corr_success / denom);
-      report.add("corr_entropy_" + key, cell.corr_entropy / denom);
-      report.add("corr_set_" + key, cell.corr_set / denom);
-      report.add("eq4_" + key, cell.eq4 / denom);
-      report.add("exposure_" + key, cell.exposure / denom);
-      report.add("uniform_entropy_" + key, cell.uniform_entropy / denom);
-      report.add("trials_" + key, cell.trials);
-      report.add("constructed_" + key, cell.constructed);
-      report.add("cover_messages_" + key, cell.cover_msgs);
-      report.add("flows_" + key, cell.flows);
-      report.add("flows_evicted_" + key, cell.evicted);
+  std::size_t cell = 0;
+  for (const Protocol& protocol : kProtocols) {
+    for (const AnonymityArm& arm : kAnonArms) {
+      const std::vector<AnonymityResult>& runs = results[cell++];
+      const std::string key = std::string(protocol.slug) + "_" + arm.name;
+      const auto mean = [&](auto field) { return sum(runs, field) / denom; };
+      const double pred_success =
+          mean([](auto& r) { return r.predecessor.success_rate; });
+      const double pred_compromise =
+          mean([](auto& r) { return r.predecessor.compromise_rate; });
+      const double pred_entropy =
+          mean([](auto& r) { return r.predecessor.posterior_entropy_bits; });
+      const double inter_set =
+          mean([](auto& r) { return r.intersection.anonymity_set_mean; });
+      const double corr_success =
+          mean([](auto& r) { return r.correlation.success_rate; });
+      const double eq4 = mean(&AnonymityResult::eq4_identification);
+      const double exposure = mean(&AnonymityResult::multipath_exposure);
+      const std::uint64_t flows = sum(runs, &AnonymityResult::flows_recorded);
+      table.add_row({protocol.spec.name(), arm.name,
+                     format_double(pred_success, 3), format_double(eq4, 3),
+                     format_double(pred_compromise, 3),
+                     format_double(exposure, 3),
+                     format_double(pred_entropy, 2),
+                     format_double(corr_success, 3),
+                     format_double(inter_set, 1), std::to_string(flows)});
+      report.add("pred_success_" + key, pred_success);
+      report.add("pred_compromise_" + key, pred_compromise);
+      report.add("pred_entropy_" + key, pred_entropy);
+      report.add("pred_set_" + key, mean([](auto& r) {
+                   return r.predecessor.anonymity_set_mean;
+                 }));
+      report.add("gt_compromise_" + key,
+                 mean(&AnonymityResult::ground_truth_compromise_rate));
+      report.add("inter_success_" + key,
+                 mean([](auto& r) { return r.intersection.success_rate; }));
+      report.add("inter_set_" + key, inter_set);
+      report.add("corr_success_" + key, corr_success);
+      report.add("corr_entropy_" + key, mean([](auto& r) {
+                   return r.correlation.posterior_entropy_bits;
+                 }));
+      report.add("corr_set_" + key, mean([](auto& r) {
+                   return r.correlation.anonymity_set_mean;
+                 }));
+      report.add("eq4_" + key, eq4);
+      report.add("exposure_" + key, exposure);
+      report.add("uniform_entropy_" + key,
+                 mean(&AnonymityResult::uniform_entropy));
+      report.add("trials_" + key,
+                 static_cast<std::uint64_t>(
+                     sum(runs, &AnonymityResult::trials_attempted)));
+      report.add("constructed_" + key,
+                 static_cast<std::uint64_t>(
+                     sum(runs, &AnonymityResult::trials_constructed)));
+      report.add("cover_messages_" + key,
+                 sum(runs, &AnonymityResult::cover_messages));
+      report.add("flows_" + key, flows);
+      report.add("flows_evicted_" + key,
+                 sum(runs, &AnonymityResult::flows_evicted));
     }
   }
   std::printf("%s\n", table.render().c_str());
@@ -844,11 +745,11 @@ int run_anonymity_sweep(std::uint64_t seed, std::size_t seeds,
   // pre-PR fingerprint byte for byte.
   ChaosConfig spelled = control_chaos_config();
   spelled.environment.link_tap = nullptr;
-  report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
-  report.add("nodes", static_cast<std::uint64_t>(nodes));
+  report.add("runs_per_cell", static_cast<std::uint64_t>(args.runs));
+  report.add("nodes", static_cast<std::uint64_t>(args.nodes));
   const bool fingerprint_ok = check_control_fingerprint(report, spelled);
   report.add_section("anonymity", table.to_json());
-  if (!report.write_if_requested(json_path)) return 1;
+  if (!report.write_if_requested(args.json_path)) return 1;
   return fingerprint_ok ? 0 : 1;
 }
 
@@ -856,6 +757,92 @@ const ChaosScenario kScenarios[] = {
     ChaosScenario::kFlashCrowdCrash, ChaosScenario::kRollingPartition,
     ChaosScenario::kLossyLinkEpidemic, ChaosScenario::kCorruptedRelayQuorum,
     ChaosScenario::kMildLossDrizzle};
+
+int run_scenario_sweep(const SweepArgs& args) {
+  std::printf("# Chaos sweep: SimEra(4,2)/random, %zu nodes, 512 B every 5 s, "
+              "fixed 5 s timeouts vs adaptive RTO+backoff, %zu seeds\n",
+              args.nodes, args.runs);
+  // Cell 2s is scenario s with fixed timeouts, cell 2s + 1 adaptive.
+  const auto results = run_cells(
+      std::size(kScenarios) * 2, args.runs, args.workers,
+      [&](std::size_t cell, std::size_t run) {
+        return run_chaos_experiment(sweep_config(kScenarios[cell / 2],
+                                                 args.seed + run,
+                                                 cell % 2 == 1, args.nodes));
+      });
+
+  metrics::Table table({"scenario", "mode", "attempted delivery",
+                        "accepted delivery", "retx", "violations"});
+  // Per-cause accounting of every datagram that vanished. Each run counts
+  // drops in its private registry (net_drops_total / fault_injections_total);
+  // the sweep folds them into this aggregate registry, labeled by scenario
+  // and mode, and the table below is rendered from it.
+  obs::Registry sweep_metrics;
+  metrics::Table drop_table({"scenario", "mode", "sender-dead",
+                             "recv-dead", "link-loss", "crash", "partition",
+                             "spike-loss", "corrupted", "duplicated"});
+  const double denom = static_cast<double>(args.runs);
+  for (std::size_t cell = 0; cell < results.size(); ++cell) {
+    const std::vector<ChaosResult>& runs = results[cell];
+    const char* scenario = scenario_name(kScenarios[cell / 2]);
+    const char* mode_name = cell % 2 == 1 ? "adaptive" : "fixed";
+    // Adds `total` to the cell's series of `name` and renders the series.
+    const auto fold = [&](const char* label_key, const char* name,
+                          const char* value, std::uint64_t total) {
+      obs::Counter* counter = sweep_metrics.counter(
+          name, {{"scenario", scenario}, {"mode", mode_name},
+                 {label_key, value}});
+      counter->inc(total);
+      return std::to_string(counter->value());
+    };
+    const double attempted = sum(runs, &ChaosResult::attempted_delivery_rate);
+    const double accepted = sum(runs, &ChaosResult::delivery_rate);
+    table.add_row(
+        {scenario, mode_name, format_double(100.0 * attempted / denom, 1) + "%",
+         format_double(100.0 * accepted / denom, 1) + "%",
+         std::to_string(sum(runs, &ChaosResult::segments_retransmitted)),
+         std::to_string(sum(runs, &ChaosResult::violations))});
+    drop_table.add_row(
+        {scenario, mode_name,
+         fold("cause", "net_drops_total", "sender_dead",
+              sum(runs, [](auto& r) { return r.drops.sender_dead; })),
+         fold("cause", "net_drops_total", "receiver_dead",
+              sum(runs, [](auto& r) { return r.drops.receiver_dead; })),
+         fold("cause", "net_drops_total", "link_loss",
+              sum(runs, [](auto& r) { return r.drops.link_loss; })),
+         fold("kind", "fault_injections_total", "dropped_crash",
+              sum(runs, [](auto& r) { return r.faults.dropped_crash; })),
+         fold("kind", "fault_injections_total", "dropped_partition",
+              sum(runs, [](auto& r) { return r.faults.dropped_partition; })),
+         fold("kind", "fault_injections_total", "dropped_loss",
+              sum(runs, [](auto& r) { return r.faults.dropped_loss; })),
+         fold("kind", "fault_injections_total", "corrupted",
+              sum(runs, [](auto& r) { return r.faults.corrupted; })),
+         fold("kind", "fault_injections_total", "duplicated",
+              sum(runs, [](auto& r) { return r.faults.duplicated; }))});
+  }
+  std::printf("%s\n", table.render().c_str());
+  std::printf("# Datagram loss by cause (summed over seeds)\n%s\n",
+              drop_table.render().c_str());
+  std::printf("Reading: the adaptive mode's RTT-tracked timeouts and "
+              "retransmission over surviving paths recover individual "
+              "datagram losses that fixed 5 s timeouts escalate into path "
+              "teardowns, so it leads on the attempted ratio wherever "
+              "links are lossy or relays corrupt traffic. Under pure "
+              "crash/partition faults the tradeoff reverses: there "
+              "retransmission cannot help (the path is dead, not lossy) "
+              "and the fixed mode's unbounded rebuild-and-resend loop "
+              "beats the adaptive mode's bounded retry budget. Violations "
+              "must read 0 — every run also upholds the conservation, "
+              "ledger, and no-leak invariants asserted by chaos_test.\n");
+
+  obs::BenchReport report("chaos_sweep");
+  report.add("runs_per_cell", static_cast<std::uint64_t>(args.runs));
+  report.add_section("delivery", table.to_json());
+  report.add_section("drops_by_cause", drop_table.to_json());
+  if (!report.write_if_requested(args.json_path, &sweep_metrics)) return 1;
+  return 0;
+}
 
 bool parse_scenario(const std::string& name, ChaosScenario& out) {
   for (const ChaosScenario scenario : kScenarios) {
@@ -964,13 +951,38 @@ int run_traced(const std::string& trace_path, const std::string& jsonl_path,
   return 0;
 }
 
+/// The sweeps --sweep selects. `seeds` is the committed seeds per cell,
+/// used when --seeds is 0.
+struct Sweep {
+  const char* name;
+  std::int64_t seeds;
+  int (*run)(const SweepArgs&);
+};
+
+constexpr Sweep kSweeps[] = {
+    {"scenarios", 6, run_scenario_sweep},
+    {"byzantine", 3, run_byzantine_sweep},
+    {"membership", 5, run_membership_sweep},
+    {"overload", 2, run_overload_sweep},
+    {"anonymity", 6, run_anonymity_sweep},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   FlagSet flags;
-  auto& nodes = flags.add_int("nodes", 96, "network size");
+  auto& sweep_name = flags.add_string(
+      "sweep", "scenarios",
+      "sweep to run: scenarios (fault scenario x timeout mode), byzantine "
+      "(corruption probability x protocol x defense arm), membership "
+      "(control-plane faults x recovery arms), overload (load shape x "
+      "protocol x shed/drop arm) or anonymity (protocol x {compromised-f "
+      "grid, cover traffic, churn} under a passive observer)");
+  auto& nodes = flags.add_int(
+      "nodes", 96, "network size (membership and overload fix 64)");
   auto& seed = flags.add_int("seed", 1, "base RNG seed");
-  auto& seeds = flags.add_int("seeds", 6, "runs to average");
+  auto& seeds = flags.add_int(
+      "seeds", 0, "seeds per cell (0 = the sweep's committed count)");
   auto& threads = flags.add_int("threads", 0, "worker threads (0 = auto)");
   auto& json_path = obs::add_json_flag(flags);
   auto& trace_path = flags.add_string(
@@ -991,76 +1003,19 @@ int main(int argc, char** argv) {
   auto& health = flags.add_bool(
       "health", false,
       "print the traced run's rolling health scoreboard");
-  auto& byzantine = flags.add_bool(
-      "byzantine-sweep", false,
-      "sweep corruption probability x protocol x defense arm instead of "
-      "the scenario sweep (delivered-correct / delivered-wrong / "
-      "failed-closed accounting)");
-  auto& byz_seeds = flags.add_int(
-      "byz-seeds", 3, "seeds per byzantine sweep cell");
-  auto& membership = flags.add_bool(
-      "membership-sweep", false,
-      "sweep control-plane fault scenarios (gossip blackout, leader crash, "
-      "stale/claim poisoning) x recovery arms through the durability "
-      "harness, plus the pre-PR control fingerprint guard");
-  auto& mem_seeds = flags.add_int(
-      "mem-seeds", 5, "seeds per membership sweep cell");
-  auto& overload = flags.add_bool(
-      "overload-sweep", false,
-      "sweep workload shapes (steady/diurnal/flash) x protocols x "
-      "shed-vs-drop arms through bounded relay queues, plus the pre-PR "
-      "control fingerprint guard");
-  auto& ovl_seeds = flags.add_int(
-      "ovl-seeds", 2, "seeds per overload sweep cell");
-  auto& anonymity = flags.add_bool(
-      "anonymity-sweep", false,
-      "tap a passive global observer into the wire and sweep protocol x "
-      "{compromised-f grid, cover traffic, churn}, replaying the flow log "
-      "through the predecessor/intersection/correlation attack engine");
-  auto& anon_seeds = flags.add_int(
-      "anon-seeds", 3, "seeds per anonymity sweep cell");
   auto& flow_log = flags.add_string(
       "flow-log", "",
       "anonymity sweep: dump one cell's captured flow log here as "
       "link-record JSONL (for trace_analyze --flows)");
   flags.parse(argc, argv);
 
-  if (anonymity) {
-    return run_anonymity_sweep(
-        static_cast<std::uint64_t>(seed),
-        static_cast<std::size_t>(anon_seeds),
-        static_cast<std::size_t>(nodes),
-        threads > 0 ? static_cast<std::size_t>(threads)
-                    : default_worker_threads(),
-        json_path, flow_log);
-  }
-
-  if (overload) {
-    return run_overload_sweep(
-        static_cast<std::uint64_t>(seed),
-        static_cast<std::size_t>(ovl_seeds),
-        threads > 0 ? static_cast<std::size_t>(threads)
-                    : default_worker_threads(),
-        json_path);
-  }
-
-  if (membership) {
-    return run_membership_sweep(
-        static_cast<std::uint64_t>(seed),
-        static_cast<std::size_t>(mem_seeds),
-        threads > 0 ? static_cast<std::size_t>(threads)
-                    : default_worker_threads(),
-        json_path);
-  }
-
-  if (byzantine) {
-    return run_byzantine_sweep(
-        static_cast<std::uint64_t>(seed),
-        static_cast<std::size_t>(byz_seeds),
-        static_cast<std::size_t>(nodes),
-        threads > 0 ? static_cast<std::size_t>(threads)
-                    : default_worker_threads(),
-        json_path);
+  const auto sweep =
+      std::find_if(std::begin(kSweeps), std::end(kSweeps),
+                   [&](const Sweep& s) { return sweep_name == s.name; });
+  if (sweep == std::end(kSweeps)) {
+    std::fprintf(stderr, "unknown --sweep %s\n%s", sweep_name.c_str(),
+                 flags.usage(argv[0]).c_str());
+    return 2;
   }
 
   if (!trace_path.empty()) {
@@ -1070,100 +1025,8 @@ int main(int argc, char** argv) {
                       timeseries_path, health);
   }
 
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
-  const std::size_t workers =
-      threads > 0 ? static_cast<std::size_t>(threads)
-                  : default_worker_threads();
-
-  std::printf("# Chaos sweep: SimEra(4,2)/random, %d nodes, 512 B every 5 s, "
-              "fixed 5 s timeouts vs adaptive RTO+backoff, %zu seeds\n",
-              static_cast<int>(nodes), runs);
-  metrics::Table table({"scenario", "mode", "attempted delivery",
-                        "accepted delivery", "retx", "violations"});
-  // Per-cause accounting of every datagram that vanished. Each run counts
-  // drops in its private registry (net_drops_total / fault_injections_total);
-  // the sweep folds them into this aggregate registry, labeled by scenario
-  // and mode, and the table below is rendered from it.
-  obs::Registry sweep_metrics;
-  metrics::Table drop_table({"scenario", "mode", "sender-dead",
-                             "recv-dead", "link-loss", "crash", "partition",
-                             "spike-loss", "corrupted", "duplicated"});
-  for (const ChaosScenario scenario : kScenarios) {
-    for (const bool adaptive : {false, true}) {
-      std::vector<ChaosResult> results(runs);
-      parallel_for(runs, workers, [&](std::size_t i) {
-        results[i] = run_chaos_experiment(sweep_config(
-            scenario, static_cast<std::uint64_t>(seed) + i, adaptive,
-            static_cast<std::size_t>(nodes)));
-      });
-      double attempted = 0;
-      double accepted = 0;
-      std::uint64_t retx = 0;
-      std::uint64_t violations = 0;
-      const obs::Labels base{{"scenario", scenario_name(scenario)},
-                             {"mode", adaptive ? "adaptive" : "fixed"}};
-      auto cell = [&](const char* label_key, const char* name,
-                      const char* value) {
-        obs::Labels labels = base;
-        labels[label_key] = value;
-        return sweep_metrics.counter(name, labels);
-      };
-      obs::Counter* drop_cells[] = {
-          cell("cause", "net_drops_total", "sender_dead"),
-          cell("cause", "net_drops_total", "receiver_dead"),
-          cell("cause", "net_drops_total", "link_loss"),
-          cell("kind", "fault_injections_total", "dropped_crash"),
-          cell("kind", "fault_injections_total", "dropped_partition"),
-          cell("kind", "fault_injections_total", "dropped_loss"),
-          cell("kind", "fault_injections_total", "corrupted"),
-          cell("kind", "fault_injections_total", "duplicated")};
-      for (const ChaosResult& result : results) {
-        attempted += result.attempted_delivery_rate();
-        accepted += result.delivery_rate();
-        retx += result.segments_retransmitted;
-        violations += result.violations();
-        drop_cells[0]->inc(result.drops.sender_dead);
-        drop_cells[1]->inc(result.drops.receiver_dead);
-        drop_cells[2]->inc(result.drops.link_loss);
-        drop_cells[3]->inc(result.faults.dropped_crash);
-        drop_cells[4]->inc(result.faults.dropped_partition);
-        drop_cells[5]->inc(result.faults.dropped_loss);
-        drop_cells[6]->inc(result.faults.corrupted);
-        drop_cells[7]->inc(result.faults.duplicated);
-      }
-      const double denom = static_cast<double>(runs);
-      const char* mode_name = adaptive ? "adaptive" : "fixed";
-      table.add_row({scenario_name(scenario), mode_name,
-                     format_double(100.0 * attempted / denom, 1) + "%",
-                     format_double(100.0 * accepted / denom, 1) + "%",
-                     std::to_string(retx), std::to_string(violations)});
-      std::vector<std::string> drop_row{scenario_name(scenario), mode_name};
-      for (const obs::Counter* counter : drop_cells) {
-        drop_row.push_back(std::to_string(counter->value()));
-      }
-      drop_table.add_row(std::move(drop_row));
-    }
-  }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("# Datagram loss by cause (summed over seeds)\n%s\n",
-              drop_table.render().c_str());
-  std::printf("Reading: the adaptive mode's RTT-tracked timeouts and "
-              "retransmission over surviving paths recover individual "
-              "datagram losses that fixed 5 s timeouts escalate into path "
-              "teardowns, so it leads on the attempted ratio wherever "
-              "links are lossy or relays corrupt traffic. Under pure "
-              "crash/partition faults the tradeoff reverses: there "
-              "retransmission cannot help (the path is dead, not lossy) "
-              "and the fixed mode's unbounded rebuild-and-resend loop "
-              "beats the adaptive mode's bounded retry budget. Violations "
-              "must read 0 — every run also upholds the conservation, "
-              "ledger, and no-leak invariants asserted by chaos_test.\n");
-
-  obs::BenchReport report("chaos_sweep");
-  report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
-  report.add_section("delivery", table.to_json());
-  report.add_section("drops_by_cause", drop_table.to_json());
-  if (!report.write_if_requested(json_path, &sweep_metrics)) return 1;
-  return 0;
+  return sweep->run({static_cast<std::uint64_t>(seed),
+                     scaled_runs(seeds > 0 ? seeds : sweep->seeds),
+                     static_cast<std::size_t>(nodes), worker_threads(threads),
+                     json_path, flow_log});
 }

@@ -2,12 +2,11 @@
 // 20, 30, 60, 80, 120 minutes. Cells are [random, biased].
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/config.hpp"
-#include "harness/durability_experiment.hpp"
+#include "durability_table.hpp"
 #include "harness/parallel.hpp"
-#include "metrics/bootstrap.hpp"
-#include "metrics/table.hpp"
 #include "obs/export.hpp"
 
 using namespace p2panon;
@@ -21,55 +20,22 @@ int main(int argc, char** argv) {
   auto& threads = flags.add_int("threads", 0, "worker threads (0 = auto)");
   auto& json_path = obs::add_json_flag(flags);
   flags.parse(argc, argv);
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
-  const std::size_t workers =
-      threads > 0 ? static_cast<std::size_t>(threads)
-                  : default_worker_threads();
+  const std::size_t runs = scaled_runs(seeds);
 
-  const int lifetimes_minutes[] = {20, 30, 60, 80, 120};
+  // Each column sets its own mix choice.
+  const auto simera =
+      anon::ProtocolSpec::simera(4, 4, anon::MixChoice::kRandom);
+  std::vector<bench::DurabilityRow> rows;
+  for (const int minutes : {20, 30, 60, 80, 120}) {
+    rows.push_back({std::to_string(minutes), simera,
+                    "pareto:median=" + std::to_string(minutes * 60)});
+  }
 
   std::printf("# Table 3: SimEra(k=4, r=4) vs median node lifetime, %zu "
               "seeds (cells are [random, biased])\n", runs);
-
-  std::string ci_lines;
-  metrics::Table table({"Lifetime(minutes)", "Durability(sec)",
-                        "Path construction attempts", "Latency(ms)",
-                        "Bandwidth(KB)"});
-  for (const int minutes : lifetimes_minutes) {
-    DurabilityAverages by_mix[2];
-    for (int mix = 0; mix < 2; ++mix) {
-      DurabilityConfig config;
-      config.environment.num_nodes = static_cast<std::size_t>(nodes);
-      config.environment.seed = static_cast<std::uint64_t>(seed);
-      config.environment.session_distribution =
-          "pareto:median=" + std::to_string(minutes * 60);
-      config.spec = anon::ProtocolSpec::simera(
-          4, 4,
-          mix == 0 ? anon::MixChoice::kRandom : anon::MixChoice::kBiased);
-      by_mix[mix] = run_durability_average(config, runs, workers);
-    }
-    table.add_row(
-        {std::to_string(minutes),
-         metrics::pair_cell(by_mix[0].durability_seconds,
-                            by_mix[1].durability_seconds),
-         metrics::pair_cell(by_mix[0].construct_attempts,
-                            by_mix[1].construct_attempts, 1),
-         metrics::pair_cell(by_mix[0].latency_ms, by_mix[1].latency_ms),
-         metrics::pair_cell(by_mix[0].bandwidth_kb, by_mix[1].bandwidth_kb,
-                            1)});
-    ci_lines += std::string("  ") + std::to_string(minutes) + " min" +
-                ": durability 95% bootstrap CI  random " +
-                metrics::bootstrap_mean_ci(by_mix[0].durability_runs)
-                    .to_string(0) +
-                "  biased " +
-                metrics::bootstrap_mean_ci(by_mix[1].durability_runs)
-                    .to_string(0) +
-                "\n";
-  }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("Durability uncertainty (percentile bootstrap over seeds):\n%s\n",
-              ci_lines.c_str());
+  const bench::DurabilityTable result = bench::run_durability_table(
+      "Lifetime(minutes)", rows, " min", static_cast<std::size_t>(nodes),
+      static_cast<std::uint64_t>(seed), runs, worker_threads(threads));
   std::printf(
       "Paper reference (minutes: durability / attempts / latency / KB):\n"
       "  20:  [987, 1263]   [27.4, 1]  [270, 262]  [7.4, 11]\n"
@@ -81,7 +47,7 @@ int main(int argc, char** argv) {
       "shrink sharply; biased stays at ~1 attempt and higher bandwidth.\n");
   obs::BenchReport report("table3_churn");
   report.add("runs", static_cast<std::uint64_t>(runs));
-  report.add_section("table", table.to_json());
+  report.add_section("table", result.table.to_json());
   if (!report.write_if_requested(json_path)) return 1;
   return 0;
 }

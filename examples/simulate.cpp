@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   durability.send_interval = from_seconds(interval);
   const auto avg = run_durability_average(
       durability, static_cast<std::size_t>(seeds),
-      default_worker_threads());
+      worker_threads());
   std::printf(
       "durability: %.0f s (cap 3600)\n"
       "construction attempts: %.1f\n"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local check: configure, build, test, and smoke-run every bench and
-# example at reduced scale. Mirrors what CI would run.
+# example at reduced scale (scripts/smoke.sh). Mirrors what CI would run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,27 +15,5 @@ fi
 cmake --build build -j "$(nproc 2>/dev/null || echo 4)"
 ctest --test-dir build --output-on-failure
 
-echo "== quick bench smoke (P2PANON_BENCH_SCALE=0.05) =="
-export P2PANON_BENCH_SCALE=0.05
-for bench in build/bench/*; do
-  if [ -f "$bench" ] && [ -x "$bench" ]; then
-    echo "--- $bench"
-    case "$bench" in
-      # Statistical churn benches get tiny configs for the smoke run.
-      *table*|*fig5*) "$bench" --nodes 128 >/dev/null ;;
-      *ablate_failure*) "$bench" --nodes 128 --seeds 1 >/dev/null ;;
-      *sec_*) "$bench" --nodes 128 >/dev/null ;;
-      # The scale probe's default sweep reaches N=16k (~11 GB); smoke small.
-      *scale_probe*) "$bench" --sizes 256,512 >/dev/null ;;
-      # Plain "0.01" (no unit suffix) parses on both old and new
-      # google-benchmark; the "0.01s" form is rejected by older releases.
-      *micro*) "$bench" --benchmark_min_time=0.01 >/dev/null ;;
-      *) "$bench" >/dev/null ;;
-    esac
-  fi
-done
-
-echo "== examples =="
-./build/examples/quickstart >/dev/null
-./build/examples/allocation_planner >/dev/null
+bash scripts/smoke.sh build
 echo "all checks passed"

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Shape-gate a chaos_sweep --anonymity-sweep --json report.
+"""Shape-gate a chaos_sweep --sweep anonymity --json report.
 
 Usage: check_bench_anonymity.py <report.json>
 

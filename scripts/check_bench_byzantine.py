@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Shape-gate a chaos_sweep --byzantine-sweep --json report.
+"""Shape-gate a chaos_sweep --sweep byzantine --json report.
 
 Usage: check_bench_byzantine.py <report.json>
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Shape-gate a chaos_sweep --membership-sweep --json report.
+"""Shape-gate a chaos_sweep --sweep membership --json report.
 
 Usage: check_bench_membership.py <report.json>
 

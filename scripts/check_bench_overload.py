@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Shape-gate a chaos_sweep --overload-sweep --json report.
+"""Shape-gate a chaos_sweep --sweep overload --json report.
 
 Usage: check_bench_overload.py <report.json>
 

@@ -151,7 +151,7 @@ EOF
 # each load shape with shedding on vs blind tail drop. The clustered bars
 # are the graceful-degradation claim at a glance: under the flash crowd
 # the shed arm holds interactive goodput while the drop arm collapses.
-./build/bench/chaos_sweep --overload-sweep --ovl-seeds 1 \
+./build/bench/chaos_sweep --sweep overload --seeds 1 \
     --json "$out/overload.json" > /dev/null
 python3 - "$out/overload.json" "$out" <<'PY'
 import json, sys

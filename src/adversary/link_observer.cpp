@@ -143,31 +143,4 @@ void LinkObserver::on_deliver(NodeId from, NodeId to, std::size_t bytes,
   record(FlowDir::kDeliver, from, to, bytes, meta);
 }
 
-ObservedTransport::ObservedTransport(net::Transport& inner,
-                                     net::LinkTap& tap, Clock clock)
-    : inner_(inner), tap_(tap), clock_(std::move(clock)) {}
-
-void ObservedTransport::send(NodeId from, NodeId to, Bytes payload) {
-  net::LinkTapMeta meta;
-  meta.when_us = now_us();
-  meta.protocol = payload.empty() ? 0 : payload[0];
-  tap_.on_send(from, to, payload.size(), meta);
-  inner_.send(from, to, std::move(payload));
-}
-
-void ObservedTransport::register_handler(NodeId node, Handler handler) {
-  // Wrap the handler so the tap sees the deliver edge too; loopback
-  // transports dispatch synchronously, which preserves the
-  // deliver-before-forward ordering the attacks rely on.
-  inner_.register_handler(
-      node, [this, handler = std::move(handler)](NodeId from, NodeId to,
-                                                 const Bytes& payload) {
-        net::LinkTapMeta meta;
-        meta.when_us = now_us();
-        meta.protocol = payload.empty() ? 0 : payload[0];
-        tap_.on_deliver(from, to, payload.size(), meta);
-        if (handler) handler(from, to, payload);
-      });
-}
-
 }  // namespace p2panon::adversary

@@ -156,31 +156,4 @@ class LinkObserver final : public net::LinkTap {
   obs::Counter* flows_sampled_out_ = nullptr;
 };
 
-/// Transport decorator for tests and loopback setups that have no
-/// SimTransport to hook: forwards every call to the inner transport and
-/// mirrors sends/deliveries into the tap. Timestamps come from `clock`
-/// (a simulator-now function; defaults to a constant 0 for loopback unit
-/// tests that only care about ordering).
-class ObservedTransport final : public net::Transport {
- public:
-  using Clock = std::function<std::uint64_t()>;
-
-  ObservedTransport(net::Transport& inner, net::LinkTap& tap,
-                    Clock clock = nullptr);
-
-  void send(NodeId from, NodeId to, Bytes payload) override;
-  void register_handler(NodeId node, Handler handler) override;
-  std::uint64_t bytes_sent() const override { return inner_.bytes_sent(); }
-  std::uint64_t messages_sent() const override {
-    return inner_.messages_sent();
-  }
-
- private:
-  std::uint64_t now_us() const { return clock_ ? clock_() : 0; }
-
-  net::Transport& inner_;
-  net::LinkTap& tap_;
-  Clock clock_;
-};
-
 }  // namespace p2panon::adversary

@@ -1,5 +1,6 @@
 #include "common/config.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -46,37 +47,41 @@ std::string& FlagSet::add_string(const std::string& name,
   return f.string_value;
 }
 
-void FlagSet::set_from_string(Flag& flag, const std::string& name,
-                              const std::string& value) {
+bool FlagSet::set_from_string(Flag& flag, const std::string& value) {
   try {
     switch (flag.kind) {
       case Kind::Int:
         flag.int_value = std::stoll(value);
-        break;
+        return true;
       case Kind::Double:
         flag.double_value = std::stod(value);
-        break;
+        return true;
       case Kind::Bool: {
         const std::string lower = to_lower(value);
-        if (lower == "true" || lower == "1" || lower == "yes") {
-          flag.bool_value = true;
-        } else if (lower == "false" || lower == "0" || lower == "no") {
-          flag.bool_value = false;
-        } else {
-          throw std::invalid_argument("not a bool");
+        const bool yes = lower == "true" || lower == "1" || lower == "yes";
+        if (!yes && lower != "false" && lower != "0" && lower != "no") {
+          return false;
         }
-        break;
+        flag.bool_value = yes;
+        return true;
       }
       case Kind::String:
         flag.string_value = value;
-        break;
+        return true;
     }
   } catch (const std::exception&) {
-    throw std::invalid_argument("bad value for --" + name + ": " + value);
+    // std::stoll / std::stod: not a number, or out of range.
   }
+  return false;
 }
 
 namespace {
+
+[[noreturn]] void exit_with_usage(const std::string& error,
+                                  const std::string& usage) {
+  std::fprintf(stderr, "%s\n%s", error.c_str(), usage.c_str());
+  std::exit(2);
+}
 
 std::map<std::string, std::string>& mutable_last_parsed_flags() {
   static std::map<std::string, std::string> flags;
@@ -97,32 +102,31 @@ void FlagSet::parse(int argc, char** argv) {
       std::exit(0);
     }
     if (!starts_with(arg, "--")) {
-      throw std::invalid_argument("unexpected argument: " + arg);
+      exit_with_usage("unexpected argument: " + arg, usage(argv[0]));
     }
     arg = arg.substr(2);
-    std::string name;
-    std::string value;
     const std::size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-    } else {
-      name = arg;
-      auto it = flags_.find(name);
-      if (it != flags_.end() && it->second.kind == Kind::Bool) {
-        it->second.bool_value = true;
-        continue;
-      }
-      if (i + 1 >= argc) {
-        throw std::invalid_argument("missing value for --" + name);
-      }
-      value = argv[++i];
-    }
+    const std::string name = arg.substr(0, eq);
     auto it = flags_.find(name);
     if (it == flags_.end()) {
-      throw std::invalid_argument("unknown flag --" + name);
+      exit_with_usage("unknown flag --" + name, usage(argv[0]));
     }
-    set_from_string(it->second, name, value);
+    Flag& flag = it->second;
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (flag.kind == Kind::Bool) {
+      flag.bool_value = true;
+      continue;
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      exit_with_usage("missing value for --" + name, usage(argv[0]));
+    }
+    if (!set_from_string(flag, value)) {
+      exit_with_usage("bad value for --" + name + ": " + value,
+                      usage(argv[0]));
+    }
   }
   auto& snapshot = mutable_last_parsed_flags();
   snapshot.clear();
@@ -160,6 +164,11 @@ double bench_scale() {
   const double v = std::atof(env);
   if (v <= 0.0 || v > 1.0) return 1.0;
   return v;
+}
+
+std::size_t scaled_runs(std::int64_t seeds) {
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
 }
 
 }  // namespace p2panon

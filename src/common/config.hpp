@@ -6,11 +6,12 @@
 //   auto& nodes = flags.add_int("nodes", 1024, "network size");
 //   flags.parse(argc, argv);   // accepts --name=value and --name value
 //
-// Unknown flags are an error; `--help` prints usage and exits(0). Scale-down
-// for CI is supported uniformly through the P2PANON_BENCH_SCALE environment
-// variable, exposed by `bench_scale()`.
+// A bad flag prints the error and the usage and exits(2); `--help` prints
+// the usage and exits(0). Scale-down for CI is supported uniformly through
+// the P2PANON_BENCH_SCALE environment variable, exposed by `bench_scale()`.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -27,8 +28,9 @@ class FlagSet {
   std::string& add_string(const std::string& name, const std::string& def,
                           const std::string& help);
 
-  /// Parses argv; on --help prints usage and std::exit(0); throws
-  /// std::invalid_argument on unknown flags or malformed values.
+  /// Parses argv; on --help prints usage and std::exit(0). An unknown
+  /// flag, a missing value or a malformed value prints the error and the
+  /// usage to stderr and std::exit(2).
   void parse(int argc, char** argv);
 
   std::string usage(const std::string& program) const;
@@ -43,14 +45,18 @@ class FlagSet {
     bool bool_value = false;
     std::string string_value;
   };
-  void set_from_string(Flag& flag, const std::string& name,
-                       const std::string& value);
+  /// False when `value` does not parse as the flag's kind.
+  static bool set_from_string(Flag& flag, const std::string& value);
   std::map<std::string, Flag> flags_;
 };
 
 /// Scale factor in (0, 1] read from P2PANON_BENCH_SCALE; benches multiply
 /// their event counts / durations by this so CI can run them quickly.
 double bench_scale();
+
+/// Seeds per cell of a seeded sweep after the bench_scale() scale-down:
+/// max(1, seeds x bench_scale()).
+std::size_t scaled_runs(std::int64_t seeds);
 
 /// Every flag of the most recently parse()d FlagSet in this process,
 /// rendered name -> final value (defaults included). The --json bench

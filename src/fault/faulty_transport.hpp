@@ -32,7 +32,7 @@ class FaultyTransport final : public net::Transport {
   /// from drops. The membership-plane fields are NOT part of
   /// ChaosResult::fingerprint() — its string format predates them and must
   /// stay byte-stable — they surface through the registry and the
-  /// membership-sweep tables instead.
+  /// membership sweep's tables instead.
   struct Counters {
     std::uint64_t dropped_crash = 0;
     std::uint64_t dropped_partition = 0;

@@ -200,16 +200,8 @@ DurabilityResult run_durability_experiment(const DurabilityConfig& config) {
   return result;
 }
 
-DurabilityAverages run_durability_average(const DurabilityConfig& config,
-                                          std::size_t seeds,
-                                          std::size_t threads) {
-  std::vector<DurabilityResult> results(seeds);
-  parallel_for(seeds, threads, [&](std::size_t i) {
-    DurabilityConfig run = config;
-    run.environment.seed = config.environment.seed + i;
-    results[i] = run_durability_experiment(run);
-  });
-
+DurabilityAverages average_durability(
+    const std::vector<DurabilityResult>& results) {
   DurabilityAverages avg;
   metrics::Summary durability, attempts, latency, bandwidth, delivery;
   avg.durability_runs.reserve(results.size());
@@ -231,8 +223,19 @@ DurabilityAverages run_durability_average(const DurabilityConfig& config,
   avg.latency_ms = latency.mean();
   avg.bandwidth_kb = bandwidth.mean() / 1024.0;
   avg.delivery_rate = delivery.mean();
-  avg.runs = seeds;
+  avg.runs = results.size();
   return avg;
+}
+
+DurabilityAverages run_durability_average(const DurabilityConfig& config,
+                                          std::size_t seeds,
+                                          std::size_t threads) {
+  return average_durability(
+      run_cells(1, seeds, threads, [&](std::size_t, std::size_t run) {
+        DurabilityConfig seeded = config;
+        seeded.environment.seed = config.environment.seed + run;
+        return run_durability_experiment(seeded);
+      }).front());
 }
 
 }  // namespace p2panon::harness

@@ -71,8 +71,7 @@ struct DurabilityResult {
 
 DurabilityResult run_durability_experiment(const DurabilityConfig& config);
 
-/// Averages `seeds` runs (seeds environment.seed + 0, +1, ...), optionally
-/// in parallel worker threads.
+/// Means over the seeds of one configuration.
 struct DurabilityAverages {
   double durability_seconds = 0.0;
   double construct_attempts = 0.0;
@@ -85,6 +84,12 @@ struct DurabilityAverages {
   std::vector<double> durability_runs;
 };
 
+/// Averages one configuration's runs, given in seed order.
+DurabilityAverages average_durability(
+    const std::vector<DurabilityResult>& results);
+
+/// Runs `seeds` seeds (environment.seed + 0, +1, ...) on up to `threads`
+/// workers and averages them.
 DurabilityAverages run_durability_average(const DurabilityConfig& config,
                                           std::size_t seeds,
                                           std::size_t threads);

@@ -42,7 +42,8 @@ void parallel_for(std::size_t count, std::size_t threads,
   if (error) std::rethrow_exception(error);
 }
 
-std::size_t default_worker_threads() {
+std::size_t worker_threads(std::int64_t requested) {
+  if (requested > 0) return static_cast<std::size_t>(requested);
   // Simulation fan-outs are the only workload while a bench runs, so use
   // every core; the driving thread only joins.
   const unsigned hw = std::thread::hardware_concurrency();

@@ -23,7 +23,7 @@ namespace p2panon::membership {
 
 /// Control-plane activity tallies, uniform across substrates (fields a
 /// substrate doesn't implement stay 0). Exported by the harness as
-/// membership_control_* series and aggregated in the membership-sweep
+/// membership_control_* series and aggregated in the membership sweep's
 /// repair-convergence tables.
 struct ControlStats {
   std::uint64_t anti_entropy_rounds = 0;    // digest exchanges initiated

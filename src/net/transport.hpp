@@ -32,10 +32,9 @@ struct LinkTapMeta {
 /// Passive wire observer: sees link endpoints, sizes and timing — never
 /// payload plaintext (the onion layer's job is to make that useless
 /// anyway, but the observer API should not even offer it). Install with
-/// SimTransport::set_tap or wrap any Transport in an ObservedTransport.
-/// on_send fires when a datagram is handed to the wire; on_deliver when
-/// it reaches a live receiver with a handler. Drops are visible as a
-/// send without a matching delivery.
+/// SimTransport::set_tap. on_send fires when a datagram is handed to the
+/// wire; on_deliver when it reaches a live receiver with a handler. Drops
+/// are visible as a send without a matching delivery.
 class LinkTap {
  public:
   virtual ~LinkTap() = default;

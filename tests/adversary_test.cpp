@@ -16,8 +16,10 @@
 #include "adversary/attacks.hpp"
 #include "adversary/link_observer.hpp"
 #include "net/demux.hpp"
-#include "net/loopback_transport.hpp"
+#include "net/latency_matrix.hpp"
+#include "net/sim_transport.hpp"
 #include "obs/metrics.hpp"
+#include "sim/simulator.hpp"
 
 namespace p2panon::adversary {
 namespace {
@@ -135,16 +137,18 @@ TEST(LinkObserverTest, RegistersCountersOnlyWhenRegistryGiven) {
   EXPECT_EQ(registry.counter_value("adversary_flow_bytes_total"), 128u);
 }
 
-TEST(ObservedTransportTest, DecoratorMirrorsSendAndDeliverIntoTap) {
-  net::LoopbackTransport inner(3);
+TEST(SimTransportTapTest, MirrorsSendAndDeliverIntoTap) {
+  sim::Simulator simulator;
+  const auto latency = net::LatencyMatrix::synthetic(3, Rng(5));
+  net::SimTransport transport(simulator, latency, [](NodeId) { return true; });
   LinkObserver observer;
-  ObservedTransport transport(inner, observer);
+  transport.set_tap(&observer);
   std::size_t handled = 0;
   transport.register_handler(1, [&](NodeId, NodeId, const Bytes&) {
     ++handled;
   });
   transport.send(0, 1, Bytes{kFwd, 0xaa, 0xbb});
-  EXPECT_EQ(inner.deliver_all(), 1u);
+  simulator.run();
   EXPECT_EQ(handled, 1u);
   ASSERT_EQ(observer.log().size(), 2u);
   EXPECT_EQ(observer.log().at(0).dir, FlowDir::kSend);
@@ -153,6 +157,10 @@ TEST(ObservedTransportTest, DecoratorMirrorsSendAndDeliverIntoTap) {
   EXPECT_EQ(observer.log().at(0).bytes, 3u);
   EXPECT_EQ(observer.log().at(1).from, 0u);
   EXPECT_EQ(observer.log().at(1).to, 1u);
+  // Each edge is stamped with simulator time at its tap point.
+  EXPECT_EQ(observer.log().at(0).time_us, 0u);
+  EXPECT_EQ(observer.log().at(1).time_us,
+            static_cast<std::uint64_t>(latency.one_way(0, 1)));
 }
 
 // --- Origin classification -------------------------------------------------

@@ -228,17 +228,19 @@ TEST(FlagSetTest, ParsesAllKinds) {
 }
 
 TEST(FlagSetTest, RejectsUnknownAndMalformed) {
+  // A bad command line is a usage error: message and usage on stderr,
+  // exit status 2.
   FlagSet flags;
   flags.add_int("n", 5, "count");
   const char* unknown[] = {"prog", "--bogus=1"};
-  EXPECT_THROW(flags.parse(2, const_cast<char**>(unknown)),
-               std::invalid_argument);
+  EXPECT_EXIT(flags.parse(2, const_cast<char**>(unknown)),
+              ::testing::ExitedWithCode(2), "unknown flag --bogus");
   const char* badval[] = {"prog", "--n=xyz"};
-  EXPECT_THROW(flags.parse(2, const_cast<char**>(badval)),
-               std::invalid_argument);
+  EXPECT_EXIT(flags.parse(2, const_cast<char**>(badval)),
+              ::testing::ExitedWithCode(2), "bad value for --n: xyz");
   const char* positional[] = {"prog", "stray"};
-  EXPECT_THROW(flags.parse(2, const_cast<char**>(positional)),
-               std::invalid_argument);
+  EXPECT_EXIT(flags.parse(2, const_cast<char**>(positional)),
+              ::testing::ExitedWithCode(2), "unexpected argument: stray");
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 // at reduced scale, including determinism across identical seeds.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "harness/durability_experiment.hpp"
 #include "harness/environment.hpp"
 #include "harness/parallel.hpp"
@@ -216,6 +223,57 @@ TEST(ParallelForTest, PropagatesWorkerExceptions) {
                      if (i == 5) throw std::runtime_error("boom");
                    }),
       std::runtime_error);
+}
+
+TEST(RunCellsTest, GroupsResultsByCellInSeedOrder) {
+  // Runs finish out of index order (each sleeps a different while); the
+  // results still come back as results[cell][seed], whatever the pool size.
+  const auto grid = [](std::size_t threads) {
+    return run_cells(5, 4, threads, [](std::size_t cell, std::size_t run) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds((cell * 7 + run * 3) % 5 * 200));
+      return std::make_pair(cell, run);
+    });
+  };
+  const auto serial = grid(1);
+  ASSERT_EQ(serial.size(), 5u);
+  for (std::size_t cell = 0; cell < serial.size(); ++cell) {
+    ASSERT_EQ(serial[cell].size(), 4u);
+    for (std::size_t run = 0; run < serial[cell].size(); ++run) {
+      EXPECT_EQ(serial[cell][run], std::make_pair(cell, run));
+    }
+  }
+  EXPECT_EQ(grid(3), serial);
+  EXPECT_EQ(grid(8), serial);
+}
+
+TEST(RunCellsTest, ExceptionReachesCallerAfterWorkersJoin) {
+  std::atomic<int> in_flight{0};
+  bool caught = false;
+  try {
+    run_cells(4, 3, 3, [&](std::size_t cell, std::size_t run) {
+      ++in_flight;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      --in_flight;
+      if (cell == 1 && run == 2) throw std::runtime_error("boom");
+      return cell + run;
+    });
+  } catch (const std::runtime_error& error) {
+    caught = true;
+    EXPECT_STREQ(error.what(), "boom");
+    EXPECT_EQ(in_flight.load(), 0);  // no run still going
+  }
+  EXPECT_TRUE(caught);
+}
+
+TEST(RunCellsTest, EmptyGridsReturnEmptyResults) {
+  int calls = 0;
+  const auto count_call = [&](std::size_t, std::size_t) { return ++calls; };
+  EXPECT_TRUE(run_cells(0, 3, 4, count_call).empty());
+  const auto seedless = run_cells(3, 0, 4, count_call);
+  ASSERT_EQ(seedless.size(), 3u);
+  for (const auto& cell : seedless) EXPECT_TRUE(cell.empty());
+  EXPECT_EQ(calls, 0);
 }
 
 }  // namespace

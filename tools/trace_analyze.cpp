@@ -41,12 +41,7 @@ int main(int argc, char** argv) {
   auto& out_path = flags.add_string(
       "out", "", "write the report here (empty = stdout)");
   auto& top_n = flags.add_int("top", 10, "slowest chains to list in full");
-  try {
-    flags.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n%s", e.what(), flags.usage(argv[0]).c_str());
-    return 2;
-  }
+  flags.parse(argc, argv);
   if (in_path.empty()) {
     std::fprintf(stderr, "missing --in <trace file>\n%s",
                  flags.usage(argv[0]).c_str());
