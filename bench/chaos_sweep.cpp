@@ -388,13 +388,13 @@ int run_membership_sweep(const SweepArgs& args) {
 // --sweep overload is a saturation study: the
 // workload engine offers a bulk/interactive/streaming mix whose rate is
 // shaped {steady, diurnal, flash} while every relay runs a bounded leaky-
-// bucket queue, across 3 protocols x 2 arms:
+// bucket queue, across 3 protocols x 2 arms (anon::OverloadPolicy):
 //
-//   shed   priority-aware load shedding (bulk before streaming before
-//          interactive, control never) + admission control + reverse-path
-//          backpressure + the session-side bounded send queue;
-//   drop   the same bounded queue with priority-blind tail drop and no
-//          admission/backpressure — what a naive bounded relay does.
+//   shed   kShed: priority-aware load shedding (bulk before streaming
+//          before interactive, control never) + reverse-path backpressure
+//          + the session-side bounded send queue;
+//   drop   kTailDrop: the same bounded queue with priority-blind tail drop
+//          and no backpressure — what a naive bounded relay does.
 //
 // The committed gates (scripts/check_bench_overload.py): under the flash
 // crowd the shed arm's goodput stays above a floor while the drop arm
@@ -404,10 +404,11 @@ int run_membership_sweep(const SweepArgs& args) {
 
 struct OverloadArm {
   const char* name;
-  bool shed;
+  anon::OverloadPolicy policy;
 };
 
-constexpr OverloadArm kOvlArms[] = {{"shed", true}, {"drop", false}};
+constexpr OverloadArm kOvlArms[] = {{"shed", anon::OverloadPolicy::kShed},
+                                    {"drop", anon::OverloadPolicy::kTailDrop}};
 constexpr workload::LoadShape kOvlShapes[] = {workload::LoadShape::kSteady,
                                               workload::LoadShape::kDiurnal,
                                               workload::LoadShape::kFlashCrowd};
@@ -415,7 +416,8 @@ constexpr std::size_t kOvlArmCount = std::size(kOvlArms);
 constexpr std::size_t kOvlShapeCount = std::size(kOvlShapes);
 
 ChaosConfig overload_cell_config(const anon::ProtocolSpec& spec,
-                                 workload::LoadShape shape, bool shed,
+                                 workload::LoadShape shape,
+                                 anon::OverloadPolicy policy,
                                  std::uint64_t seed) {
   ChaosConfig config;
   config.environment.num_nodes = 64;
@@ -440,15 +442,7 @@ ChaosConfig overload_cell_config(const anon::ProtocolSpec& spec,
   // 10/s relay drain: steady is ~0.5x load, the diurnal peak ~0.8x, and
   // the 4x flash ~2x — the overload regime the gate reasons about.
   config.workload.mean_interarrival = 250 * kMillisecond;
-  config.environment.router.overload.enabled = true;
-  config.environment.router.overload.relay_queue_capacity = 64;
-  config.environment.router.overload.drain_rate_per_s = 10.0;
-  if (shed) {
-    config.environment.router.overload.shedding = true;
-    config.environment.router.overload.admission_control = true;
-    config.environment.router.overload.backpressure = true;
-    config.session.max_inflight_segments = 256;
-  }
+  config.environment.router.overload = policy;
   return config;
 }
 
@@ -465,13 +459,13 @@ int run_overload_sweep(const SweepArgs& args) {
         return run_chaos_experiment(overload_cell_config(
             kProtocols[cell / (kOvlShapeCount * kOvlArmCount)].spec,
             kOvlShapes[cell / kOvlArmCount % kOvlShapeCount],
-            kOvlArms[cell % kOvlArmCount].shed, args.seed + run));
+            kOvlArms[cell % kOvlArmCount].policy, args.seed + run));
       });
 
   metrics::Table table({"protocol", "shape", "arm", "attempts", "accepted",
                         "goodput", "inter_gp", "bulk_gp", "inter_p99_ms",
-                        "retx", "expired", "sheds b/s/i/c", "admission",
-                        "bp", "violations"});
+                        "retx", "expired", "sheds b/s/i/c", "bp",
+                        "violations"});
   obs::BenchReport report("chaos_overload_sweep");
   std::size_t cell = 0;
   for (const Protocol& protocol : kProtocols) {
@@ -519,8 +513,6 @@ int run_overload_sweep(const SweepArgs& args) {
             sum(runs, &ChaosResult::relay_sheds_interactive);
         const std::uint64_t sheds_control =
             sum(runs, &ChaosResult::relay_sheds_control);
-        const std::uint64_t admission =
-            sum(runs, &ChaosResult::admission_rejects);
         const std::uint64_t backpressure =
             sum(runs, &ChaosResult::backpressure_signals);
         const std::uint64_t violations = sum(runs, &ChaosResult::violations);
@@ -534,7 +526,7 @@ int run_overload_sweep(const SweepArgs& args) {
                  std::to_string(sheds_streaming) + "/" +
                  std::to_string(sheds_interactive) + "/" +
                  std::to_string(sheds_control),
-             std::to_string(admission), std::to_string(backpressure),
+             std::to_string(backpressure),
              std::to_string(violations)});
         report.add("attempts_" + key, attempts);
         report.add("accepted_" + key, accepted);
@@ -553,7 +545,6 @@ int run_overload_sweep(const SweepArgs& args) {
         report.add("sheds_streaming_" + key, sheds_streaming);
         report.add("sheds_interactive_" + key, sheds_interactive);
         report.add("sheds_control_" + key, sheds_control);
-        report.add("admission_rejects_" + key, admission);
         report.add("backpressure_signals_" + key, backpressure);
         report.add("session_sheds_" + key,
                    sum(runs, &ChaosResult::session_messages_shed));
@@ -574,15 +565,13 @@ int run_overload_sweep(const SweepArgs& args) {
               "about half), so little bulk reaches the relays, which shed "
               "streaming first (sheds column: streaming > interactive >> "
               "bulk, control always 0) and backpressure the sender. "
-              "Admission control never fires (admission column 0). "
               "Interactive goodput stays serviceable through the spike.\n");
 
-  // Off means off: every overload/workload knob spelled at its default
-  // must reproduce the pre-PR fingerprint.
+  // Off means off: the workload engine and the overload policy spelled at
+  // their defaults must reproduce the pre-overload fingerprint.
   ChaosConfig spelled = control_chaos_config();
   spelled.workload = workload::WorkloadConfig{};
-  spelled.environment.router.overload = anon::RouterConfig::OverloadConfig{};
-  spelled.session.max_inflight_segments = 0;
+  spelled.environment.router.overload = anon::OverloadPolicy::kOff;
   report.add("runs_per_cell", static_cast<std::uint64_t>(args.runs));
   const bool fingerprint_ok = check_control_fingerprint(report, spelled);
   report.add_section("overload", table.to_json());

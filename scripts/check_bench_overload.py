@@ -7,16 +7,19 @@ The overload sweep drives a deterministic workload engine (bulk /
 interactive / streaming mixes) through three protocols under three load
 shapes (steady, diurnal, flash crowd) and two relay arms:
 
-  shed   bounded relay queues + priority-aware shedding + admission
-         control + reverse-path backpressure + sender-side deferral;
-  drop   the same bounded queues but blind tail drop — every class is
-         dropped equally once the queue saturates (control is still
-         never shed: acks and constructs are the invariant floor).
+  shed   OverloadPolicy::kShed: bounded relay queues + priority-aware
+         shedding + reverse-path backpressure + the sender-side send
+         bound and deferral;
+  drop   OverloadPolicy::kTailDrop: the same bounded queues but blind
+         tail drop — every class is dropped equally once the queue
+         saturates (control is still never shed: acks and constructs are
+         the invariant floor).
 
 The gated shapes are the graceful-degradation claims (DESIGN §13):
 
-  1. off means off: both control runs (defaults, and every knob spelled
-     out as off) reproduce the pre-PR chaos fingerprint byte for byte;
+  1. off means off: both control runs (defaults, and the workload
+     engine and OverloadPolicy::kOff spelled out) reproduce the
+     pre-overload chaos fingerprint byte for byte;
   2. steady state is free: under the steady shape both arms ride below
      the drain rate and deliver >= 95% goodput with zero sheds;
   3. graceful degradation: under the flash crowd the shed arm keeps

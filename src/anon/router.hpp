@@ -63,37 +63,21 @@ inline const char* segment_priority_name(SegmentPriority priority) {
   return "unknown";
 }
 
+/// What relays do under load (DESIGN §13). kOff is the paper's relay: no
+/// load is tracked and payload frames carry no class byte. The other two
+/// bound every relay's queue at AnonRouter::kRelayQueueCapacity segments
+/// draining 10/s. kTailDrop drops every payload class once the queue is
+/// full. kShed sheds bulk, then streaming, then
+/// interactive at graded occupancies, signals each shed upstream with a
+/// backpressure frame, and bounds each session's in-flight segments.
+/// Neither policy ever sheds control traffic.
+enum class OverloadPolicy : std::uint8_t { kOff, kTailDrop, kShed };
+
 struct RouterConfig {
   SimDuration state_ttl = 2 * kMinute;       // §4.3 TTL on cached path state
   SimDuration sweep_interval = 30 * kSecond; // expiry sweep cadence
-  SimDuration reassembly_ttl = 2 * kMinute;  // responder reassembly buffers
   obs::Registry* metrics = nullptr;          // nullptr = global registry
-
-  /// Overload-resilience knobs. `enabled` turns on the per-relay leaky
-  /// bucket that models bounded forwarding queues; the sub-switches pick
-  /// what happens at saturation. Everything defaults OFF: with
-  /// enabled=false no load is tracked, payload framing is unchanged, and
-  /// runs are byte-identical to the legacy router.
-  struct OverloadConfig {
-    bool enabled = false;
-    /// Queue depth (in segments) a relay can absorb before it saturates.
-    std::size_t relay_queue_capacity = 64;
-    /// Segments per second the relay's queue drains.
-    double drain_rate_per_s = 50.0;
-    /// Priority-aware shedding: shed bulk from ~70% occupancy, streaming
-    /// from ~85%, interactive only when full, control never. With
-    /// shedding=false a saturated relay tail-drops every payload class
-    /// indiscriminately (the collapse arm in the overload sweep).
-    bool shedding = false;
-    /// Refuse new path constructions (ConstructAck status 0) while the
-    /// relay sits above admission_threshold of capacity.
-    bool admission_control = false;
-    double admission_threshold = 0.9;
-    /// Signal sheds upstream with a plain reverse backpressure frame so
-    /// initiators can slow down instead of retransmitting into the storm.
-    bool backpressure = false;
-  };
-  OverloadConfig overload;
+  OverloadPolicy overload = OverloadPolicy::kOff;
 };
 
 /// What the responder's application sees for a reconstructed message.
@@ -115,9 +99,8 @@ struct ReverseDelivery {
   ByteView blob;
   /// Overload backpressure signal (no sealed core — the frame is plain, a
   /// mid-path relay cannot originate a responder-sealed ReverseCore). When
-  /// true, `blob` is empty and `shed_class` names the shed traffic class.
+  /// true, `blob` is empty.
   bool backpressure = false;
-  std::uint8_t shed_class = 0;
 };
 
 class AnonRouter {
@@ -160,8 +143,8 @@ class AnonRouter {
   /// Sends one already-built payload onion down a path (§4.2). The blob
   /// must be the full layered payload; seq is the layer nonce the session
   /// used for wrapping. `priority` rides a one-byte trailer header only
-  /// when overload mode is on; otherwise the wire format is the legacy one
-  /// and the argument is ignored.
+  /// when the overload policy is not kOff; otherwise the wire format is the
+  /// paper's and the argument is ignored.
   void send_payload(NodeId initiator, StreamId sid, NodeId first_relay,
                     std::uint64_t seq, Bytes blob,
                     SegmentPriority priority = SegmentPriority::kInteractive);
@@ -217,17 +200,13 @@ class AnonRouter {
   void byte_census(obs::capacity::ByteCensus& census) const;
 
   /// Point-in-time overload snapshot (levels drained to `now` without
-  /// mutating the buckets). All zeros while overload mode is off.
+  /// mutating the buckets). All zeros under OverloadPolicy::kOff.
   struct OverloadStats {
     double max_level = 0.0;    // deepest relay queue, in segments
     double total_level = 0.0;  // sum across nodes
     std::size_t hot_nodes = 0; // nodes above 70% of capacity
-    std::size_t capacity = 0;  // configured relay_queue_capacity
   };
   OverloadStats overload_stats(SimTime now) const;
-
-  /// Leaky-bucket occupancy of one relay, drained to `now` (test hook).
-  double relay_queue_level(NodeId node, SimTime now) const;
 
   const BufferPool& pool() const { return pool_; }
 
@@ -269,6 +248,12 @@ class AnonRouter {
   /// Reverse-direction nonce bit: reverse layer seq = seq | kReverseBit so
   /// a (key, seq) pair is never reused across directions.
   static constexpr std::uint64_t kReverseBit = 1ULL << 63;
+
+  /// How long a responder keeps a reassembly buffer after its last segment.
+  static constexpr SimDuration kReassemblyTtl = 2 * kMinute;
+
+  /// Relay queue bound, in segments, under every policy but kOff.
+  static constexpr std::size_t kRelayQueueCapacity = 64;
 
  private:
   struct PendingConstruction {
@@ -353,15 +338,16 @@ class AnonRouter {
   void finish_pending(NodeId initiator, StreamId sid, bool ok, bool timed_out);
   void record_peel_failure(NodeId node, const char* where);
 
-  // --- overload machinery (all no-ops while config_.overload.enabled is
-  // false; the leaky buckets are plain doubles, no RNG is consumed) ---
+  // --- overload machinery (never reached under OverloadPolicy::kOff; the
+  // leaky buckets are plain doubles, no RNG is consumed) ---
 
-  /// Drains `node`'s bucket to now and returns its level (mutating).
-  double drain_load(NodeId node);
+  /// Leaky-bucket occupancy of one relay, drained to `now` (not mutating).
+  double relay_queue_level(NodeId node, SimTime now) const;
+  /// Drains `node`'s bucket to now.
+  void drain_load(NodeId node);
   /// Charges one segment to `node`'s bucket (call after drain_load).
   void charge_load(NodeId node);
-  /// Shed decision for a payload segment arriving at a saturated relay.
-  /// Counts the shed and (optionally) signals backpressure upstream.
+  /// Shed decision for a payload segment arriving at a loaded relay.
   bool should_shed(NodeId node, SegmentPriority priority);
   void count_shed(SegmentPriority priority);
   void on_backpressure(NodeId to, StreamId sid, std::uint8_t shed_class);
@@ -400,7 +386,7 @@ class AnonRouter {
 
   /// One leaky bucket per node modelling its bounded forwarding queue.
   /// Sized eagerly (16 bytes/node, zero-init, no RNG) but only read or
-  /// written behind config_.overload.enabled. Deliberately absent from the
+  /// written under a policy other than kOff. Deliberately absent from the
   /// byte census: it is fixed-size transient accounting, not a structure
   /// that grows with load (see DESIGN.md §13).
   struct NodeLoad {
@@ -454,7 +440,6 @@ class AnonRouter {
   // sweep gate can assert it is still zero — should_shed never sheds
   // control, and handle_forward drops class bytes past kControl.
   obs::Counter* shed_ctrs_[4];  // indexed by SegmentPriority
-  obs::Counter* admission_rejects_ctr_;
   obs::Counter* backpressure_ctr_;
 };
 

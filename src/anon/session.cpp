@@ -29,6 +29,11 @@ constexpr std::size_t kNackFailThreshold = 3;
 // How long a backpressure frame keeps its path congested.
 constexpr SimDuration kBackpressureHold = 2 * kSecond;
 
+// In-flight segment bound under OverloadPolicy::kShed; bulk is refused
+// already at 3/4 of it. Retransmissions bypass it: they replace ledger
+// entries rather than adding new ones.
+constexpr std::size_t kMaxInflightSegments = 256;
+
 std::uint64_t pending_key(MessageId id, std::uint32_t segment) {
   return id ^ (static_cast<std::uint64_t>(segment) * 0x9e3779b97f4a7c15ULL);
 }
@@ -376,15 +381,14 @@ MessageId Session::send_message(ByteView data, SegmentPriority priority) {
   // Bounded send queue: refuse the whole message up front when the pending
   // ledger has no room for its segments. Bulk is refused earlier (at 3/4 of
   // the bound), keeping headroom for interactive traffic. The check
-  // precedes the id draw so a shed message costs zero RNG draws — off-state
-  // runs never reach it.
-  if (config_.max_inflight_segments > 0) {
-    std::size_t limit = config_.max_inflight_segments;
+  // precedes the id draw so a shed message costs zero RNG draws — runs
+  // under other policies never reach it.
+  if (router_.config().overload == OverloadPolicy::kShed) {
+    std::size_t limit = kMaxInflightSegments;
     if (priority == SegmentPriority::kBulk) limit = limit * 3 / 4;
     if (pending_segments_.size() + config_.erasure.n > limit) {
-      ++messages_shed_;
       const bool hard_full = pending_segments_.size() + config_.erasure.n >
-                             config_.max_inflight_segments;
+                             kMaxInflightSegments;
       (hard_full ? shed_queue_ctr_ : shed_headroom_ctr_)->inc();
       return 0;
     }
@@ -405,7 +409,6 @@ MessageId Session::send_message(ByteView data, SegmentPriority priority) {
       // A relay on this path recently shed under load: hold bulk segments
       // back (the erasure code absorbs the loss if enough paths are clear)
       // rather than feeding the hotspot.
-      ++segments_deferred_;
       shed_congested_ctr_->inc();
       continue;
     }
@@ -584,7 +587,6 @@ void Session::on_segment_timeout(std::uint64_t key, bool fail_pending_path) {
       last_backpressure_[failed_path] != 0 &&
       last_backpressure_[failed_path] >= it->second.sent_at;
   if (overload_explained) {
-    ++stalls_suppressed_;
     stall_suppressed_ctr_->inc();
   } else {
     report_path_suspicion(failed_path, kStallSuspicion, susp_stall_ctr_);
@@ -854,7 +856,6 @@ void Session::on_reverse(std::size_t path_index,
 }
 
 void Session::on_backpressure(std::size_t path_index) {
-  ++backpressure_rx_;
   bp_rx_ctr_->inc();
   const SimTime now = router_.simulator().now();
   last_backpressure_[path_index] = now;

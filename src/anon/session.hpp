@@ -91,14 +91,6 @@ struct SessionConfig {
   /// cache is stale, and recovers the bias as membership repair catches
   /// up (DESIGN §9). Off: no cache-age scan, no extra obs series.
   bool staleness_aware = false;
-
-  /// Bounded sender queue: send_message refuses the whole message (returns
-  /// 0) when placing its n segments would push the pending-ack ledger past
-  /// this many in-flight segments; bulk is refused already at 3/4 of the
-  /// bound, keeping headroom for interactive traffic. 0 = unbounded.
-  /// Retransmissions of already-placed segments bypass the bound — they
-  /// replace ledger entries rather than adding new ones.
-  std::size_t max_inflight_segments = 0;
 };
 
 enum class PathState { kUnbuilt, kPending, kEstablished, kFailed };
@@ -131,12 +123,12 @@ class Session {
   std::size_t established_paths() const;
 
   /// Erasure-codes `data` and sends the segments over the current paths.
-  /// Returns the message id (0 if no path is usable, or if the bounded
-  /// sender queue refused the message under overload).
+  /// Returns the message id (0 if no path is usable, or if the send bound
+  /// of OverloadPolicy::kShed refused the message).
   MessageId send_message(ByteView data);
   /// Same, carrying an explicit traffic class. The priority shapes relay
-  /// shedding (overload mode only) and the sender-side bound; the no-arg
-  /// overload sends at kInteractive, the legacy-equivalent class.
+  /// shedding and the send bound (both off under kOff); the no-arg
+  /// overload sends at kInteractive, the paper-equivalent class.
   MessageId send_message(ByteView data, SegmentPriority priority);
 
   /// Path reuse (§4.4): re-points every established path at a new
@@ -200,23 +192,6 @@ class Session {
   std::uint64_t mix_biased_selects() const {
     return selector_.biased_selects();
   }
-
-  // --- overload statistics (0 unless the overload knobs are on) ---
-  /// Whole messages refused by the bounded sender queue (never entered
-  /// the segment ledger — the caller saw message id 0).
-  std::uint64_t messages_shed() const { return messages_shed_; }
-  /// Segments withheld from congested paths (bulk-on-backpressure). They
-  /// never entered the ledger, so the conservation identity still closes.
-  std::uint64_t segments_deferred() const { return segments_deferred_; }
-  /// Relay backpressure frames that reached this session (relays send them
-  /// only with RouterConfig::overload.backpressure on). Each frame holds its
-  /// path congested for 2 s: bulk segments are not placed on it, and its
-  /// ack-timeout stalls are not filed as suspicion evidence — an
-  /// overloaded-but-honest relay must not be quarantined as byzantine.
-  std::uint64_t backpressure_signals() const { return backpressure_rx_; }
-  /// Ack-timeout stalls NOT filed as suspicion evidence because the path
-  /// had signalled overload after the segment was sent.
-  std::uint64_t stalls_suppressed() const { return stalls_suppressed_; }
 
   // Segment ledger: every segment sent (plain, combined or resent) ends in
   // exactly one of {acked, expired, retransmitted} or is still pending, so
@@ -425,10 +400,6 @@ class Session {
   std::uint64_t proactive_replacements_ = 0;
   std::uint64_t mirrored_fallbacks_ = 0;
   std::uint64_t mirrored_biased_ = 0;
-  std::uint64_t messages_shed_ = 0;
-  std::uint64_t segments_deferred_ = 0;
-  std::uint64_t backpressure_rx_ = 0;
-  std::uint64_t stalls_suppressed_ = 0;
 
   // Registry mirrors (resolved from the router's registry). The tallies
   // above stay the per-instance contract the seed tests assert; the series
@@ -446,7 +417,10 @@ class Session {
   obs::Gauge* quarantined_gauge_;
   obs::HdrHistogram* rtt_us_;
   obs::HdrHistogram* rto_us_;
-  // Overload series (eager like the corruption counters; 0 in legacy runs).
+  // Overload series (eager like the corruption counters; 0 under kOff),
+  // the session's only record of messages the send bound refused, bulk
+  // segments withheld from congested paths, backpressure frames received
+  // and the ack-timeout stalls they kept out of suspicion evidence.
   obs::Counter* shed_queue_ctr_;
   obs::Counter* shed_headroom_ctr_;
   obs::Counter* shed_congested_ctr_;

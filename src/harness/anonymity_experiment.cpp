@@ -10,6 +10,17 @@ namespace p2panon::harness {
 
 namespace {
 
+// Cover-traffic arm: how many nodes send dummies, and how often.
+constexpr std::size_t kCoverNodes = 24;
+constexpr SimDuration kCoverInterval = 10 * kSecond;
+// Each trial's length, and the part of it that sends.
+constexpr SimDuration kTrialDuration = 40 * kSecond;
+constexpr SimDuration kTrialSendWindow = 25 * kSecond;
+// Timing-correlation lag window: how far back from a responder ingress
+// the attacker looks for candidate origin sends. Covers a path traversal
+// (L hops of mean one-way latency) with slack.
+constexpr SimDuration kCorrelationLag = 5 * kSecond;
+
 /// Rates are exported as per-mille gauges (the registry's gauges are
 /// integers); 1000 = certainty, entropy in milli-bits.
 std::int64_t permille(double v) {
@@ -39,7 +50,7 @@ AnonymityResult run_anonymity_experiment(const AnonymityConfig& config) {
   // The capture layer is built before the Environment so the transport is
   // born tapped; its counters go to the injected registry if the caller
   // shares one (the private per-run registry does not exist yet here).
-  adversary::LinkObserver observer(config.observer,
+  adversary::LinkObserver observer(adversary::ObserverConfig{},
                                    config.environment.metrics);
 
   EnvironmentConfig env_config = config.environment;
@@ -76,18 +87,17 @@ AnonymityResult run_anonymity_experiment(const AnonymityConfig& config) {
   membership::NodeCache& initiator_cache =
       env.membership().cache(config.initiator);
 
-  // Optional cover plane: nodes [2, 2+cover_nodes) send dummies sized
+  // Optional cover plane: nodes [2, 2+kCoverNodes) send dummies sized
   // exactly like the real messages, over the same channel — the wire
   // cannot tell them apart, which is the whole point.
   std::unique_ptr<anon::CoverTrafficGenerator> cover;
   if (config.cover_traffic) {
     std::vector<NodeId> cover_set;
-    for (NodeId id = 2; id < n && cover_set.size() < config.cover_nodes;
-         ++id) {
+    for (NodeId id = 2; id < n && cover_set.size() < kCoverNodes; ++id) {
       cover_set.push_back(id);
     }
     anon::CoverTrafficConfig cover_config;
-    cover_config.interval = config.cover_interval;
+    cover_config.interval = kCoverInterval;
     cover_config.k = 1;
     cover_config.message_size = config.message_size;
     cover_config.path_length = env_config.path_length;
@@ -125,7 +135,7 @@ AnonymityResult run_anonymity_experiment(const AnonymityConfig& config) {
   };
 
   for (std::size_t i = 0; i < config.trials; ++i) {
-    const SimTime t0 = config.warmup + i * config.trial_duration;
+    const SimTime t0 = config.warmup + i * kTrialDuration;
     env.simulator().schedule_at(t0, [&, t0] {
       ++result.trials_attempted;
       ++generation;
@@ -147,15 +157,15 @@ AnonymityResult run_anonymity_experiment(const AnonymityConfig& config) {
         if (compromised_first_relay) ++ground_truth_hits;
         // End one microsecond short of the next trial's start: window
         // bounds are inclusive and the next construct onion leaves at
-        // exactly t0 + trial_duration.
+        // exactly t0 + kTrialDuration.
         windows.push_back(
             {static_cast<std::uint64_t>(t0),
-             static_cast<std::uint64_t>(t0 + config.trial_duration) - 1});
-        send_loop(gen, t0 + config.trial_send_window);
+             static_cast<std::uint64_t>(t0 + kTrialDuration) - 1});
+        send_loop(gen, t0 + kTrialSendWindow);
       });
       // Tear down well before the next trial starts, so windows do not
       // bleed into each other on the wire.
-      env.simulator().schedule_at(t0 + config.trial_duration - 2 * kSecond,
+      env.simulator().schedule_at(t0 + kTrialDuration - 2 * kSecond,
                                   [&, gen] {
                                     if (gen == generation &&
                                         current != nullptr) {
@@ -166,8 +176,7 @@ AnonymityResult run_anonymity_experiment(const AnonymityConfig& config) {
   }
 
   env.start();
-  env.simulator().run_until(config.warmup +
-                            config.trials * config.trial_duration +
+  env.simulator().run_until(config.warmup + config.trials * kTrialDuration +
                             30 * kSecond);
   if (current != nullptr) current->teardown();
 
@@ -194,7 +203,7 @@ AnonymityResult run_anonymity_experiment(const AnonymityConfig& config) {
   result.intersection = adversary::intersection_attack(scenario, windows);
   result.correlation = adversary::correlation_attack(
       scenario, windows,
-      static_cast<std::uint64_t>(config.correlation_lag));
+      static_cast<std::uint64_t>(kCorrelationLag));
 
   // Closed-form comparators at the *planted* fraction, so integer
   // rounding of f*N never skews the gate.

@@ -35,17 +35,13 @@ struct AnonymityConfig {
   /// a patient adversary does not churn.
   double compromised_fraction = 0.1;
 
-  /// Cover-traffic arm: this many nodes (taken from [2, 2+cover_nodes))
-  /// send dummy messages every cover_interval, sized like real ones so
-  /// the wire cannot tell them apart.
+  /// Cover-traffic arm: 24 nodes (taken from [2, 26)) send dummy messages
+  /// every 10 s, sized like real ones so the wire cannot tell them apart.
   bool cover_traffic = false;
-  std::size_t cover_nodes = 24;
-  SimDuration cover_interval = 10 * kSecond;
 
   SimDuration warmup = 5 * kMinute;    // gossip convergence
-  std::size_t trials = 24;             // sequential sessions
-  SimDuration trial_duration = 40 * kSecond;
-  SimDuration trial_send_window = 25 * kSecond;  // sends within a trial
+  /// Sequential sessions, each 40 s long and sending for its first 25 s.
+  std::size_t trials = 24;
   SimDuration send_interval = 5 * kSecond;
   std::size_t message_size = 512;
 
@@ -64,13 +60,6 @@ struct AnonymityConfig {
   /// classic predecessor-attack amplification). The churn arm turns this
   /// off precisely to measure that amplification.
   bool pin_all_up = true;
-
-  /// Timing-correlation lag window: how far back from a responder
-  /// ingress the attacker looks for candidate origin sends. Must cover a
-  /// path traversal (L hops of mean one-way latency) with slack.
-  SimDuration correlation_lag = 5 * kSecond;
-
-  adversary::ObserverConfig observer;  // capture knobs (sampling, bounds)
 
   /// Non-empty: write the captured flow log as link-record JSONL after
   /// the run — the format tools/trace_analyze ingests via --flows, so

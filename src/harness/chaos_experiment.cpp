@@ -13,6 +13,13 @@ namespace p2panon::harness {
 
 namespace {
 
+// Faults start this long after warmup ends, so path construction (which
+// begins at warmup) races a healthy network, not the fault wave. Sized to
+// cover the adaptive mode's construction backoff chain too.
+constexpr SimDuration kFaultGrace = 150 * kSecond;
+// Drain in-flight traffic after the send window, before teardown.
+constexpr SimDuration kQuiesce = 2 * kMinute;
+
 /// Deterministically picks `count` distinct victims from [2, num_nodes)
 /// (partial Fisher-Yates) — the pinned endpoints 0 and 1 are never chosen.
 std::vector<NodeId> pick_victims(std::size_t num_nodes, std::size_t count,
@@ -147,7 +154,7 @@ std::string ChaosResult::fingerprint() const {
 
 ChaosResult run_chaos_experiment(const ChaosConfig& config) {
   static const auto kSendEvent = obs::capacity::event_type("harness.send");
-  const SimTime fault_start = config.warmup + config.fault_grace;
+  const SimTime fault_start = config.warmup + kFaultGrace;
   const SimTime fault_end = config.warmup + config.measure;
   const fault::FaultPlan plan = make_scenario_plan(
       config.scenario, config.environment.num_nodes, fault_start, fault_end,
@@ -325,7 +332,7 @@ ChaosResult run_chaos_experiment(const ChaosConfig& config) {
 
   if (HealthScoreboard* health = env.health()) health->attach_session(session);
   env.start();
-  env.simulator().run_until(measure_end + config.quiesce);
+  env.simulator().run_until(measure_end + kQuiesce);
 
   // Close the books: teardown drains every still-pending segment into the
   // expired ledger, then one full state-TTL interval plus a sweep period
@@ -333,7 +340,7 @@ ChaosResult run_chaos_experiment(const ChaosConfig& config) {
   // partitioned relays that never saw the teardown) expire.
   session.teardown();
   const SimDuration ttl = std::max(env_config.router.state_ttl,
-                                   env_config.router.reassembly_ttl);
+                                   anon::AnonRouter::kReassemblyTtl);
   env.simulator().run_until(env.simulator().now() + ttl +
                             env_config.router.sweep_interval + 30 * kSecond);
 
@@ -400,14 +407,17 @@ ChaosResult run_chaos_experiment(const ChaosConfig& config) {
       "anon_overload_sheds_total", {{"class", "interactive"}});
   result.relay_sheds_control =
       reg.counter_value("anon_overload_sheds_total", {{"class", "control"}});
-  result.admission_rejects =
-      reg.counter_value("anon_admission_rejects_total");
   result.backpressure_signals =
       reg.counter_value("anon_backpressure_signals_total");
-  result.session_messages_shed = session.messages_shed();
-  result.session_segments_deferred = session.segments_deferred();
-  result.session_backpressure_rx = session.backpressure_signals();
-  result.session_stalls_suppressed = session.stalls_suppressed();
+  result.session_messages_shed =
+      reg.counter_value("session_sheds_total", {{"cause", "queue_full"}}) +
+      reg.counter_value("session_sheds_total", {{"cause", "bulk_headroom"}});
+  result.session_segments_deferred =
+      reg.counter_value("session_sheds_total", {{"cause", "congested_path"}});
+  result.session_backpressure_rx = reg.counter_value(
+      "session_backpressure_total", {{"event", "received"}});
+  result.session_stalls_suppressed = reg.counter_value(
+      "session_backpressure_total", {{"event", "stall_suppressed"}});
   if (!interactive_latencies.empty()) {
     std::sort(interactive_latencies.begin(), interactive_latencies.end());
     const std::size_t n = interactive_latencies.size();

@@ -60,11 +60,6 @@ struct ChaosConfig {
   ChaosScenario scenario = ChaosScenario::kFlashCrowdCrash;
   SimDuration warmup = 10 * kMinute;   // gossip convergence before faults
   SimDuration measure = 20 * kMinute;  // fault window + send window
-  /// Faults start this long after warmup ends, so path construction (which
-  /// begins at warmup) races a healthy network, not the fault wave. Sized
-  /// to cover the adaptive mode's construction backoff chain too.
-  SimDuration fault_grace = 150 * kSecond;
-  SimDuration quiesce = 2 * kMinute;   // drain in-flight traffic
   SimDuration send_interval = 5 * kSecond;
   std::size_t message_size = 512;
   NodeId initiator = 0;
@@ -87,8 +82,8 @@ struct ChaosConfig {
   /// Workload engine (off = the classic fixed-interval 0xc7 pump, byte
   /// identical to the pre-workload harness). On: Poisson arrivals of mixed
   /// bulk/interactive/streaming messages shaped by `workload.shape`, driven
-  /// by a dedicated RNG stream forked after all legacy forks. Relay-side
-  /// overload knobs live in environment.router.overload.
+  /// by a dedicated RNG stream forked after all legacy forks. The relay
+  /// overload policy is environment.router.overload.
   workload::WorkloadConfig workload;
 };
 
@@ -154,8 +149,9 @@ struct ChaosResult {
   std::string health_table;  // rendered scoreboard, empty when disabled
 
   // ---- Overload accounting (NOT part of fingerprint(): the 38-field
-  // digest predates this PR and committed baselines pin it). All zero
-  // unless the workload/overload knobs are on.
+  // digest predates the overload layer and committed baselines pin it).
+  // All zero unless the workload engine is on or the overload policy is
+  // not kOff.
   struct ClassStats {
     std::uint64_t attempts = 0;   // send_message calls for this class
     std::uint64_t accepted = 0;   // nonzero id returned
@@ -175,9 +171,9 @@ struct ChaosResult {
   std::uint64_t relay_sheds_streaming = 0;
   std::uint64_t relay_sheds_interactive = 0;
   std::uint64_t relay_sheds_control = 0;  // invariant: 0 always
-  std::uint64_t admission_rejects = 0;
   std::uint64_t backpressure_signals = 0;
-  // Session-side overload counters.
+  // Session-side overload counters, read back from the same registry (the
+  // harness runs one session).
   std::uint64_t session_messages_shed = 0;
   std::uint64_t session_segments_deferred = 0;
   std::uint64_t session_backpressure_rx = 0;

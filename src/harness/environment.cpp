@@ -185,8 +185,7 @@ void Environment::sample() {
   // Router overload. Levels are exported in basis points of capacity so
   // integer gauges keep sub-percent resolution.
   const auto overload = router_->overload_stats(now);
-  const double cap =
-      overload.capacity > 0 ? static_cast<double>(overload.capacity) : 1.0;
+  const double cap = static_cast<double>(anon::AnonRouter::kRelayQueueCapacity);
   reg.gauge("anon_overload_max_level_bp")
       ->set(static_cast<std::int64_t>(overload.max_level / cap * 10000.0));
   reg.gauge("anon_overload_mean_level_bp")

@@ -9,6 +9,9 @@ namespace p2panon::harness {
 
 namespace {
 
+/// Cap on concurrently outstanding probe sessions (memory guard).
+constexpr std::size_t kMaxOutstanding = 200000;
+
 /// One construction probe: a throwaway session making a single whole-set
 /// attempt. Self-deletes after reporting.
 class Probe {
@@ -73,7 +76,7 @@ PathSetupResult run_path_setup_experiment(const PathSetupConfig& config) {
       const NodeId responder = env.random_up_node(node);
       if (responder == kInvalidNode) return;
       ++result.events;
-      if (outstanding >= config.max_outstanding) return;
+      if (outstanding >= kMaxOutstanding) return;
       for (std::size_t s = 0; s < config.specs.size(); ++s) {
         new Probe(env, config.specs[s], base_session, node, responder,
                   result.success[s], outstanding);

@@ -31,8 +31,6 @@ struct PathSetupConfig {
   double event_interarrival_seconds = 116.0;
   SimDuration construct_timeout = 5 * kSecond;
   std::vector<anon::ProtocolSpec> specs;
-  /// Cap on concurrently outstanding probe sessions (memory guard).
-  std::size_t max_outstanding = 200000;
 };
 
 struct PathSetupResult {

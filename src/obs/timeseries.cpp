@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -10,6 +11,10 @@
 namespace p2panon::obs {
 
 namespace {
+
+// Quantiles computed per histogram window, ascending. Rendered as
+// p<percent> columns (0.5 -> p50).
+constexpr double kPercentiles[] = {0.5, 0.9, 0.99};
 
 const char* kind_name(TimeseriesRecorder::Kind kind) {
   switch (kind) {
@@ -138,8 +143,8 @@ void TimeseriesRecorder::sample(SimTime now) {
     window.value = static_cast<double>(histogram.count());
     window.delta = static_cast<double>(in_window);
     window.rate_per_s = window_s > 0.0 ? window.delta / window_s : 0.0;
-    window.percentiles.reserve(config_.percentiles.size());
-    for (double q : config_.percentiles) {
+    window.percentiles.reserve(std::size(kPercentiles));
+    for (double q : kPercentiles) {
       window.percentiles.push_back(windowed_percentile(deltas, in_window, q));
     }
     push_window(state, std::move(window));
@@ -160,7 +165,7 @@ const TimeseriesRecorder::Series* TimeseriesRecorder::find(
 std::string TimeseriesRecorder::to_csv() const {
   std::ostringstream out;
   out << "series,kind,start_us,end_us,value,delta,rate_per_s";
-  for (double q : config_.percentiles) out << ',' << percentile_label(q);
+  for (double q : kPercentiles) out << ',' << percentile_label(q);
   out << '\n';
   for (const auto& [map_key, state] : series_) {
     for (const TimeseriesWindow& w : state.series.windows) {
@@ -168,7 +173,7 @@ std::string TimeseriesRecorder::to_csv() const {
           << ',' << w.start_us << ',' << w.end_us << ','
           << format_double(w.value) << ',' << format_double(w.delta) << ','
           << format_double(w.rate_per_s);
-      for (std::size_t i = 0; i < config_.percentiles.size(); ++i) {
+      for (std::size_t i = 0; i < std::size(kPercentiles); ++i) {
         out << ',';
         if (i < w.percentiles.size()) out << w.percentiles[i];
       }
@@ -192,7 +197,7 @@ std::string TimeseriesRecorder::to_jsonl() const {
         out << ",\"percentiles\":{";
         for (std::size_t i = 0; i < w.percentiles.size(); ++i) {
           if (i) out << ',';
-          out << '"' << percentile_label(config_.percentiles[i])
+          out << '"' << percentile_label(kPercentiles[i])
               << "\":" << w.percentiles[i];
         }
         out << '}';

@@ -42,9 +42,6 @@ struct TimeseriesConfig {
   /// Max windows retained per series; older windows are evicted (and
   /// counted) once a series exceeds this.
   std::size_t window_capacity = 512;
-  /// Quantiles computed per histogram window, ascending. Rendered as
-  /// p<percent> columns (0.5 -> p50, 0.999 -> p99.9).
-  std::vector<double> percentiles = {0.5, 0.9, 0.99};
 };
 
 /// One closed sampling window for one series.
@@ -54,8 +51,8 @@ struct TimeseriesWindow {
   double value = 0.0;       // cumulative (counter/histogram-count) or level
   double delta = 0.0;       // change across the window
   double rate_per_s = 0.0;  // delta / window length (0 for empty windows)
-  /// Histogram series only: one value per configured quantile, computed
-  /// from this window's bucket deltas. Empty for counters/gauges.
+  /// Histogram series only: p50, p90 and p99, computed from this window's
+  /// bucket deltas. Empty for counters/gauges.
   std::vector<std::uint64_t> percentiles;
 };
 
