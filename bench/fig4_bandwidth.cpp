@@ -29,6 +29,9 @@ namespace {
 // anon/router.cpp framing and anon/onion.cpp overheads): channel byte +
 // type + sid + seq + L AEAD layers + sealed core around the serialized
 // PayloadCore header (24 bytes + 32-byte responder key + 4-byte length).
+// The model sends one message per path, which is always that path's first
+// core and so always sealed; later cores on a path the responder has
+// answered are keyed and 32 bytes shorter, which this figure leaves out.
 double initiator_message_bytes(double segment_bytes, std::size_t L) {
   const double core_plain = 24.0 + 32.0 + 4.0 + segment_bytes;
   const double sealed = core_plain + crypto::kSealedBoxOverhead;

@@ -10,7 +10,10 @@
 //    <R_{L+1}>_{PubKey_D} for the responder, wrapped in one symmetric
 //    layer per relay: PayLoad_i = <PayLoad_{i+1}>_{R_i}. Relays strip
 //    layers forward; on the reverse path they *add* layers, which the
-//    initiator (knowing every R_i) strips all at once.
+//    initiator (knowing every R_i) strips all at once. The responder keeps
+//    R_{L+1} in its terminal entry (§4.4), so once it has replied on a
+//    path the session sends the serialized core in one wrap_layer under
+//    R_{L+1} instead of a sealed box (a "keyed core", 32 bytes shorter).
 //
 // Two interchangeable implementations:
 //  * RealOnionCodec — X25519 sealed boxes + ChaCha20-Poly1305, the real

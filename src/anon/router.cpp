@@ -24,6 +24,19 @@ constexpr std::uint8_t kTypeConstructPayload = 7;
 // frame reaches the initiator's reverse handler. Only emitted under
 // OverloadPolicy::kShed, so the paper's wire traffic never contains it.
 constexpr std::uint8_t kTypeBackpressure = 8;
+// Keyed payload core (forward, framed like kTypePayload): once the
+// responder has replied on a path, the session wraps later cores in one
+// symmetric layer under R_{L+1} instead of a sealed box. Relays handle it
+// exactly like kTypePayload. The responder opens it with its terminal
+// entry's key, never by trying that key on a sealed core: FastOnionCodec
+// cannot authenticate, so trial decryption would accept garbage.
+constexpr std::uint8_t kTypePayloadKeyed = 9;
+
+/// Both payload frame types: refreshed, charged, shed, byte-counted and
+/// relayed the same way.
+bool is_payload(std::uint8_t type) {
+  return type == kTypePayload || type == kTypePayloadKeyed;
+}
 
 // Decode-attempt budget for the digest-validated subset search
 // (erasure/verified_decode) over a tagged reassembly.
@@ -188,21 +201,21 @@ void AnonRouter::send_forward(NodeId from, NodeId to, std::uint8_t type,
   Bytes& msg = *lease;
   msg.push_back(type);
   put_u64be(msg, sid);
-  if (type == kTypePayload || type == kTypeRetarget ||
+  if (is_payload(type) || type == kTypeRetarget ||
       type == kTypeConstructPayload) {
     put_u64be(msg, seq);
   }
   // The shed-priority byte exists only under a load-tracking policy and
   // only on payload frames; every other frame type is control-plane by
   // construction. Under kOff the framing is the paper's.
-  if (config_.overload != OverloadPolicy::kOff && type == kTypePayload) {
+  if (config_.overload != OverloadPolicy::kOff && is_payload(type)) {
     msg.push_back(static_cast<std::uint8_t>(priority));
   }
   append(msg, blob);
   if (type == kTypeConstruct || type == kTypeRetarget) {
     construct_bytes_ += msg.size();
     bytes_construct_->inc(msg.size());
-  } else if (type == kTypePayload || type == kTypeConstructPayload) {
+  } else if (is_payload(type) || type == kTypeConstructPayload) {
     payload_bytes_ += msg.size();
     bytes_payload_->inc(msg.size());
   }
@@ -319,9 +332,10 @@ void AnonRouter::unregister_reverse_handler(NodeId initiator, StreamId sid) {
 
 void AnonRouter::send_payload(NodeId initiator, StreamId sid,
                               NodeId first_relay, std::uint64_t seq,
-                              Bytes blob, SegmentPriority priority) {
-  send_forward(initiator, first_relay, kTypePayload, sid, seq, blob,
-               priority);
+                              Bytes blob, bool keyed,
+                              SegmentPriority priority) {
+  send_forward(initiator, first_relay, keyed ? kTypePayloadKeyed : kTypePayload,
+               sid, seq, blob, priority);
 }
 
 void AnonRouter::send_teardown(NodeId initiator, StreamId sid,
@@ -339,7 +353,8 @@ void AnonRouter::handle_forward(NodeId from, NodeId to, ByteView payload) {
     case kTypeConstruct:
       on_construct(from, to, sid, payload.subspan(9));
       break;
-    case kTypePayload: {
+    case kTypePayload:
+    case kTypePayloadKeyed: {
       if (payload.size() < 17) return;
       const std::uint64_t seq = get_u64be(payload, 9);
       if (config_.overload != OverloadPolicy::kOff) {
@@ -349,9 +364,9 @@ void AnonRouter::handle_forward(NodeId from, NodeId to, ByteView payload) {
             static_cast<std::uint8_t>(SegmentPriority::kControl);
         if (payload.size() < 18 || payload[17] > kMaxClass) return;
         const auto priority = static_cast<SegmentPriority>(payload[17]);
-        on_payload(from, to, sid, seq, payload.subspan(18), priority);
+        on_payload(from, to, type, sid, seq, payload.subspan(18), priority);
       } else {
-        on_payload(from, to, sid, seq, payload.subspan(17),
+        on_payload(from, to, type, sid, seq, payload.subspan(17),
                    SegmentPriority::kInteractive);
       }
       break;
@@ -549,15 +564,18 @@ void AnonRouter::on_construct_ack(NodeId to, StreamId sid, bool ok) {
   finish_pending(to, sid, ok, /*timed_out=*/false);
 }
 
-void AnonRouter::on_payload(NodeId from, NodeId to, StreamId sid,
-                            std::uint64_t seq, ByteView blob,
+void AnonRouter::on_payload(NodeId from, NodeId to, std::uint8_t type,
+                            StreamId sid, std::uint64_t seq, ByteView blob,
                             SegmentPriority priority) {
+  const bool keyed = type == kTypePayloadKeyed;
   RelayEntry* entry = tables_[to].find_by_upstream(sid);
   if (entry == nullptr) {
     // First contact as the responder: the last relay has stripped every
     // layer, so `blob` should be a sealed core addressed to us. If it
     // opens, create the terminal ⊥ entry [P_L, sid_L, ⊥, R_{L+1}] (§4.4).
-    const auto core = onion_.open_payload_core(node_keys_[to], blob);
+    // A keyed core cannot open without that entry's key.
+    const auto core = keyed ? std::nullopt
+                            : onion_.open_payload_core(node_keys_[to], blob);
     if (!core.has_value()) {
       record_peel_failure(to, "payload_core");
       return;
@@ -574,7 +592,8 @@ void AnonRouter::on_payload(NodeId from, NodeId to, StreamId sid,
   }
   if (entry->at_responder) {
     // Follow-up message on an established stream.
-    const auto core = onion_.open_payload_core(node_keys_[to], blob);
+    const auto core = keyed ? open_keyed_core(*entry, seq, blob)
+                            : onion_.open_payload_core(node_keys_[to], blob);
     if (!core.has_value()) {
       record_peel_failure(to, "payload_core");
       return;
@@ -613,8 +632,22 @@ void AnonRouter::on_payload(NodeId from, NodeId to, StreamId sid,
   }
   ++messages_forwarded_;
   forwarded_ctr_->inc();
-  send_forward(to, entry->downstream, kTypePayload, entry->downstream_sid,
-               seq, *buf, priority);
+  send_forward(to, entry->downstream, type, entry->downstream_sid, seq, *buf,
+               priority);
+}
+
+std::optional<PayloadCore> AnonRouter::open_keyed_core(const RelayEntry& entry,
+                                                       std::uint64_t seq,
+                                                       ByteView blob) {
+  PooledBytes buf(pool_, blob.size());
+  buf->assign(blob.begin(), blob.end());
+  if (!onion_.unwrap_layer_in_place(entry.key, seq, *buf)) return std::nullopt;
+  auto core = parse_payload_core(*buf);
+  // R_{L+1} is the key that opened the core. The copy inside it is
+  // ignored: under a codec without authentication a flip there would
+  // otherwise re-key the path (or, rejected, turn into silent loss).
+  if (core.has_value()) core->responder_key = entry.key;
+  return core;
 }
 
 StreamId AnonRouter::new_initiator_sid(NodeId initiator) {

@@ -11,6 +11,10 @@
 //   Payload    sid, seq, blob  PayloadRev    sid, seq, blob
 //   Teardown   sid
 //
+// A payload blob carries the responder core sealed to the responder's
+// public key until the responder has replied on the path, and wrapped under
+// R_{L+1} alone after that (a keyed-core frame, otherwise the same).
+//
 // Relays peel/wrap exactly one layer per message and know only their
 // neighbors. The responder reassembles erasure-coded segments by message
 // id, delivers reconstructed messages to the application handler, acks
@@ -142,11 +146,13 @@ class AnonRouter {
 
   /// Sends one already-built payload onion down a path (§4.2). The blob
   /// must be the full layered payload; seq is the layer nonce the session
-  /// used for wrapping. `priority` rides a one-byte trailer header only
+  /// used for wrapping. `keyed` marks a core wrapped under R_{L+1} rather
+  /// than sealed to the responder (a keyed-core frame, which relays treat
+  /// like any payload). `priority` rides a one-byte trailer header only
   /// when the overload policy is not kOff; otherwise the wire format is the
   /// paper's and the argument is ignored.
   void send_payload(NodeId initiator, StreamId sid, NodeId first_relay,
-                    std::uint64_t seq, Bytes blob,
+                    std::uint64_t seq, Bytes blob, bool keyed,
                     SegmentPriority priority = SegmentPriority::kInteractive);
 
   /// Combined construction + payload (§4.2 "path construction and message
@@ -286,8 +292,13 @@ class AnonRouter {
   void handle_forward(NodeId from, NodeId to, ByteView payload);
   void handle_reverse(NodeId from, NodeId to, ByteView payload);
   void on_construct(NodeId from, NodeId to, StreamId sid, ByteView onion_blob);
-  void on_payload(NodeId from, NodeId to, StreamId sid, std::uint64_t seq,
-                  ByteView blob, SegmentPriority priority);
+  void on_payload(NodeId from, NodeId to, std::uint8_t type, StreamId sid,
+                  std::uint64_t seq, ByteView blob, SegmentPriority priority);
+  /// Responder side of a keyed-core frame: strips the R_{L+1} layer with
+  /// the terminal entry's key and parses the core, whose responder key is
+  /// then the entry's. nullopt when the layer or the core does not open.
+  std::optional<PayloadCore> open_keyed_core(const RelayEntry& entry,
+                                             std::uint64_t seq, ByteView blob);
   void on_teardown(NodeId to, StreamId sid);
   void on_retarget(NodeId to, StreamId sid, std::uint64_t seq, ByteView blob);
   void on_construct_payload(NodeId from, NodeId to, StreamId sid,

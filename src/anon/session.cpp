@@ -480,7 +480,8 @@ void Session::send_segment_on_path(std::size_t path_index,
   Bytes blob = seal_segment(path_index, seq, seg);
   const PathInfo& path = paths_[path_index];
   router_.send_payload(initiator_, path.sid, path.relays.front(), seq,
-                       std::move(blob), seg.priority);
+                       std::move(blob), keys_[path_index].responder_replied,
+                       seg.priority);
   track_segment(path_index, std::move(seg), /*fail_pending_path=*/false);
 }
 
@@ -520,12 +521,25 @@ Bytes Session::seal_segment(std::size_t path_index, std::uint64_t seq,
         core.segment_index, core.original_size, core.needed_segments,
         core.total_segments, seg.digest, core.segment);
   }
-  Bytes blob = router_.onion().seal_payload_core(
-      core, router_.directory().public_key(responder_), rng_);
-  blob.reserve(blob.size() +
-               keys.relay_keys.size() * router_.onion().layer_overhead());
-  for (std::size_t i = keys.relay_keys.size(); i-- > 0;) {
-    router_.onion().wrap_layer_in_place(keys.relay_keys[i], seq, blob);
+  const OnionCodec& onion = router_.onion();
+  const std::size_t layers = keys.relay_keys.size();
+  Bytes blob;
+  if (keys.responder_replied) {
+    // Keyed core: the responder's terminal entry already holds R_{L+1}.
+    // Its nonce is the forward seq, whose bit 63 is clear, while reverse
+    // cores under the same key use seq | kReverseBit; next_seq never
+    // repeats on a slot and R_{L+1} is redrawn on provision and redirect.
+    // Sealed boxes and auth tags use keys derived from other inputs.
+    blob = serialize_payload_core(core);
+    blob.reserve(blob.size() + (layers + 1) * onion.layer_overhead());
+    onion.wrap_layer_in_place(keys.responder_key, seq, blob);
+  } else {
+    blob = onion.seal_payload_core(
+        core, router_.directory().public_key(responder_), rng_);
+    blob.reserve(blob.size() + layers * onion.layer_overhead());
+  }
+  for (std::size_t i = layers; i-- > 0;) {
+    onion.wrap_layer_in_place(keys.relay_keys[i], seq, blob);
   }
   return blob;
 }
@@ -575,6 +589,9 @@ void Session::on_segment_timeout(std::uint64_t key, bool fail_pending_path) {
   if (it == pending_segments_.end()) return;
   const std::size_t failed_path = it->second.path_index;
   ++failures_detected_;
+  // The responder may have lost its terminal entry: seal again until it
+  // replies.
+  keys_[failed_path].responder_replied = false;
   // Stall evidence: the path swallowed a segment without an ack or a
   // corruption verdict. Weaker than a corrupt-nack — dead relays produce
   // it too, and the liveness predictor already covers those.
@@ -838,7 +855,7 @@ void Session::on_reverse(std::size_t path_index,
     on_backpressure(path_index);
     return;
   }
-  const PathKeys& keys = keys_[path_index];
+  PathKeys& keys = keys_[path_index];
   // Strip the relay layers (R_1 outermost) and the responder-core layer,
   // all in place in the session-owned scratch buffer.
   Bytes& blob = reverse_scratch_;
@@ -852,6 +869,7 @@ void Session::on_reverse(std::size_t path_index,
   }
   const auto core = parse_reverse_core(blob);
   if (!core.has_value()) return;
+  keys.responder_replied = true;
   handle_reverse_core(path_index, *core);
 }
 
@@ -1046,6 +1064,7 @@ void Session::redirect(NodeId new_responder, RedirectHandler handler) {
   // traffic intended for the new one.
   for (PathKeys& keys : keys_) {
     keys.responder_key = crypto::random_symmetric_key(rng_);
+    keys.responder_replied = false;
   }
 
   auto remaining = std::make_shared<std::size_t>(0);

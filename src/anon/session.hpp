@@ -223,6 +223,11 @@ class Session {
     std::vector<RelayKey> relay_keys;
     RelayKey responder_key{};
     std::uint64_t next_seq = 0;  // layer nonce of the next forward message
+    /// A reverse core on this path opened under responder_key and parsed,
+    /// so the responder's terminal entry holds R_{L+1}: segments go out as
+    /// keyed cores instead of sealed boxes. A redirect and a segment
+    /// timeout on the path clear it.
+    bool responder_replied = false;
   };
 
   struct PendingSegment {
@@ -292,8 +297,9 @@ class Session {
   void begin_segment_span(std::size_t path_index, const PendingSegment& seg,
                           bool combined_construct) const;
   /// The payload onion for `seg` on slot `path_index` under layer nonce
-  /// `seq`: payload core, auth trailer (segment_auth only), responder
-  /// seal, then the relay layers innermost first.
+  /// `seq`: payload core, auth trailer (segment_auth only), then the
+  /// responder seal, or one layer under R_{L+1} once the slot's responder
+  /// has replied, then the relay layers innermost first.
   Bytes seal_segment(std::size_t path_index, std::uint64_t seq,
                      const PendingSegment& seg);
   /// Counts `seg` as sent on slot `path_index`, enters it in the pending

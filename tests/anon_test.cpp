@@ -218,6 +218,90 @@ TEST(AllocationTest, SegmentsDeliveredCounts) {
 
 // --- end-to-end routing fixture ---------------------------------------------------------
 
+// RealOnionCodec that counts payload-core seals and opens, so a test can
+// tell a sealed core from a keyed one. Every call passes straight through.
+class CountingCodec final : public OnionCodec {
+ public:
+  Bytes build_path_onion(const std::vector<NodeId>& relays,
+                         const std::vector<RelayKey>& relay_keys,
+                         NodeId responder,
+                         const crypto::KeyDirectory& directory,
+                         Rng& rng) const override {
+    return real_.build_path_onion(relays, relay_keys, responder, directory,
+                                  rng);
+  }
+  std::optional<PeeledPath> peel_path_onion(const crypto::KeyPair& self,
+                                            ByteView onion) const override {
+    return real_.peel_path_onion(self, onion);
+  }
+  Bytes seal_payload_core(const PayloadCore& core,
+                          const crypto::X25519Key& responder_public,
+                          Rng& rng) const override {
+    ++seals;
+    return real_.seal_payload_core(core, responder_public, rng);
+  }
+  std::optional<PayloadCore> open_payload_core(
+      const crypto::KeyPair& responder, ByteView sealed) const override {
+    ++opens;
+    return real_.open_payload_core(responder, sealed);
+  }
+  Bytes wrap_layer(const RelayKey& key, std::uint64_t seq,
+                   ByteView inner) const override {
+    return real_.wrap_layer(key, seq, inner);
+  }
+  std::optional<Bytes> unwrap_layer(const RelayKey& key, std::uint64_t seq,
+                                    ByteView outer) const override {
+    return real_.unwrap_layer(key, seq, outer);
+  }
+  void wrap_layer_in_place(const RelayKey& key, std::uint64_t seq,
+                           Bytes& buf) const override {
+    real_.wrap_layer_in_place(key, seq, buf);
+  }
+  bool unwrap_layer_in_place(const RelayKey& key, std::uint64_t seq,
+                             Bytes& buf) const override {
+    return real_.unwrap_layer_in_place(key, seq, buf);
+  }
+  std::size_t layer_overhead() const override {
+    return real_.layer_overhead();
+  }
+  std::size_t core_overhead() const override { return real_.core_overhead(); }
+  std::string name() const override { return "counting"; }
+
+  mutable std::size_t seals = 0;
+  mutable std::size_t opens = 0;
+
+ private:
+  RealOnionCodec real_;
+};
+
+// Hands every datagram to the simulated network, keeping a copy of the last
+// forward-channel one sent to `watched`, so a test can read the stream id a
+// relay used toward that node.
+class WireSniffer final : public net::Transport {
+ public:
+  explicit WireSniffer(net::Transport& wire) : wire_(wire) {}
+  void send(NodeId from, NodeId to, Bytes payload) override {
+    if (to == watched && !payload.empty() &&
+        payload[0] == static_cast<std::uint8_t>(net::Channel::kAnonForward)) {
+      last_forward = payload;
+    }
+    wire_.send(from, to, std::move(payload));
+  }
+  void register_handler(NodeId node, Handler handler) override {
+    wire_.register_handler(node, std::move(handler));
+  }
+  std::uint64_t bytes_sent() const override { return wire_.bytes_sent(); }
+  std::uint64_t messages_sent() const override {
+    return wire_.messages_sent();
+  }
+
+  NodeId watched = kInvalidNode;
+  Bytes last_forward;  // [channel][type][sid:8]...
+
+ private:
+  net::Transport& wire_;
+};
+
 struct RoutingFixture {
   static constexpr std::size_t kNodes = 24;
   sim::Simulator simulator;
@@ -225,9 +309,10 @@ struct RoutingFixture {
   std::vector<bool> up = std::vector<bool>(kNodes, true);
   net::SimTransport transport{simulator, latency,
                               [this](NodeId n) { return up[n]; }};
-  net::Demux demux{transport, kNodes};
+  WireSniffer wire{transport};
+  net::Demux demux{wire, kNodes};
   crypto::KeyDirectory directory;
-  RealOnionCodec onion;
+  CountingCodec onion;
   std::unique_ptr<AnonRouter> router;
   membership::NodeCache cache{kNodes};
   Rng rng{21};
@@ -553,11 +638,15 @@ TEST(RouterSessionTest, RedirectReusesPathForNewResponder) {
   fx.simulator.run_until(15 * kSecond);
   EXPECT_EQ(redirected, 2u);
 
+  // Responder 2 has no terminal entry yet, so the first core each path
+  // carries to it is sealed, one per path.
+  const std::size_t seals_before = fx.onion.seals;
   session.send_message(bytes_of("to the second responder"));
   fx.simulator.run_until(25 * kSecond);
   ASSERT_EQ(received.size(), 2u);
   EXPECT_EQ(received[1].responder, 2u);
   EXPECT_EQ(string_of(received[1].data), "to the second responder");
+  EXPECT_EQ(fx.onion.seals - seals_before, 2u);
   // The relays kept their original state: the same sids and keys carried
   // both streams (retarget bytes count as control, not a fresh onion
   // construction of sealed boxes per relay).
@@ -699,22 +788,33 @@ RouterConfig overload_router(obs::Registry& registry, OverloadPolicy policy) {
   return config;
 }
 
-// [type=payload][sid][seq][class][blob]: a payload frame with an explicit
-// class byte and a body no relay key opens.
-Bytes classed_payload_frame(StreamId sid, std::uint8_t cls) {
-  Bytes frame{3};
+// The two payload frame types: a sealed core and a keyed core.
+constexpr std::uint8_t kSealedFrame = 3;
+constexpr std::uint8_t kKeyedFrame = 9;
+
+// [type][sid][seq][blob]: a payload frame whose body no key opens.
+Bytes junk_payload_frame(std::uint8_t type, StreamId sid) {
+  Bytes frame{type};
   put_u64be(frame, sid);
   put_u64be(frame, 0);
-  frame.push_back(cls);
   frame.resize(frame.size() + 64, 0x5a);
   return frame;
 }
 
+// The same with the class byte after seq, as a load-tracking overload
+// policy frames it.
+Bytes classed_payload_frame(std::uint8_t type, StreamId sid,
+                            std::uint8_t cls) {
+  Bytes frame = junk_payload_frame(type, sid);
+  frame.insert(frame.begin() + 17, cls);
+  return frame;
+}
+
 // Builds a CurMix path, then hands its first relay `fill` interactive
-// frames and one `probe` frame, all in one instant (no drain between
-// them). Returns whether the relay shed the probe.
-bool relay_sheds_probe(OverloadPolicy policy, std::size_t fill,
-                       SegmentPriority probe) {
+// frames and one `probe` frame, all of frame type `type` and in one instant
+// (no drain between them). Returns whether the relay shed the probe.
+bool relay_sheds_probe(std::uint8_t type, OverloadPolicy policy,
+                       std::size_t fill, SegmentPriority probe) {
   obs::Registry registry;
   RoutingFixture fx(overload_router(registry, policy));
   Session session(*fx.router, fx.cache, 0, 1,
@@ -729,10 +829,10 @@ bool relay_sheds_probe(OverloadPolicy policy, std::size_t fill,
       static_cast<std::uint8_t>(SegmentPriority::kInteractive);
   for (std::size_t i = 0; i < fill; ++i) {
     fx.demux.send(net::Channel::kAnonForward, 0, path.relays.front(),
-                  classed_payload_frame(path.sid, interactive));
+                  classed_payload_frame(type, path.sid, interactive));
   }
   fx.demux.send(net::Channel::kAnonForward, 0, path.relays.front(),
-                classed_payload_frame(path.sid,
+                classed_payload_frame(type, path.sid,
                                       static_cast<std::uint8_t>(probe)));
   fx.simulator.run_until(20 * kSecond);
   const bool shed_probe =
@@ -747,26 +847,29 @@ bool relay_sheds_probe(OverloadPolicy policy, std::size_t fill,
 TEST(RouterSessionTest, ShedThresholdsFollowTheOverloadArm) {
   // kShed's graded thresholds sit at 0.70, 0.85 and 0.97 of the 64-segment
   // queue; kTailDrop sheds every payload class only once the queue is full.
-  // Neither policy ever sheds control.
+  // Neither policy ever sheds control. Sealed and keyed cores queue alike.
   using P = SegmentPriority;
   const auto shed = OverloadPolicy::kShed;
   const auto drop = OverloadPolicy::kTailDrop;
   const std::pair<P, std::size_t> graded[] = {
       {P::kBulk, 45}, {P::kStreaming, 55}, {P::kInteractive, 63}};
-  for (const auto& [probe, shed_from] : graded) {
-    EXPECT_FALSE(relay_sheds_probe(shed, shed_from - 1, probe))
-        << segment_priority_name(probe);
-    EXPECT_TRUE(relay_sheds_probe(shed, shed_from, probe))
-        << segment_priority_name(probe);
+  for (const std::uint8_t type : {kSealedFrame, kKeyedFrame}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    for (const auto& [probe, shed_from] : graded) {
+      EXPECT_FALSE(relay_sheds_probe(type, shed, shed_from - 1, probe))
+          << segment_priority_name(probe);
+      EXPECT_TRUE(relay_sheds_probe(type, shed, shed_from, probe))
+          << segment_priority_name(probe);
+    }
+    EXPECT_FALSE(relay_sheds_probe(type, shed, 63, P::kControl));
+    for (const P probe : {P::kBulk, P::kStreaming, P::kInteractive}) {
+      EXPECT_FALSE(relay_sheds_probe(type, drop, 63, probe))
+          << segment_priority_name(probe);
+      EXPECT_TRUE(relay_sheds_probe(type, drop, 64, probe))
+          << segment_priority_name(probe);
+    }
+    EXPECT_FALSE(relay_sheds_probe(type, drop, 64, P::kControl));
   }
-  EXPECT_FALSE(relay_sheds_probe(shed, 63, P::kControl));
-  for (const P probe : {P::kBulk, P::kStreaming, P::kInteractive}) {
-    EXPECT_FALSE(relay_sheds_probe(drop, 63, probe))
-        << segment_priority_name(probe);
-    EXPECT_TRUE(relay_sheds_probe(drop, 64, probe))
-        << segment_priority_name(probe);
-  }
-  EXPECT_FALSE(relay_sheds_probe(drop, 64, P::kControl));
 }
 
 TEST(RouterSessionTest, BackpressureFramesCountOnlyUnderShed) {
@@ -807,35 +910,163 @@ TEST(RouterSessionTest, OutOfRangeClassByteIsDroppedNotShedAsControl) {
   // 64-segment queue) sheds every payload class, and it sheds nothing of
   // the control class. A payload frame whose class byte is past kControl,
   // as a byzantine flip can leave it, must be dropped as malformed, not
-  // counted as a control shed.
-  obs::Registry registry;
-  RoutingFixture fx(overload_router(registry, OverloadPolicy::kTailDrop));
+  // counted as a control shed. Sealed and keyed cores carry the byte alike.
+  for (const std::uint8_t type : {kSealedFrame, kKeyedFrame}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    obs::Registry registry;
+    RoutingFixture fx(overload_router(registry, OverloadPolicy::kTailDrop));
+    Session session(
+        *fx.router, fx.cache, 0, 1,
+        fx.session_config(ProtocolSpec::curmix(MixChoice::kRandom)), Rng(46));
+    bool constructed = false;
+    session.construct([&](bool ok, std::size_t) { constructed = ok; });
+    fx.simulator.run_until(10 * kSecond);
+    ASSERT_TRUE(constructed);
+
+    const auto& path = session.paths()[0];
+    const auto sheds = [&](const char* cls) {
+      return registry.counter_value("anon_overload_sheds_total",
+                                    {{"class", cls}});
+    };
+    const NodeId first_relay = path.relays.front();
+    const auto bulk = static_cast<std::uint8_t>(SegmentPriority::kBulk);
+    for (int i = 0; i < 64; ++i) {
+      fx.demux.send(net::Channel::kAnonForward, 0, first_relay,
+                    classed_payload_frame(type, path.sid, bulk));
+    }
+    fx.demux.send(net::Channel::kAnonForward, 0, first_relay,
+                  classed_payload_frame(type, path.sid, 7));
+    fx.demux.send(net::Channel::kAnonForward, 0, first_relay,
+                  classed_payload_frame(type, path.sid, bulk));
+    fx.simulator.run_until(20 * kSecond);
+    EXPECT_EQ(sheds("bulk"), 1u);  // the relay is saturated
+    EXPECT_EQ(sheds("control"), 0u);
+  }
+}
+
+TEST(RouterSessionTest, PathSealsUntilTheResponderReplies) {
+  // Only the first core on the path is sealed. Its ack opens under R_{L+1},
+  // which proves the responder's terminal entry holds that key, so the
+  // next two cores travel keyed and the responder opens no sealed box.
+  RoutingFixture fx;
   Session session(*fx.router, fx.cache, 0, 1,
                   fx.session_config(ProtocolSpec::curmix(MixChoice::kRandom)),
-                  Rng(46));
-  bool constructed = false;
-  session.construct([&](bool ok, std::size_t) { constructed = ok; });
-  fx.simulator.run_until(10 * kSecond);
-  ASSERT_TRUE(constructed);
+                  Rng(50));
+  std::vector<Bytes> delivered;
+  fx.router->set_message_handler(
+      [&](const ReceivedMessage& msg) { delivered.push_back(msg.data); });
+  session.construct([](bool, std::size_t) {});
+  fx.simulator.run_until(5 * kSecond);
+  ASSERT_TRUE(session.ready());
 
-  const auto& path = session.paths()[0];
-  const auto sheds = [&](const char* cls) {
-    return registry.counter_value("anon_overload_sheds_total",
-                                  {{"class", cls}});
-  };
-  const NodeId first_relay = path.relays.front();
-  const auto bulk = static_cast<std::uint8_t>(SegmentPriority::kBulk);
-  for (int i = 0; i < 64; ++i) {
-    fx.demux.send(net::Channel::kAnonForward, 0, first_relay,
-                  classed_payload_frame(path.sid, bulk));
+  const std::vector<Bytes> messages = {bytes_of("first, sealed"),
+                                       bytes_of("second, keyed"),
+                                       bytes_of("third, keyed")};
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    ASSERT_NE(session.send_message(messages[i]), 0u);
+    fx.simulator.run_until(static_cast<SimTime>(10 + 5 * i) * kSecond);
   }
-  fx.demux.send(net::Channel::kAnonForward, 0, first_relay,
-                classed_payload_frame(path.sid, 7));
-  fx.demux.send(net::Channel::kAnonForward, 0, first_relay,
-                classed_payload_frame(path.sid, bulk));
+  EXPECT_EQ(delivered, messages);
+  EXPECT_EQ(fx.onion.seals, 1u);
+  EXPECT_EQ(fx.onion.opens, 1u);
+  EXPECT_EQ(fx.router->peel_failures(), 0u);
+}
+
+TEST(RouterSessionTest, SegmentTimeoutReSealsThePath) {
+  RoutingFixture fx;
+  SessionConfig config =
+      fx.session_config(ProtocolSpec::curmix(MixChoice::kRandom));
+  config.adaptive_timeouts = true;
+  config.path_fail_threshold = 3;
+  Session session(*fx.router, fx.cache, 0, 1, config, Rng(51));
+  std::vector<Bytes> delivered;
+  fx.router->set_message_handler(
+      [&](const ReceivedMessage& msg) { delivered.push_back(msg.data); });
+  session.construct([](bool, std::size_t) {});
+  fx.simulator.run_until(5 * kSecond);
+  ASSERT_TRUE(session.ready());
+  session.send_message(bytes_of("sealed, then acked"));
+  fx.simulator.run_until(10 * kSecond);
+  ASSERT_EQ(delivered.size(), 1u);
+  ASSERT_EQ(fx.onion.seals, 1u);
+
+  // The path is keyed now. The responder is down when the next core
+  // arrives, and back up before that core's timeout fires.
+  fx.up[1] = false;
+  session.send_message(bytes_of("lost once, resent sealed"));
+  const std::uint64_t drops = fx.transport.drops_receiver_dead();
+  for (int step = 0; step < 1000; ++step) {
+    if (fx.transport.drops_receiver_dead() > drops) break;
+    fx.simulator.run_until(fx.simulator.now() + 10 * kMillisecond);
+  }
+  ASSERT_EQ(fx.transport.drops_receiver_dead(), drops + 1);
+  ASSERT_EQ(session.segments_retransmitted(), 0u);
+  fx.up[1] = true;
+
+  // One timeout stays below the failure threshold, so the retransmit goes
+  // down the same path, sealed again, and is delivered.
   fx.simulator.run_until(20 * kSecond);
-  EXPECT_EQ(sheds("bulk"), 1u);  // the relay is saturated
-  EXPECT_EQ(sheds("control"), 0u);
+  EXPECT_EQ(session.path_failures_detected(), 1u);
+  EXPECT_EQ(session.segments_retransmitted(), 1u);
+  EXPECT_EQ(session.paths()[0].state, PathState::kEstablished);
+  EXPECT_EQ(fx.onion.seals, 2u);
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(string_of(delivered[1]), "lost once, resent sealed");
+
+  // The retransmit's ack keys the path again.
+  session.send_message(bytes_of("keyed again"));
+  fx.simulator.run_until(30 * kSecond);
+  ASSERT_EQ(delivered.size(), 3u);
+  EXPECT_EQ(string_of(delivered[2]), "keyed again");
+  EXPECT_EQ(fx.onion.seals, 2u);
+  EXPECT_EQ(fx.router->peel_failures(), 0u);
+}
+
+TEST(RouterSessionTest, KeyedFramesNeedTheTerminalKey) {
+  // A keyed core opens only under the key of the responder's terminal
+  // entry: on an unknown sid, or with a body that key does not open, the
+  // frame is a payload_core peel failure at the responder and delivers
+  // nothing.
+  RoutingFixture fx;
+  fx.wire.watched = 1;
+  Session session(*fx.router, fx.cache, 0, 1,
+                  fx.session_config(ProtocolSpec::curmix(MixChoice::kRandom)),
+                  Rng(52));
+  std::size_t delivered = 0;
+  fx.router->set_message_handler(
+      [&](const ReceivedMessage&) { ++delivered; });
+  session.construct([](bool, std::size_t) {});
+  fx.simulator.run_until(5 * kSecond);
+  ASSERT_TRUE(session.ready());
+  session.send_message(bytes_of("installs the terminal entry"));
+  fx.simulator.run_until(10 * kSecond);
+  ASSERT_EQ(delivered, 1u);
+
+  // The sealed first contact told us the terminal sid.
+  ASSERT_GE(fx.wire.last_forward.size(), 10u);
+  ASSERT_EQ(fx.wire.last_forward[1], kSealedFrame);
+  const StreamId terminal_sid = get_u64be(fx.wire.last_forward, 2);
+  const NodeId last_relay = session.paths()[0].relays.back();
+
+  fx.demux.send(net::Channel::kAnonForward, last_relay, 1,
+                junk_payload_frame(kKeyedFrame, ~terminal_sid));
+  fx.simulator.run_until(15 * kSecond);
+  EXPECT_EQ(fx.router->peel_failures(), 1u);
+  EXPECT_EQ(delivered, 1u);
+
+  fx.demux.send(net::Channel::kAnonForward, last_relay, 1,
+                junk_payload_frame(kKeyedFrame, terminal_sid));
+  fx.simulator.run_until(20 * kSecond);
+  EXPECT_EQ(fx.router->peel_failures(), 2u);
+  EXPECT_EQ(delivered, 1u);
+
+  // The path still delivers, keyed.
+  session.send_message(bytes_of("still keyed"));
+  fx.simulator.run_until(30 * kSecond);
+  EXPECT_EQ(delivered, 2u);
+  EXPECT_EQ(fx.wire.last_forward[1], kKeyedFrame);
+  EXPECT_EQ(fx.onion.seals, 1u);
+  EXPECT_EQ(fx.router->peel_failures(), 2u);
 }
 
 TEST(RouterSessionTest, SessionDestructionMidFlightIsSafe) {

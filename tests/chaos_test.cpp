@@ -241,8 +241,8 @@ TEST(ChaosByzantineTest, SuspicionBiasedRecoversDeliveries) {
             "1:14:167:167:167:0:0:334:334:0:0:0:0:0:0:0:0:0:0:"
             "0:0:0:0:0:0:49:0:0:0:0:112565:167:0:334:0:0:0:0");
   EXPECT_EQ(suspicion.fingerprint(),
-            "1:1:180:180:180:0:0:755:718:0:37:2:4:0:0:0:0:0:0:"
-            "0:0:0:0:43:0:0:0:0:2:0:115815:180:0:718:35:35:111:3");
+            "1:1:180:180:180:0:0:746:718:0:28:3:3:0:0:0:0:0:0:"
+            "0:0:0:0:33:0:0:0:0:4:0:115730:180:0:718:24:24:81:3");
 }
 
 TEST(ChaosByzantineTest, AuthRunIsDeterministic) {

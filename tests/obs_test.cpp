@@ -366,8 +366,9 @@ TEST(HealthScoreboardTest, TinyChaosTableIsPinned) {
 }
 
 // Corruption attribution end to end: under the byzantine scenario with
-// segment auth on, one window carries a responder-side rejection and the
-// corrupt nack it triggers, so the verdict is "transient".
+// segment auth on, five windows carry responder-side rejections (13, each
+// answered by a corrupt nack), at most two in a row, so the verdict is
+// "transient".
 TEST(HealthScoreboardTest, CorruptionAttributionTableIsPinned) {
   harness::ChaosConfig config = tiny_chaos(7);
   config.scenario = harness::ChaosScenario::kCorruptedRelayQuorum;
@@ -384,10 +385,10 @@ TEST(HealthScoreboardTest, CorruptionAttributionTableIsPinned) {
             "stalled path-windows             0                   \n"
             "max drop rate (/s)               0.733               \n"
             "corruption verdict               transient           \n"
-            "corruption windows               1 (streak 1)        \n"
-            "auth rejections / corrupt nacks  1 / 1               \n"
+            "corruption windows               5 (streak 2)        \n"
+            "auth rejections / corrupt nacks  13 / 13             \n"
             "drops sender_dead                0 (peak 0.000/s)    \n"
-            "drops receiver_dead              104 (peak 0.733/s)  \n"
+            "drops receiver_dead              109 (peak 0.733/s)  \n"
             "drops link_loss                  0 (peak 0.000/s)    \n"
             "drops no_handler                 0 (peak 0.000/s)    \n"
             "membership fault windows         0 (max/window 0)    \n"
