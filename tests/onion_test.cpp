@@ -4,8 +4,10 @@
 
 #include "anon/buffer_pool.hpp"
 #include "anon/onion.hpp"
+#include "anon/router.hpp"
 #include "common/alloc_probe.hpp"
 #include "common/rng.hpp"
+#include "crypto/sha256.hpp"
 
 namespace p2panon::anon {
 namespace {
@@ -157,6 +159,89 @@ TEST_P(OnionCodecTest, InPlaceFormsMatchAllocatingForms) {
   EXPECT_FALSE(codec->unwrap_layer_in_place(key, 12, tiny));
 }
 
+// Every single-byte flip (low bit, high bit, whole byte) and every
+// truncation of a valid path onion, sealed core, forward layer and reverse
+// core goes through each parser. None may crash (the sanitizer build runs
+// this too); under RealOnionCodec none may open. FastOnionCodec cannot
+// authenticate, so it only has to survive.
+TEST_P(OnionCodecTest, MutatedInputsNeverCrashOrOpen) {
+  CodecFixture fx;
+  const auto codec = make_codec();
+  const crypto::KeyPair& relay = fx.keys[1];
+  const crypto::KeyPair& responder = fx.keys[5];
+  const RelayKey key = crypto::random_symmetric_key(fx.rng);
+  constexpr std::uint64_t kSeq = 17;
+  constexpr std::uint64_t kReverseSeq = kSeq | AnonRouter::kReverseBit;
+
+  PayloadCore core;
+  core.message_id = 99;
+  core.segment_index = 1;
+  core.original_size = 100;
+  core.needed_segments = 2;
+  core.total_segments = 3;
+  core.segment = Bytes(64, 0x3c);
+  core.responder_key = crypto::random_symmetric_key(fx.rng);
+  core.auth_flags = PayloadCore::kAuthTagged;
+  ReverseCore response;
+  response.type = ReverseCore::Type::kResponseSegment;
+  response.message_id = 99;
+  response.needed_segments = 1;
+  response.total_segments = 2;
+  response.segment = Bytes(40, 0xc3);
+
+  Bytes layer = serialize_payload_core(core);
+  codec->wrap_layer_in_place(key, kSeq, layer);
+  Bytes reverse = serialize_reverse_core(response);
+  codec->wrap_layer_in_place(key, kReverseSeq, reverse);
+  const std::vector<Bytes> valid = {
+      codec->build_path_onion({1, 2, 3}, fx.relay_keys(3), 7, fx.directory,
+                              fx.rng),
+      codec->seal_payload_core(core, responder.public_key, fx.rng), layer,
+      reverse};
+
+  // The unmutated inputs open under their own parser.
+  ASSERT_TRUE(codec->peel_path_onion(relay, valid[0]).has_value());
+  ASSERT_TRUE(codec->open_payload_core(responder, valid[1]).has_value());
+  Bytes buf = layer;
+  ASSERT_TRUE(codec->unwrap_layer_in_place(key, kSeq, buf));
+  ASSERT_TRUE(parse_payload_core(buf).has_value());
+  buf = reverse;
+  ASSERT_TRUE(codec->unwrap_layer_in_place(key, kReverseSeq, buf));
+  ASSERT_TRUE(parse_reverse_core(buf).has_value());
+
+  std::size_t mutants = 0;
+  std::size_t opened = 0;
+  const auto parse_all = [&](const Bytes& mutant) {
+    ++mutants;
+    if (codec->peel_path_onion(relay, mutant).has_value()) ++opened;
+    if (codec->open_payload_core(responder, mutant).has_value()) ++opened;
+    for (const std::uint64_t seq : {kSeq, kReverseSeq}) {
+      Bytes inner = mutant;
+      if (!codec->unwrap_layer_in_place(key, seq, inner)) continue;
+      ++opened;
+      (void)parse_payload_core(inner);
+      (void)parse_reverse_core(inner);
+    }
+    (void)parse_reverse_core(mutant);
+  };
+  for (const Bytes& input : valid) {
+    for (std::size_t i = 0; i < input.size(); ++i) {
+      for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+        Bytes mutant = input;
+        mutant[i] ^= mask;
+        parse_all(mutant);
+      }
+    }
+    for (std::size_t len = 0; len < input.size(); ++len) {
+      parse_all(Bytes(input.begin(), input.begin() + len));
+    }
+  }
+  EXPECT_GT(mutants, 2000u);
+  if (GetParam()) {
+    EXPECT_EQ(opened, 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RealAndFast, OnionCodecTest,
                          ::testing::Values(true, false),
                          [](const ::testing::TestParamInfo<bool>& param) {
@@ -262,6 +347,68 @@ TEST(OnionSizeTest, FastMatchesRealByteForByte) {
   const RelayKey key = crypto::random_symmetric_key(fx.rng);
   EXPECT_EQ(real.wrap_layer(key, 0, Bytes(100, 0)).size(),
             fast.wrap_layer(key, 0, Bytes(100, 0)).size());
+}
+
+// Digest over what both codecs emit from one seeded stream: path onions
+// for L = 1..4, sealed cores without and with the auth trailer, and copying
+// and in-place layers under a forward seq and under the same seq with the
+// reverse bit, then one more draw, so a change in the number of RNG draws
+// shows as well as a change in any wire byte.
+std::string seeded_outputs_digest(const OnionCodec& codec) {
+  CodecFixture fx;
+  crypto::Sha256 sha;
+  const auto absorb = [&sha](ByteView bytes) {
+    Bytes length;
+    put_u32be(length, static_cast<std::uint32_t>(bytes.size()));
+    sha.update(length);
+    sha.update(bytes);
+  };
+  for (std::size_t hops = 1; hops <= 4; ++hops) {
+    std::vector<NodeId> relays;
+    for (std::size_t i = 0; i < hops; ++i) {
+      relays.push_back(static_cast<NodeId>(i + 1));
+    }
+    absorb(codec.build_path_onion(relays, fx.relay_keys(hops), 7,
+                                  fx.directory, fx.rng));
+  }
+
+  PayloadCore core;
+  core.message_id = 0x0123456789abcdefULL;
+  core.segment_index = 1;
+  core.original_size = 600;
+  core.needed_segments = 2;
+  core.total_segments = 4;
+  core.segment = Bytes(300);
+  fx.rng.fill(core.segment.data(), core.segment.size());
+  core.responder_key = crypto::random_symmetric_key(fx.rng);
+  absorb(codec.seal_payload_core(core, fx.keys[6].public_key, fx.rng));
+  core.auth_flags = PayloadCore::kAuthTagged;
+  fx.rng.fill(core.message_digest.data(), core.message_digest.size());
+  fx.rng.fill(core.auth_tag.data(), core.auth_tag.size());
+  absorb(codec.seal_payload_core(core, fx.keys[6].public_key, fx.rng));
+
+  const RelayKey key = crypto::random_symmetric_key(fx.rng);
+  Bytes inner(200);
+  fx.rng.fill(inner.data(), inner.size());
+  for (const std::uint64_t seq : {std::uint64_t{42},
+                                  std::uint64_t{42} | AnonRouter::kReverseBit}) {
+    absorb(codec.wrap_layer(key, seq, inner));
+    Bytes buf = inner;
+    codec.wrap_layer_in_place(key, seq, buf);
+    absorb(buf);
+  }
+  Bytes last_draw;
+  put_u64be(last_draw, fx.rng.next_u64());
+  absorb(last_draw);
+  const crypto::Sha256Digest digest = sha.finish();
+  return to_hex(ByteView(digest.data(), digest.size()));
+}
+
+TEST(OnionTest, SeededOutputsArePinned) {
+  EXPECT_EQ(seeded_outputs_digest(RealOnionCodec()),
+            "2f6065b41073e486f346f39d2220045df97e7642406680cab467547a1515d70f");
+  EXPECT_EQ(seeded_outputs_digest(FastOnionCodec()),
+            "9189752f9ed6471bc8bc717331bd9e98c3417909abd7d02f95341f64ccaa86a3");
 }
 
 TEST(PathHopWireTest, ParseRejectsMalformed) {
