@@ -8,13 +8,13 @@ CoverTrafficGenerator::CoverTrafficGenerator(AnonRouter& router,
                                              CacheProvider caches,
                                              LivenessOracle is_up,
                                              std::vector<NodeId> nodes,
-                                             ConfigProvider config, Rng rng,
+                                             CoverTrafficConfig config, Rng rng,
                                              obs::Registry* metrics)
     : router_(router),
       caches_(std::move(caches)),
       is_up_(std::move(is_up)),
       nodes_(std::move(nodes)),
-      config_(std::move(config)),
+      config_(config),
       rng_(rng),
       cover_messages_(metrics != nullptr
                           ? metrics->counter("anon_cover_messages_total")
@@ -29,12 +29,11 @@ void CoverTrafficGenerator::start() {
   tasks_.clear();
   tasks_.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const CoverTrafficConfig cfg = config_(nodes_[i]);
     auto task = std::make_unique<sim::PeriodicTask>(
-        router_.simulator(), cfg.interval, [this, i] { tick(i); });
+        router_.simulator(), config_.interval, [this, i] { tick(i); });
     task->start_at(router_.simulator().now() +
-                   static_cast<SimDuration>(
-                       rng_.next_below(static_cast<std::uint64_t>(cfg.interval))));
+                   static_cast<SimDuration>(rng_.next_below(
+                       static_cast<std::uint64_t>(config_.interval))));
     tasks_.push_back(std::move(task));
   }
 }
@@ -47,7 +46,6 @@ void CoverTrafficGenerator::stop() {
 void CoverTrafficGenerator::tick(std::size_t index) {
   const NodeId node = nodes_[index];
   if (!is_up_(node)) return;
-  const CoverTrafficConfig cfg = config_(node);
 
   // Random destination distinct from the sender.
   const std::size_t n = router_.directory().size();
@@ -57,8 +55,9 @@ void CoverTrafficGenerator::tick(std::size_t index) {
   } while (destination == node);
 
   SessionConfig session_config;
-  session_config.path_length = cfg.path_length;
-  session_config.erasure = ErasureParams::simrep(std::max<std::size_t>(1, cfg.k));
+  session_config.path_length = config_.path_length;
+  session_config.erasure =
+      ErasureParams::simrep(std::max<std::size_t>(1, config_.k));
   session_config.mix_choice = MixChoice::kRandom;  // cover paths are random
 
   auto session = std::make_unique<Session>(router_, caches_(node), node,
@@ -67,7 +66,7 @@ void CoverTrafficGenerator::tick(std::size_t index) {
   Session* raw = session.get();
   in_flight_.push_back(std::move(session));
 
-  Bytes dummy(cfg.message_size);
+  Bytes dummy(config_.message_size);
   rng_.fill(dummy.data(), dummy.size());
 
   raw->construct([this, raw, dummy = std::move(dummy)](bool ok,

@@ -6,9 +6,10 @@
 // channels, same framing — only the source and the destination could tell,
 // and the destination simply reconstructs bytes it discards).
 //
-// k is per-node ("k is unnecessary [a] system-wide parameter and each node
-// may pick a value corresponding to its bandwidth constraints"), so the
-// generator takes a per-node config callback.
+// The paper lets each node pick its own k ("k is unnecessary [a]
+// system-wide parameter and each node may pick a value corresponding to its
+// bandwidth constraints"); every run here gives all participants the same
+// config, so the generator takes one.
 #pragma once
 
 #include <functional>
@@ -32,15 +33,14 @@ class CoverTrafficGenerator {
  public:
   using LivenessOracle = std::function<bool(NodeId)>;
   using CacheProvider = std::function<const membership::NodeCache&(NodeId)>;
-  using ConfigProvider = std::function<CoverTrafficConfig(NodeId)>;
 
-  /// `nodes` lists the participants. Config may differ per node. When a
+  /// `nodes` lists the participants, which all send under `config`. When a
   /// registry is supplied, dummy sends are counted as
   /// `anon_cover_messages_total` (registered lazily here, so runs without
   /// cover traffic keep their registry snapshots untouched).
   CoverTrafficGenerator(AnonRouter& router, CacheProvider caches,
                         LivenessOracle is_up, std::vector<NodeId> nodes,
-                        ConfigProvider config, Rng rng,
+                        CoverTrafficConfig config, Rng rng,
                         obs::Registry* metrics = nullptr);
   ~CoverTrafficGenerator();
   CoverTrafficGenerator(const CoverTrafficGenerator&) = delete;
@@ -58,7 +58,7 @@ class CoverTrafficGenerator {
   CacheProvider caches_;
   LivenessOracle is_up_;
   std::vector<NodeId> nodes_;
-  ConfigProvider config_;
+  CoverTrafficConfig config_;
   Rng rng_;
 
   std::vector<std::unique_ptr<sim::PeriodicTask>> tasks_;

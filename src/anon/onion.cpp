@@ -5,29 +5,29 @@
 
 #include "crypto/aead.hpp"
 #include "crypto/sealed_box.hpp"
-#include "crypto/sha256.hpp"
 
 namespace p2panon::anon {
 
-// --- base-class in-place defaults -----------------------------------------------
-//
-// Correct for any codec (delegates to the allocating forms); Real and Fast
-// override with genuinely allocation-free versions.
+// --- copying layer ops ------------------------------------------------------------
 
-void OnionCodec::wrap_layer_in_place(const RelayKey& key, std::uint64_t seq,
-                                     Bytes& buf) const {
-  buf = wrap_layer(key, seq, buf);
+Bytes OnionCodec::wrap_layer(const RelayKey& key, std::uint64_t seq,
+                             ByteView inner) const {
+  Bytes out;
+  out.reserve(inner.size() + layer_overhead());
+  out.assign(inner.begin(), inner.end());
+  wrap_layer_in_place(key, seq, out);
+  return out;
 }
 
-bool OnionCodec::unwrap_layer_in_place(const RelayKey& key, std::uint64_t seq,
-                                       Bytes& buf) const {
-  auto inner = unwrap_layer(key, seq, buf);
-  if (!inner.has_value()) return false;
-  buf = std::move(*inner);
-  return true;
+std::optional<Bytes> OnionCodec::unwrap_layer(const RelayKey& key,
+                                              std::uint64_t seq,
+                                              ByteView outer) const {
+  Bytes out(outer.begin(), outer.end());
+  if (!unwrap_layer_in_place(key, seq, out)) return std::nullopt;
+  return out;
 }
 
-// --- shared serialization ------------------------------------------------------
+// --- serialization ---------------------------------------------------------------
 
 Bytes serialize_path_hop(const PathHop& hop, ByteView rest) {
   Bytes out;
@@ -125,13 +125,13 @@ std::optional<PayloadCore> parse_payload_core(ByteView plain) {
   return core;
 }
 
-// --- RealOnionCodec ---------------------------------------------------------------
+// --- OnionFormat -----------------------------------------------------------------
 
-Bytes RealOnionCodec::build_path_onion(const std::vector<NodeId>& relays,
-                                       const std::vector<RelayKey>& relay_keys,
-                                       NodeId responder,
-                                       const crypto::KeyDirectory& directory,
-                                       Rng& rng) const {
+Bytes OnionFormat::build_path_onion(const std::vector<NodeId>& relays,
+                                    const std::vector<RelayKey>& relay_keys,
+                                    NodeId responder,
+                                    const crypto::KeyDirectory& directory,
+                                    Rng& rng) const {
   if (relays.empty() || relays.size() != relay_keys.size()) {
     throw std::invalid_argument("build_path_onion: bad relay/key vectors");
   }
@@ -141,43 +141,48 @@ Bytes RealOnionCodec::build_path_onion(const std::vector<NodeId>& relays,
     hop.last = (i + 1 == relays.size());
     hop.next = hop.last ? responder : relays[i + 1];
     hop.relay_key = relay_keys[i];
-    const Bytes plain = serialize_path_hop(hop, blob);
-    blob = crypto::sealed_box_seal(directory.public_key(relays[i]), plain,
-                                   rng);
+    blob = seal_box(directory.public_key(relays[i]),
+                    serialize_path_hop(hop, blob), rng);
   }
   return blob;
 }
 
-std::optional<OnionCodec::PeeledPath> RealOnionCodec::peel_path_onion(
+std::optional<OnionCodec::PeeledPath> OnionFormat::peel_path_onion(
     const crypto::KeyPair& self, ByteView onion) const {
-  const auto plain = crypto::sealed_box_open(self, onion);
+  const auto plain = open_box(self, onion);
   if (!plain.has_value()) return std::nullopt;
   return parse_path_hop(*plain);
 }
 
-Bytes RealOnionCodec::seal_payload_core(
-    const PayloadCore& core, const crypto::X25519Key& responder_public,
-    Rng& rng) const {
-  return crypto::sealed_box_seal(responder_public,
-                                 serialize_payload_core(core), rng);
+Bytes OnionFormat::seal_payload_core(const PayloadCore& core,
+                                     const crypto::X25519Key& responder_public,
+                                     Rng& rng) const {
+  return seal_box(responder_public, serialize_payload_core(core), rng);
 }
 
-std::optional<PayloadCore> RealOnionCodec::open_payload_core(
+std::optional<PayloadCore> OnionFormat::open_payload_core(
     const crypto::KeyPair& responder, ByteView sealed) const {
-  const auto plain = crypto::sealed_box_open(responder, sealed);
+  const auto plain = open_box(responder, sealed);
   if (!plain.has_value()) return std::nullopt;
   return parse_payload_core(*plain);
 }
 
-Bytes RealOnionCodec::wrap_layer(const RelayKey& key, std::uint64_t seq,
-                                 ByteView inner) const {
-  return crypto::aead_seal(key, crypto::nonce_from_seq(seq), {}, inner);
+std::size_t OnionFormat::layer_overhead() const { return crypto::kAeadTagSize; }
+
+std::size_t OnionFormat::core_overhead() const {
+  return crypto::kSealedBoxOverhead;
 }
 
-std::optional<Bytes> RealOnionCodec::unwrap_layer(const RelayKey& key,
-                                                  std::uint64_t seq,
-                                                  ByteView outer) const {
-  return crypto::aead_open(key, crypto::nonce_from_seq(seq), {}, outer);
+// --- RealOnionCodec ---------------------------------------------------------------
+
+Bytes RealOnionCodec::seal_box(const crypto::X25519Key& recipient,
+                               ByteView plain, Rng& rng) const {
+  return crypto::sealed_box_seal(recipient, plain, rng);
+}
+
+std::optional<Bytes> RealOnionCodec::open_box(const crypto::KeyPair& self,
+                                              ByteView box) const {
+  return crypto::sealed_box_open(self, box);
 }
 
 void RealOnionCodec::wrap_layer_in_place(const RelayKey& key,
@@ -190,7 +195,6 @@ void RealOnionCodec::wrap_layer_in_place(const RelayKey& key,
 bool RealOnionCodec::unwrap_layer_in_place(const RelayKey& key,
                                            std::uint64_t seq,
                                            Bytes& buf) const {
-  if (buf.size() < crypto::kAeadTagSize) return false;
   if (!crypto::aead_open_into(key, crypto::nonce_from_seq(seq), {}, buf)) {
     return false;
   }
@@ -198,18 +202,10 @@ bool RealOnionCodec::unwrap_layer_in_place(const RelayKey& key,
   return true;
 }
 
-std::size_t RealOnionCodec::layer_overhead() const {
-  return crypto::kAeadTagSize;
-}
-
-std::size_t RealOnionCodec::core_overhead() const {
-  return crypto::kSealedBoxOverhead;
-}
-
 // --- FastOnionCodec ---------------------------------------------------------------
 //
-// Identical layouts; "encryption" is a splitmix64 keystream so the
-// statistical benches spend their time in the protocol, not the cipher.
+// Sealed-box and AEAD framing with a splitmix64 keystream in place of the
+// cipher, so the statistical benches spend their time in the protocol.
 
 namespace {
 
@@ -234,91 +230,34 @@ void xor_keystream(std::uint64_t seed, MutableByteView data) {
 
 }  // namespace
 
-Bytes FastOnionCodec::build_path_onion(const std::vector<NodeId>& relays,
-                                       const std::vector<RelayKey>& relay_keys,
-                                       NodeId responder,
-                                       const crypto::KeyDirectory& directory,
-                                       Rng& rng) const {
-  if (relays.empty() || relays.size() != relay_keys.size()) {
-    throw std::invalid_argument("build_path_onion: bad relay/key vectors");
-  }
-  Bytes blob;
-  for (std::size_t i = relays.size(); i-- > 0;) {
-    PathHop hop;
-    hop.last = (i + 1 == relays.size());
-    hop.next = hop.last ? responder : relays[i + 1];
-    hop.relay_key = relay_keys[i];
-    Bytes plain = serialize_path_hop(hop, blob);
-    // Mimic sealed-box framing: 32 filler bytes + body + 16 filler bytes.
-    const auto& pk = directory.public_key(relays[i]);
-    xor_keystream(key_seed(ByteView(pk.data(), pk.size())), plain);
-    Bytes boxed;
-    boxed.reserve(plain.size() + crypto::kSealedBoxOverhead);
-    boxed.resize(32);
-    rng.fill(boxed.data(), 32);
-    append(boxed, plain);
-    boxed.resize(boxed.size() + 16, 0);
-    blob = std::move(boxed);
-  }
-  return blob;
+Bytes FastOnionCodec::seal_box(const crypto::X25519Key& recipient,
+                               ByteView plain, Rng& rng) const {
+  // 32 random bytes where the ephemeral key goes, the body, 16 zero bytes
+  // where the tag goes.
+  Bytes box;
+  box.reserve(plain.size() + crypto::kSealedBoxOverhead);
+  box.resize(crypto::kX25519KeySize);
+  rng.fill(box.data(), box.size());
+  append(box, plain);
+  xor_keystream(key_seed(recipient),
+                MutableByteView(box).subspan(crypto::kX25519KeySize));
+  box.resize(box.size() + crypto::kAeadTagSize, 0);
+  return box;
 }
 
-std::optional<OnionCodec::PeeledPath> FastOnionCodec::peel_path_onion(
-    const crypto::KeyPair& self, ByteView onion) const {
-  if (onion.size() < crypto::kSealedBoxOverhead) return std::nullopt;
-  Bytes plain(onion.begin() + 32, onion.end() - 16);
-  xor_keystream(
-      key_seed(ByteView(self.public_key.data(), self.public_key.size())),
-      plain);
-  return parse_path_hop(plain);
-}
-
-Bytes FastOnionCodec::seal_payload_core(
-    const PayloadCore& core, const crypto::X25519Key& responder_public,
-    Rng& rng) const {
-  Bytes plain = serialize_payload_core(core);
-  xor_keystream(
-      key_seed(ByteView(responder_public.data(), responder_public.size())),
-      plain);
-  Bytes boxed;
-  boxed.resize(32);
-  rng.fill(boxed.data(), 32);
-  append(boxed, plain);
-  boxed.resize(boxed.size() + 16, 0);
-  return boxed;
-}
-
-std::optional<PayloadCore> FastOnionCodec::open_payload_core(
-    const crypto::KeyPair& responder, ByteView sealed) const {
-  if (sealed.size() < crypto::kSealedBoxOverhead) return std::nullopt;
-  Bytes plain(sealed.begin() + 32, sealed.end() - 16);
-  xor_keystream(key_seed(ByteView(responder.public_key.data(),
-                                  responder.public_key.size())),
-                plain);
-  return parse_payload_core(plain);
-}
-
-Bytes FastOnionCodec::wrap_layer(const RelayKey& key, std::uint64_t seq,
-                                 ByteView inner) const {
-  Bytes out(inner.begin(), inner.end());
-  xor_keystream(key_seed(ByteView(key.data(), key.size())) ^ seq, out);
-  out.resize(out.size() + crypto::kAeadTagSize, 0);
-  return out;
-}
-
-std::optional<Bytes> FastOnionCodec::unwrap_layer(const RelayKey& key,
-                                                  std::uint64_t seq,
-                                                  ByteView outer) const {
-  if (outer.size() < crypto::kAeadTagSize) return std::nullopt;
-  Bytes out(outer.begin(), outer.end() - crypto::kAeadTagSize);
-  xor_keystream(key_seed(ByteView(key.data(), key.size())) ^ seq, out);
-  return out;
+std::optional<Bytes> FastOnionCodec::open_box(const crypto::KeyPair& self,
+                                              ByteView box) const {
+  if (box.size() < crypto::kSealedBoxOverhead) return std::nullopt;
+  Bytes plain(box.begin() + crypto::kX25519KeySize,
+              box.end() - crypto::kAeadTagSize);
+  xor_keystream(key_seed(self.public_key), plain);
+  return plain;
 }
 
 void FastOnionCodec::wrap_layer_in_place(const RelayKey& key,
                                          std::uint64_t seq,
                                          Bytes& buf) const {
-  xor_keystream(key_seed(ByteView(key.data(), key.size())) ^ seq, buf);
+  xor_keystream(key_seed(key) ^ seq, buf);
   buf.resize(buf.size() + crypto::kAeadTagSize, 0);
 }
 
@@ -327,16 +266,8 @@ bool FastOnionCodec::unwrap_layer_in_place(const RelayKey& key,
                                            Bytes& buf) const {
   if (buf.size() < crypto::kAeadTagSize) return false;
   buf.resize(buf.size() - crypto::kAeadTagSize);
-  xor_keystream(key_seed(ByteView(key.data(), key.size())) ^ seq, buf);
+  xor_keystream(key_seed(key) ^ seq, buf);
   return true;
-}
-
-std::size_t FastOnionCodec::layer_overhead() const {
-  return crypto::kAeadTagSize;
-}
-
-std::size_t FastOnionCodec::core_overhead() const {
-  return crypto::kSealedBoxOverhead;
 }
 
 }  // namespace p2panon::anon

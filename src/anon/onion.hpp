@@ -15,13 +15,19 @@
 //    path the session sends the serialized core in one wrap_layer under
 //    R_{L+1} instead of a sealed box (a "keyed core", 32 bytes shorter).
 //
-// Two interchangeable implementations:
+// The format is written once: OnionFormat nests public-key boxes around
+// the path-hop and payload-core serializations declared below and fixes
+// both overheads (a box adds kSealedBoxOverhead bytes, a layer
+// kAeadTagSize), and OnionCodec's copying layer ops wrap its in-place
+// ones. The two codecs supply only a box and the two in-place layer ops:
 //  * RealOnionCodec — X25519 sealed boxes + ChaCha20-Poly1305, the real
 //    thing, used in examples, unit tests and the quickstart;
-//  * FastOnionCodec — byte-layout-identical but with a non-cryptographic
-//    keystream, used by the statistical benches where millions of layer
-//    operations would otherwise dominate runtime. Sizes (and therefore all
-//    bandwidth numbers) match RealOnionCodec exactly — asserted by tests.
+//  * FastOnionCodec — a box of 32 random filler bytes, a keystreamed body
+//    and 16 zero bytes, and layers that XOR a non-cryptographic keystream
+//    and append 16 zero bytes. Used by the statistical benches, where
+//    millions of layer operations would otherwise dominate runtime. Every
+//    size, and so every bandwidth number, is the real codec's by
+//    construction.
 #pragma once
 
 #include <memory>
@@ -106,24 +112,24 @@ class OnionCodec {
   virtual std::optional<PayloadCore> open_payload_core(
       const crypto::KeyPair& responder, ByteView sealed) const = 0;
 
-  /// One symmetric layer; `seq` must be unique per (key, direction).
+  /// One symmetric layer; `seq` must be unique per (key, direction). These
+  /// copy `inner`/`outer` and run the in-place op on the copy, so their
+  /// bytes are the in-place ops' bytes.
   virtual Bytes wrap_layer(const RelayKey& key, std::uint64_t seq,
-                           ByteView inner) const = 0;
+                           ByteView inner) const;
   virtual std::optional<Bytes> unwrap_layer(const RelayKey& key,
                                             std::uint64_t seq,
-                                            ByteView outer) const = 0;
+                                            ByteView outer) const;
 
   /// In-place layer ops — the relay fast path. wrap grows `buf` by
   /// layer_overhead() and seals it in place; unwrap authenticates, strips
   /// the layer and shrinks `buf` (returning false with `buf` unchanged on
-  /// failure). Byte outputs are identical to the allocating forms. When
-  /// `buf` has spare capacity (e.g. a BufferPool lease) neither op touches
-  /// the heap; the base-class defaults delegate to the allocating forms so
-  /// other codecs stay correct without overriding.
+  /// failure). When `buf` has spare capacity (e.g. a BufferPool lease)
+  /// neither op touches the heap.
   virtual void wrap_layer_in_place(const RelayKey& key, std::uint64_t seq,
-                                   Bytes& buf) const;
+                                   Bytes& buf) const = 0;
   virtual bool unwrap_layer_in_place(const RelayKey& key, std::uint64_t seq,
-                                     Bytes& buf) const;
+                                     Bytes& buf) const = 0;
 
   /// Per-layer ciphertext expansion in bytes (for bandwidth math).
   virtual std::size_t layer_overhead() const = 0;
@@ -133,66 +139,70 @@ class OnionCodec {
   virtual std::string name() const = 0;
 };
 
-/// X25519 + ChaCha20-Poly1305 implementation.
-class RealOnionCodec final : public OnionCodec {
+/// The onion format, over a codec's public-key box and in-place layer ops.
+/// A path onion nests one box per relay around serialize_path_hop; a
+/// sealed core is one box around serialize_payload_core.
+class OnionFormat : public OnionCodec {
  public:
   Bytes build_path_onion(const std::vector<NodeId>& relays,
                          const std::vector<RelayKey>& relay_keys,
                          NodeId responder,
                          const crypto::KeyDirectory& directory,
-                         Rng& rng) const override;
+                         Rng& rng) const final;
   std::optional<PeeledPath> peel_path_onion(const crypto::KeyPair& self,
-                                            ByteView onion) const override;
+                                            ByteView onion) const final;
   Bytes seal_payload_core(const PayloadCore& core,
                           const crypto::X25519Key& responder_public,
-                          Rng& rng) const override;
+                          Rng& rng) const final;
   std::optional<PayloadCore> open_payload_core(
-      const crypto::KeyPair& responder, ByteView sealed) const override;
-  Bytes wrap_layer(const RelayKey& key, std::uint64_t seq,
-                   ByteView inner) const override;
-  std::optional<Bytes> unwrap_layer(const RelayKey& key, std::uint64_t seq,
-                                    ByteView outer) const override;
+      const crypto::KeyPair& responder, ByteView sealed) const final;
+  std::size_t layer_overhead() const final;
+  std::size_t core_overhead() const final;
+
+ private:
+  /// Seals `plain` to `recipient` in a box core_overhead() bytes longer.
+  virtual Bytes seal_box(const crypto::X25519Key& recipient, ByteView plain,
+                         Rng& rng) const = 0;
+  /// Opens a box sealed to `self`; nullopt when it does not open.
+  virtual std::optional<Bytes> open_box(const crypto::KeyPair& self,
+                                        ByteView box) const = 0;
+};
+
+/// X25519 sealed boxes and ChaCha20-Poly1305 layers.
+class RealOnionCodec final : public OnionFormat {
+ public:
   void wrap_layer_in_place(const RelayKey& key, std::uint64_t seq,
                            Bytes& buf) const override;
   bool unwrap_layer_in_place(const RelayKey& key, std::uint64_t seq,
                              Bytes& buf) const override;
-  std::size_t layer_overhead() const override;
-  std::size_t core_overhead() const override;
   std::string name() const override { return "real"; }
+
+ private:
+  Bytes seal_box(const crypto::X25519Key& recipient, ByteView plain,
+                 Rng& rng) const override;
+  std::optional<Bytes> open_box(const crypto::KeyPair& self,
+                                ByteView box) const override;
 };
 
-/// Size-faithful stand-in: identical layouts and overheads, keystream from
-/// splitmix64 instead of ChaCha20, "sealed boxes" keyed on the recipient's
-/// public key bytes instead of a DH. NOT SECURE — simulation throughput
-/// only.
-class FastOnionCodec final : public OnionCodec {
+/// Size-faithful stand-in: keystream from splitmix64 instead of ChaCha20,
+/// "boxes" keyed on the recipient's public key bytes instead of a DH, and
+/// zero bytes where the tags go. NOT SECURE — simulation throughput only.
+class FastOnionCodec final : public OnionFormat {
  public:
-  Bytes build_path_onion(const std::vector<NodeId>& relays,
-                         const std::vector<RelayKey>& relay_keys,
-                         NodeId responder,
-                         const crypto::KeyDirectory& directory,
-                         Rng& rng) const override;
-  std::optional<PeeledPath> peel_path_onion(const crypto::KeyPair& self,
-                                            ByteView onion) const override;
-  Bytes seal_payload_core(const PayloadCore& core,
-                          const crypto::X25519Key& responder_public,
-                          Rng& rng) const override;
-  std::optional<PayloadCore> open_payload_core(
-      const crypto::KeyPair& responder, ByteView sealed) const override;
-  Bytes wrap_layer(const RelayKey& key, std::uint64_t seq,
-                   ByteView inner) const override;
-  std::optional<Bytes> unwrap_layer(const RelayKey& key, std::uint64_t seq,
-                                    ByteView outer) const override;
   void wrap_layer_in_place(const RelayKey& key, std::uint64_t seq,
                            Bytes& buf) const override;
   bool unwrap_layer_in_place(const RelayKey& key, std::uint64_t seq,
                              Bytes& buf) const override;
-  std::size_t layer_overhead() const override;
-  std::size_t core_overhead() const override;
   std::string name() const override { return "fast"; }
+
+ private:
+  Bytes seal_box(const crypto::X25519Key& recipient, ByteView plain,
+                 Rng& rng) const override;
+  std::optional<Bytes> open_box(const crypto::KeyPair& self,
+                                ByteView box) const override;
 };
 
-/// Serialization shared by both codecs (exposed for tests).
+/// The format's serialization (exposed for tests).
 Bytes serialize_path_hop(const PathHop& hop, ByteView rest);
 std::optional<OnionCodec::PeeledPath> parse_path_hop(ByteView plain);
 Bytes serialize_payload_core(const PayloadCore& core);

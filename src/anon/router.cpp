@@ -1063,10 +1063,10 @@ void AnonRouter::responder_nack(NodeId responder, RelayEntry& entry,
 void AnonRouter::send_reverse_core(NodeId responder, RelayEntry& entry,
                                    const ReverseCore& core) {
   const std::uint64_t seq = entry.reverse_seq++;
-  const Bytes wrapped = onion_.wrap_layer(entry.key, seq | kReverseBit,
-                                          serialize_reverse_core(core));
+  Bytes blob = serialize_reverse_core(core);
+  onion_.wrap_layer_in_place(entry.key, seq | kReverseBit, blob);
   send_reverse(responder, entry.upstream, kTypePayloadRev, entry.upstream_sid,
-               seq, wrapped);
+               seq, blob);
 }
 
 void AnonRouter::on_payload_rev(NodeId to, StreamId sid, std::uint64_t seq,

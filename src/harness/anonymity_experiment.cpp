@@ -107,9 +107,7 @@ AnonymityResult run_anonymity_experiment(const AnonymityConfig& config) {
           return env.membership().cache(node);
         },
         [&env](NodeId node) { return env.churn().is_up(node); },
-        std::move(cover_set),
-        [cover_config](NodeId) { return cover_config; }, env.rng().fork(),
-        &env.metrics());
+        std::move(cover_set), cover_config, env.rng().fork(), &env.metrics());
     env.simulator().schedule_at(
         config.warmup, [&cover] { cover->start(); },
         obs::capacity::event_type("harness.send"));

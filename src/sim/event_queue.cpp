@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -8,8 +9,9 @@ namespace p2panon::sim {
 EventId EventQueue::schedule(SimTime when, Callback fn,
                              obs::capacity::EventTypeId type) {
   const EventId id = next_id_++;
-  heap_.push(
+  heap_.push_back(
       Entry{when, id, std::move(fn), obs::current_correlation(), type});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   live_.insert(id);
   return id;
 }
@@ -21,15 +23,16 @@ bool EventQueue::cancel(EventId id) {
 }
 
 void EventQueue::drop_tombstone_head() {
-  while (!heap_.empty() && live_.count(heap_.top().id) == 0) {
-    heap_.pop();
+  while (!heap_.empty() && live_.count(heap_.front().id) == 0) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
   }
 }
 
 SimTime EventQueue::next_time() {
   drop_tombstone_head();
   if (heap_.empty()) return kNeverTime;
-  return heap_.top().time;
+  return heap_.front().time;
 }
 
 EventQueue::Ready EventQueue::pop() {
@@ -37,17 +40,16 @@ EventQueue::Ready EventQueue::pop() {
   if (heap_.empty()) {
     throw std::logic_error("EventQueue::pop on empty queue");
   }
-  // priority_queue::top() returns const&; copy the entry out (the callback
-  // is a std::function whose copy is cheap relative to event dispatch) and
-  // then discard the heap slot.
-  Entry top = heap_.top();
-  heap_.pop();
+  // pop_heap moves the earliest entry to the back; move it out from there.
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry top = std::move(heap_.back());
+  heap_.pop_back();
   live_.erase(top.id);
   return Ready{top.time, top.id, std::move(top.fn), top.corr, top.type};
 }
 
 void EventQueue::clear() {
-  heap_ = {};
+  heap_ = std::vector<Entry>();
   live_.clear();
 }
 

@@ -2,14 +2,15 @@
 //
 // A binary min-heap keyed on (time, sequence number); the sequence number
 // breaks ties so same-time events fire in scheduling order, which keeps runs
-// deterministic. Cancellation is lazy: a cancelled id leaves a tombstone in
-// the heap that is dropped when it surfaces, so cancel is O(1) and pop stays
-// O(log n) amortized.
+// deterministic. The heap is a vector under std::push_heap/std::pop_heap,
+// so pop moves the earliest entry out rather than copying its callback.
+// Cancellation is lazy: a cancelled id leaves a tombstone in the heap that
+// is dropped when it surfaces, so cancel is O(1) and pop stays O(log n)
+// amortized.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -69,8 +70,8 @@ class EventQueue {
   std::uint64_t scheduled_total() const { return next_id_ - 1; }
 
   /// Estimated heap footprint (heap entries incl. tombstones plus the
-  /// live-id set) for the capacity byte census. An estimate: the heap's
-  /// backing vector capacity is not observable through priority_queue.
+  /// live-id set) for the capacity byte census. An estimate: it counts
+  /// entries, not the heap vector's spare capacity.
   std::uint64_t memory_bytes() const {
     return static_cast<std::uint64_t>(heap_.size()) * sizeof(Entry) +
            static_cast<std::uint64_t>(live_.bucket_count()) * sizeof(void*) +
@@ -95,7 +96,7 @@ class EventQueue {
 
   void drop_tombstone_head();
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<Entry> heap_;  // a heap under Later: front() is the earliest
   std::unordered_set<EventId> live_;  // scheduled, not yet fired or cancelled
   EventId next_id_ = 1;
 };

@@ -1192,8 +1192,7 @@ TEST(CoverTrafficTest, GeneratesIndistinguishableDummies) {
 
   CoverTrafficGenerator generator(
       *fx.router, [&](NodeId) -> const membership::NodeCache& { return fx.cache; },
-      [&](NodeId n) { return fx.up[n]; }, {0, 1, 2},
-      [&](NodeId) { return cover_config; }, Rng(35));
+      [&](NodeId n) { return fx.up[n]; }, {0, 1, 2}, cover_config, Rng(35));
   generator.start();
   fx.simulator.run_until(65 * kSecond);
   generator.stop();

@@ -63,6 +63,32 @@ TEST(EventQueueTest, SizeTracksLiveEvents) {
   EXPECT_TRUE(queue.empty());
 }
 
+// Scheduling and popping move the callback; neither copies it (a delivery
+// event's callback holds the datagram's bytes).
+TEST(EventQueueTest, PopMovesTheCallbackOut) {
+  struct CountsCopies {
+    int* copies;
+    int* calls;
+    CountsCopies(int* copies_out, int* calls_out)
+        : copies(copies_out), calls(calls_out) {}
+    CountsCopies(const CountsCopies& other)
+        : copies(other.copies), calls(other.calls) {
+      ++*copies;
+    }
+    CountsCopies(CountsCopies&&) = default;
+    void operator()() const { ++*calls; }
+  };
+  EventQueue queue;
+  int copies = 0;
+  int calls = 0;
+  for (int i = 0; i < 8; ++i) {
+    queue.schedule(10 - i, CountsCopies(&copies, &calls));
+  }
+  while (!queue.empty()) queue.pop().fn();
+  EXPECT_EQ(calls, 8);
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(SimulatorTest, TimeAdvancesWithEvents) {
   Simulator simulator;
   SimTime seen = -1;
