@@ -98,21 +98,17 @@ void check_range(ByteView in, std::size_t offset, std::size_t n) {
 
 std::uint16_t get_u16be(ByteView in, std::size_t offset) {
   check_range(in, offset, 2);
-  return static_cast<std::uint16_t>((in[offset] << 8) | in[offset + 1]);
+  return load_u16be(in.data() + offset);
 }
 
 std::uint32_t get_u32be(ByteView in, std::size_t offset) {
   check_range(in, offset, 4);
-  return (static_cast<std::uint32_t>(in[offset]) << 24) |
-         (static_cast<std::uint32_t>(in[offset + 1]) << 16) |
-         (static_cast<std::uint32_t>(in[offset + 2]) << 8) |
-         static_cast<std::uint32_t>(in[offset + 3]);
+  return load_u32be(in.data() + offset);
 }
 
 std::uint64_t get_u64be(ByteView in, std::size_t offset) {
   check_range(in, offset, 8);
-  return (static_cast<std::uint64_t>(get_u32be(in, offset)) << 32) |
-         get_u32be(in, offset + 4);
+  return load_u64be(in.data() + offset);
 }
 
 void secure_wipe(MutableByteView buf) {

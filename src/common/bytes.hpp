@@ -78,6 +78,41 @@ inline void store_u64le(std::uint8_t* p, std::uint64_t v) {
   store_u32le(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
+// --- Big-endian loads/stores at fixed offsets (wire formats) -----------------
+
+inline void store_u16be(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+
+inline void store_u32be(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+inline void store_u64be(std::uint8_t* p, std::uint64_t v) {
+  store_u32be(p, static_cast<std::uint32_t>(v >> 32));
+  store_u32be(p + 4, static_cast<std::uint32_t>(v));
+}
+
+inline std::uint16_t load_u16be(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+
+inline std::uint32_t load_u32be(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) |
+         static_cast<std::uint32_t>(p[3]);
+}
+
+inline std::uint64_t load_u64be(const std::uint8_t* p) {
+  return (static_cast<std::uint64_t>(load_u32be(p)) << 32) |
+         load_u32be(p + 4);
+}
+
 /// Overwrites a buffer with zeros in a way the optimizer may not elide;
 /// used to scrub key material.
 void secure_wipe(MutableByteView buf);

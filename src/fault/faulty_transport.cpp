@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "net/demux.hpp"
+#include "net/liveness_wire.hpp"
 #include "obs/trace.hpp"
 
 namespace p2panon::fault {
@@ -20,23 +21,18 @@ bool matches(const std::vector<NodeId>& nodes, NodeId node) {
          std::find(nodes.begin(), nodes.end(), node) != nodes.end();
 }
 
-// Gossip record wire layout, mirrored from membership/gossip.cpp. The fault
-// layer deliberately does not link against p2panon_membership (it sits below
-// it in the dependency order), so the offsets are hard-coded here and
-// cross-checked against membership::kRecordWireSize by membership_chaos_test.
-//
-// Datagram: [channel u8][kind u8][count u16be][record 0][record 1]...
-// Record:   [subject u32be][flags u8][dt_alive u64be][dt_since u64be] = 21 B
-constexpr std::size_t kGossipRecordSize = 21;
-constexpr std::size_t kGossipHeaderSize = 4;  // channel + kind + count
-constexpr std::size_t kSubjectOffset = 0;
-constexpr std::size_t kDtAliveOffset = 5;
-constexpr std::size_t kDtSinceOffset = 13;
+namespace wire = net::liveness_wire;
 
-void store_u64be(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::uint8_t>(v >> (8 * (7 - i)));
-  }
+// A gossip datagram is the demux channel byte, then a liveness message:
+// [channel u8][kind u8][count u16be][record 0][record 1]...
+constexpr std::size_t kGossipHeaderSize = 1 + wire::kHeaderSize;
+
+std::size_t declared_count(const Bytes& payload) {
+  return load_u16be(payload.data() + 1 + wire::kCountOffset);
+}
+
+std::uint8_t* record_at(Bytes& payload, std::size_t index) {
+  return payload.data() + kGossipHeaderSize + index * wire::kRecordSize;
 }
 
 // True when the payload is structurally a record-bearing gossip message:
@@ -44,10 +40,10 @@ void store_u64be(std::uint8_t* p, std::uint64_t v) {
 // header. Digest/repair-control messages (whose bodies are bucket hashes,
 // not 21-byte records) never satisfy this, so mutation rules skip them.
 bool is_record_bearing(const Bytes& payload) {
-  if (payload.size() < kGossipHeaderSize + kGossipRecordSize) return false;
-  const std::size_t count = get_u16be(payload, 2);
+  if (payload.size() < kGossipHeaderSize + wire::kRecordSize) return false;
+  const std::size_t count = declared_count(payload);
   return count > 0 &&
-         kGossipHeaderSize + count * kGossipRecordSize == payload.size();
+         kGossipHeaderSize + count * wire::kRecordSize == payload.size();
 }
 
 }  // namespace
@@ -238,17 +234,17 @@ bool FaultyTransport::apply_membership_rules(NodeId from, NodeId to,
                        !plan_.claim_inflates().empty()) &&
                       is_record_bearing(payload);
   if (!mutate) return true;
-  const std::size_t count = get_u16be(payload, 2);
+  const std::size_t count = declared_count(payload);
 
   for (const StaleInjectRule& rule : plan_.stale_injects()) {
     if (!in_window(rule.start, rule.end, when)) continue;
     if (!matches(rule.at_nodes, from)) continue;
     for (std::size_t i = 0; i < count; ++i) {
       if (!rng_.bernoulli(rule.probability)) continue;
-      const std::size_t base = kGossipHeaderSize + i * kGossipRecordSize;
-      const std::uint64_t dt_since = get_u64be(payload, base + kDtSinceOffset);
-      store_u64be(payload.data() + base + kDtSinceOffset,
-                  dt_since + static_cast<std::uint64_t>(rule.extra_staleness));
+      std::uint8_t* dt_since = record_at(payload, i) + wire::kDtSinceOffset;
+      store_u64be(dt_since,
+                  load_u64be(dt_since) +
+                      static_cast<std::uint64_t>(rule.extra_staleness));
       ++counters_.stale_injected;
       if (inj_stale_ == nullptr) {
         inj_stale_ = metrics_->counter("fault_injections_total",
@@ -263,13 +259,14 @@ bool FaultyTransport::apply_membership_rules(NodeId from, NodeId to,
     if (!matches(rule.at_nodes, from)) continue;
     // Only the sender's own first-person record (always record 0 when
     // present) is inflated — the attack is a node lying about itself.
-    const std::size_t base = kGossipHeaderSize;
-    if (get_u32be(payload, base + kSubjectOffset) != from) continue;
+    std::uint8_t* own = record_at(payload, 0);
+    if (load_u32be(own + wire::kSubjectOffset) != from) continue;
     if (!rng_.bernoulli(rule.probability)) continue;
-    const std::uint64_t dt_alive = get_u64be(payload, base + kDtAliveOffset);
-    const double inflated = static_cast<double>(dt_alive) * rule.factor +
-                            static_cast<double>(rule.boost);
-    store_u64be(payload.data() + base + kDtAliveOffset,
+    const double inflated =
+        static_cast<double>(load_u64be(own + wire::kDtAliveOffset)) *
+            rule.factor +
+        static_cast<double>(rule.boost);
+    store_u64be(own + wire::kDtAliveOffset,
                 static_cast<std::uint64_t>(inflated));
     ++counters_.claims_inflated;
     if (inj_inflate_ == nullptr) {

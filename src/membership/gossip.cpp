@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "net/liveness_wire.hpp"
 #include "obs/capacity/census.hpp"
 
 namespace p2panon::membership {
@@ -13,9 +14,10 @@ constexpr std::uint8_t kKindGossip = 1;
 constexpr std::uint8_t kKindSyncRequest = 2;
 constexpr std::uint8_t kKindSyncResponse = 3;
 // Anti-entropy repair (control-plane resilience, DESIGN §9). Digest and
-// digest-reply bodies are bucket hashes, not liveness records — their
-// shape deliberately never matches [count u16][count * 21-byte records],
-// so the fault layer's record-mutation rules pass them through untouched.
+// digest-reply messages share the liveness header, [kind][count u16be],
+// but carry count u64be bucket hashes, not records — their size never
+// matches header + count * 21 bytes, so the fault layer's record-mutation
+// rules pass them through untouched.
 constexpr std::uint8_t kKindDigest = 4;       // opens a repair round trip
 constexpr std::uint8_t kKindRepair = 5;       // records healing a diff
 constexpr std::uint8_t kKindDigestReply = 6;  // closes the round (no reply)
@@ -28,11 +30,8 @@ constexpr std::size_t kChurnObservers = 3;  // nodes that notice join/leave
 // Records per sync-response or repair message.
 constexpr std::size_t kRecordChunk = 4 * kMaxRumors;
 
-// Resilient mode's anti-entropy repair period, and the digest resolution:
-// beliefs are XOR-folded into `subject % kDigestBuckets` slots. More
-// buckets = finer diffs = fewer records pushed per repair.
+// Resilient mode's anti-entropy repair period.
 constexpr SimDuration kAntiEntropyInterval = 15 * kSecond;
-constexpr std::size_t kDigestBuckets = 16;
 
 constexpr SimDuration kDetectionDelayMin = 500 * kMillisecond;
 constexpr SimDuration kDetectionDelayMax = 2 * kSecond;
@@ -76,29 +75,6 @@ std::vector<Rng> node_streams(Rng& rng, std::size_t num_nodes) {
     streams.emplace_back(base ^ mix64(static_cast<std::uint64_t>(i) + 1));
   }
   return streams;
-}
-
-void encode_record(Bytes& out, NodeId subject, const LivenessInfo& info) {
-  put_u32be(out, subject);
-  out.push_back(info.alive ? 1 : 0);
-  put_u64be(out, static_cast<std::uint64_t>(info.dt_alive));
-  put_u64be(out, static_cast<std::uint64_t>(info.dt_since));
-}
-
-bool decode_records(ByteView in, std::size_t offset, std::size_t count,
-                    std::vector<DecodedRecord>& out) {
-  if (offset + count * kRecordWireSize > in.size()) return false;
-  out.reserve(out.size() + count);
-  for (std::size_t i = 0; i < count; ++i) {
-    DecodedRecord rec;
-    rec.subject = get_u32be(in, offset);
-    rec.info.alive = in[offset + 4] != 0;
-    rec.info.dt_alive = static_cast<SimDuration>(get_u64be(in, offset + 5));
-    rec.info.dt_since = static_cast<SimDuration>(get_u64be(in, offset + 13));
-    out.push_back(rec);
-    offset += kRecordWireSize;
-  }
-  return true;
 }
 
 GossipMembership::GossipMembership(sim::Simulator& simulator,
@@ -191,13 +167,11 @@ void GossipMembership::on_churn(NodeId node, bool up, SimTime when) {
         decision_rng(node), {node});
     bool sync_requested = false;
     for (NodeId contact : contacts) {
-      send_records(node, contact, kKindGossip, {});
+      begin_records(node, kKindGossip);
+      send_message(node, contact, writer_.finish());
       if (!sync_requested) {
-        Bytes req;
-        req.push_back(kKindSyncRequest);
-        demux_.send(net::Channel::kGossip, node, contact, req);
-        ++messages_sent_;
-        bytes_sent_ += req.size();
+        const std::uint8_t request[] = {kKindSyncRequest};
+        send_message(node, contact, request);
         sync_requested = true;
       }
     }
@@ -237,9 +211,8 @@ void GossipMembership::enqueue_rumor(NodeId owner, NodeId subject) {
   rumor_queues_[owner].push_back(Rumor{subject, kRumorForwards});
 }
 
-std::vector<NodeId> GossipMembership::pick_gossip_targets(NodeId node,
-                                                          std::size_t count,
-                                                          Rng& rng) {
+void GossipMembership::pick_gossip_targets(NodeId node, std::size_t count,
+                                           Rng& rng) {
   // Believed-alive cache entries, found by rejection sampling: with the
   // near-complete caches OneHop-style membership maintains, a random node
   // id is a valid target about half the time, so this avoids building a
@@ -247,8 +220,8 @@ std::vector<NodeId> GossipMembership::pick_gossip_targets(NodeId node,
   // whole simulation).
   const NodeCache& cache = caches_[node];
   const std::size_t n = caches_.size();
-  std::vector<NodeId> out;
-  out.reserve(count);
+  std::vector<NodeId>& out = targets_;
+  out.clear();
   for (std::size_t attempt = 0; attempt < 16 * count + 64 && out.size() < count;
        ++attempt) {
     const NodeId candidate = static_cast<NodeId>(rng.next_below(n));
@@ -264,56 +237,58 @@ std::vector<NodeId> GossipMembership::pick_gossip_targets(NodeId node,
     }
     if (!duplicate) out.push_back(candidate);
   }
-  return out;
 }
 
-void GossipMembership::send_records(NodeId from, NodeId to,
-                                    std::uint8_t kind,
-                                    const std::vector<NodeId>& subjects) {
-  const SimTime now = simulator_.now();
-  Bytes msg;
-  msg.reserve(3 + (subjects.size() + 1) * kRecordWireSize);
-  msg.push_back(kind);
+void GossipMembership::begin_records(NodeId from, std::uint8_t kind) {
+  writer_.begin(kind);
+  writer_.add(from, LivenessInfo{own_uptime(from), 0, true});
+}
 
-  // Sender's own record always rides along ("includes dt_alive in every
-  // packet it sends").
-  std::vector<std::pair<NodeId, LivenessInfo>> records;
-  records.reserve(subjects.size() + 1);
-  LivenessInfo own;
-  own.alive = true;
-  own.dt_alive = own_uptime(from);
-  own.dt_since = 0;
-  records.emplace_back(from, own);
-  for (NodeId subject : subjects) {
-    if (subject == from) continue;
-    const auto obs = caches_[from].observation(subject, now);
-    if (obs.has_value()) records.emplace_back(subject, *obs);
-  }
-
-  put_u16be(msg, static_cast<std::uint16_t>(records.size()));
-  for (const auto& [subject, info] : records) {
-    encode_record(msg, subject, info);
-  }
+void GossipMembership::send_message(NodeId from, NodeId to, ByteView msg) {
   demux_.send(net::Channel::kGossip, from, to, msg);
   ++messages_sent_;
   bytes_sent_ += msg.size();
 }
 
+template <typename Pick>
+std::size_t GossipMembership::send_chunked(NodeId from, NodeId to,
+                                           std::uint8_t kind, Pick&& pick) {
+  const SimTime now = simulator_.now();
+  const NodeCache& cache = caches_[from];
+  const std::size_t n = caches_.size();
+  std::size_t sent = 0;
+  for (NodeId subject = 0; subject < n; ++subject) {
+    if (subject == from || !pick(subject)) continue;
+    const auto* entry = cache.find(subject);
+    if (entry == nullptr) continue;
+    if (sent % kRecordChunk == 0) begin_records(from, kind);
+    writer_.add(subject, entry->observation(now));
+    if (++sent % kRecordChunk == 0) send_message(from, to, writer_.finish());
+  }
+  if (sent % kRecordChunk != 0) send_message(from, to, writer_.finish());
+  return sent;
+}
+
 void GossipMembership::gossip_tick(NodeId node) {
   if (!churn_.is_up(node)) return;
+  const SimTime now = simulator_.now();
+  const NodeCache& cache = caches_[node];
+  begin_records(node, kKindGossip);
 
   // Drain up to kMaxRumors from the hot queue.
-  std::vector<NodeId> subjects;
   auto& queue = rumor_queues_[node];
   auto& members = rumor_members_[node];
   std::size_t scanned = 0;
-  const std::size_t limit = queue.size();
-  while (!queue.empty() && subjects.size() < kMaxRumors &&
-         scanned < limit) {
+  const std::size_t limit = std::min(queue.size(), kMaxRumors);
+  while (scanned < limit) {
     Rumor rumor = queue.front();
     queue.pop_front();
     ++scanned;
-    subjects.push_back(rumor.subject);
+    if (rumor.subject != node) {
+      if (const auto* entry = cache.find(rumor.subject)) {
+        writer_.add(rumor.subject, entry->observation(now));
+      }
+    }
     if (--rumor.remaining > 0) {
       queue.push_back(rumor);
     } else {
@@ -324,36 +299,36 @@ void GossipMembership::gossip_tick(NodeId node) {
   // Anti-entropy: sweep the id space round-robin so every subject's record
   // is refreshed on a bounded cycle (uniform staleness; see GossipConfig).
   const std::size_t n = caches_.size();
-  const NodeCache& cache = caches_[node];
   std::size_t added = 0;
   std::size_t scanned_ids = 0;
   NodeId cursor = refresh_cursors_[node];
   while (added < config_.refresh_records && scanned_ids < n) {
     const NodeId candidate = cursor;
-    cursor = static_cast<NodeId>((cursor + 1) % n);
+    if (++cursor == n) cursor = 0;
     ++scanned_ids;
-    if (candidate == node || cache.find(candidate) == nullptr) continue;
-    subjects.push_back(candidate);
+    if (candidate == node) continue;
+    const auto* entry = cache.find(candidate);
+    if (entry == nullptr) continue;
+    writer_.add(candidate, entry->observation(now));
     ++added;
   }
   refresh_cursors_[node] = cursor;
 
-  for (NodeId target :
-       pick_gossip_targets(node, kFanout, decision_rng(node))) {
-    send_records(node, target, kKindGossip, subjects);
-  }
+  pick_gossip_targets(node, kFanout, decision_rng(node));
+  if (targets_.empty()) return;
+  const ByteView msg = writer_.finish();
+  for (NodeId target : targets_) send_message(node, target, msg);
 }
 
 // --- anti-entropy repair (DESIGN §9) ---------------------------------------
 
-std::vector<std::uint64_t> GossipMembership::compute_digest(
-    NodeId node) const {
+GossipMembership::Digest GossipMembership::compute_digest(NodeId node) const {
   // Per-bucket XOR fold of h(subject, believed-alive) over known entries.
   // Deliberately excludes the dt fields: those differ between any two
   // caches almost always (local staleness), and a digest over them would
   // flag every bucket every round. Alive/dead belief is the state whose
   // divergence anti-entropy exists to heal.
-  std::vector<std::uint64_t> buckets(kDigestBuckets, 0);
+  Digest buckets{};
   const NodeCache& cache = caches_[node];
   const std::size_t n = caches_.size();
   for (NodeId subject = 0; subject < n; ++subject) {
@@ -369,39 +344,41 @@ std::vector<std::uint64_t> GossipMembership::compute_digest(
 
 void GossipMembership::send_digest(NodeId from, NodeId to,
                                    std::uint8_t kind) {
-  const auto buckets = compute_digest(from);
-  Bytes msg;
-  msg.reserve(3 + buckets.size() * 8);
-  msg.push_back(kind);
-  put_u16be(msg, static_cast<std::uint16_t>(buckets.size()));
-  for (std::uint64_t b : buckets) put_u64be(msg, b);
-  demux_.send(net::Channel::kGossip, from, to, msg);
-  ++messages_sent_;
-  bytes_sent_ += msg.size();
+  namespace wire = net::liveness_wire;
+  const Digest buckets = compute_digest(from);
+  std::array<std::uint8_t, wire::kHeaderSize + kDigestBuckets * 8> msg;
+  msg[wire::kKindOffset] = kind;
+  store_u16be(msg.data() + wire::kCountOffset,
+              static_cast<std::uint16_t>(kDigestBuckets));
+  for (std::size_t b = 0; b < kDigestBuckets; ++b) {
+    store_u64be(msg.data() + wire::kHeaderSize + b * 8, buckets[b]);
+  }
+  send_message(from, to, msg);
   ++control_stats_.digests_sent;
 }
 
 void GossipMembership::anti_entropy_tick(NodeId node) {
   if (!churn_.is_up(node)) return;
-  const auto partners = pick_gossip_targets(node, 1, node_rngs_[node]);
-  if (partners.empty()) return;
+  pick_gossip_targets(node, 1, node_rngs_[node]);
+  if (targets_.empty()) return;
   ++control_stats_.anti_entropy_rounds;
-  send_digest(node, partners.front(), kKindDigest);
+  send_digest(node, targets_.front(), kKindDigest);
 }
 
 void GossipMembership::handle_digest(NodeId from, NodeId to, ByteView payload,
                                      bool reply_with_digest) {
-  if (payload.size() < 3) return;
-  const std::size_t count = get_u16be(payload, 1);
-  if (count == 0 || payload.size() < 3 + count * 8) return;
-  const auto own = compute_digest(to);
+  namespace wire = net::liveness_wire;
+  if (payload.size() < wire::kHeaderSize) return;
+  const std::size_t count = load_u16be(payload.data() + wire::kCountOffset);
+  if (count == 0 || payload.size() < wire::kHeaderSize + count * 8) return;
+  const Digest own = compute_digest(to);
   // Every node folds into kDigestBuckets slots; a truncated or malformed
   // digest is compared only over the common prefix.
   const std::size_t buckets = std::min(own.size(), count);
-  std::vector<bool> differs(buckets, false);
+  std::array<bool, kDigestBuckets> differs{};
   bool any = false;
   for (std::size_t b = 0; b < buckets; ++b) {
-    if (own[b] != get_u64be(payload, 3 + b * 8)) {
+    if (own[b] != load_u64be(payload.data() + wire::kHeaderSize + b * 8)) {
       differs[b] = true;
       any = true;
     }
@@ -410,21 +387,10 @@ void GossipMembership::handle_digest(NodeId from, NodeId to, ByteView payload,
     // Push our records for every differing bucket; the peer's merge rules
     // keep whichever side is fresher, so pushing is safe even when the
     // peer is the one with better information.
-    std::vector<NodeId> chunk;
-    const std::size_t n = caches_.size();
-    for (NodeId subject = 0; subject < n; ++subject) {
-      if (subject == to) continue;
-      const std::size_t idx = subject % kDigestBuckets;
-      if (idx >= buckets || !differs[idx]) continue;
-      if (caches_[to].find(subject) == nullptr) continue;
-      chunk.push_back(subject);
-      ++control_stats_.repair_records_sent;
-      if (chunk.size() == kRecordChunk) {
-        send_records(to, from, kKindRepair, chunk);
-        chunk.clear();
-      }
-    }
-    if (!chunk.empty()) send_records(to, from, kKindRepair, chunk);
+    control_stats_.repair_records_sent +=
+        send_chunked(to, from, kKindRepair, [&](NodeId subject) {
+          return differs[subject % kDigestBuckets];
+        });
   }
   // Close the round trip with our own digest so the initiator can push the
   // buckets where *we* are behind. A reply never triggers another reply.
@@ -440,16 +406,8 @@ void GossipMembership::handle_message(NodeId from, NodeId to,
   if (kind == kKindSyncRequest) {
     // Full-cache snapshot back to the joiner, chunked into gossip-sized
     // messages.
-    const auto known = caches_[to].known_nodes();
-    std::vector<NodeId> chunk;
-    for (NodeId subject : known) {
-      chunk.push_back(subject);
-      if (chunk.size() == kRecordChunk) {
-        send_records(to, from, kKindSyncResponse, chunk);
-        chunk.clear();
-      }
-    }
-    if (!chunk.empty()) send_records(to, from, kKindSyncResponse, chunk);
+    send_chunked(to, from, kKindSyncResponse,
+                 [](NodeId) { return true; });
     return;
   }
 
@@ -463,25 +421,21 @@ void GossipMembership::handle_message(NodeId from, NodeId to,
   if (kind != kKindGossip && kind != kKindSyncResponse && kind != kKindRepair) {
     return;
   }
-  if (payload.size() < 3) return;
-  const std::size_t count = get_u16be(payload, 1);
-  std::vector<DecodedRecord> records;
-  if (!decode_records(payload, 3, count, records)) return;
-
   NodeCache& cache = caches_[to];
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& rec = records[i];
-    if (rec.subject == to) continue;
-    const auto* prior = cache.find(rec.subject);
+  for_each_record(payload, caches_.size(), [&](std::size_t index,
+                                               NodeId subject,
+                                               const LivenessInfo& info) {
+    if (subject == to) return;
+    const auto* prior = cache.find(subject);
     const bool prior_alive = prior != nullptr && prior->alive;
     const bool prior_known = prior != nullptr;
     bool accepted;
-    if (i == 0 && rec.subject == from) {
+    if (index == 0 && subject == from) {
       // Sender's own record: a direct observation.
-      cache.heard_directly(from, rec.info.dt_alive, now);
+      cache.heard_directly(from, info.dt_alive, now);
       accepted = true;
     } else {
-      accepted = cache.merge_indirect(rec.subject, rec.info, now);
+      accepted = cache.merge_indirect(subject, info, now);
     }
     if (accepted && kind == kKindRepair) {
       ++control_stats_.repair_records_accepted;
@@ -491,12 +445,12 @@ void GossipMembership::handle_message(NodeId from, NodeId to,
     // responses never re-gossip. Repair-healed flips DO re-gossip: a node
     // whose blackout just ended is the best seed for spreading the healed
     // state onward.
-    const bool changed = !prior_known || prior_alive != rec.info.alive;
+    const bool changed = !prior_known || prior_alive != info.alive;
     if (accepted && changed &&
         (kind == kKindGossip || kind == kKindRepair)) {
-      enqueue_rumor(to, rec.subject);
+      enqueue_rumor(to, subject);
     }
-  }
+  });
 }
 
 double GossipMembership::belief_accuracy() const {

@@ -17,6 +17,7 @@
 // and then spreads epidemically like any other rumor.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <unordered_set>
@@ -26,6 +27,7 @@
 #include "common/rng.hpp"
 #include "membership/node_cache.hpp"
 #include "membership/provider.hpp"
+#include "membership/record_codec.hpp"
 #include "net/demux.hpp"
 #include "sim/simulator.hpp"
 
@@ -95,6 +97,11 @@ class GossipMembership final : public MembershipProvider {
     int remaining;
   };
 
+  // Anti-entropy digests XOR-fold beliefs into `subject % kDigestBuckets`
+  // slots. More buckets = finer diffs = fewer records pushed per repair.
+  static constexpr std::size_t kDigestBuckets = 16;
+  using Digest = std::array<std::uint64_t, kDigestBuckets>;
+
   void on_churn(NodeId node, bool up, SimTime when);
   void gossip_tick(NodeId node);
   void anti_entropy_tick(NodeId node);
@@ -102,12 +109,21 @@ class GossipMembership final : public MembershipProvider {
   void handle_digest(NodeId from, NodeId to, ByteView payload,
                      bool reply_with_digest);
   void enqueue_rumor(NodeId owner, NodeId subject);
-  void send_records(NodeId from, NodeId to, std::uint8_t kind,
-                    const std::vector<NodeId>& subjects);
+  /// Starts a record-bearing message in writer_ with the sender's own
+  /// record, which rides along in every one ("includes dt_alive in every
+  /// packet it sends").
+  void begin_records(NodeId from, std::uint8_t kind);
+  void send_message(NodeId from, NodeId to, ByteView msg);
+  /// Sends `to` the records of every subject in [0, N) that `pick` accepts
+  /// and `from` knows, chunked into messages of kind `kind`; returns the
+  /// number of records sent.
+  template <typename Pick>
+  std::size_t send_chunked(NodeId from, NodeId to, std::uint8_t kind,
+                           Pick&& pick);
   void send_digest(NodeId from, NodeId to, std::uint8_t kind);
-  std::vector<std::uint64_t> compute_digest(NodeId node) const;
-  std::vector<NodeId> pick_gossip_targets(NodeId node, std::size_t count,
-                                          Rng& rng);
+  Digest compute_digest(NodeId node) const;
+  /// Fills targets_ with up to `count` distinct believed-alive peers.
+  void pick_gossip_targets(NodeId node, std::size_t count, Rng& rng);
   /// The stream a node's own decisions draw from: its private stream in
   /// resilient mode, the instance-shared stream otherwise.
   Rng& decision_rng(NodeId node) {
@@ -129,6 +145,11 @@ class GossipMembership final : public MembershipProvider {
   // Per-node streams, materialized in start() only in resilient mode so
   // the default draws nothing extra from rng_.
   std::vector<Rng> node_rngs_;
+  // Reused by every send: the message being written and a tick's targets.
+  // Transports deliver later, never inside send(), so no handler can
+  // rewrite writer_ while a finished message is still being sent.
+  RecordWriter writer_;
+  std::vector<NodeId> targets_;
 
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
@@ -150,20 +171,5 @@ SimDuration detection_delay(Rng& rng);
 /// One deterministic stream per node, all seeded from a single draw of
 /// `rng`.
 std::vector<Rng> node_streams(Rng& rng, std::size_t num_nodes);
-
-/// Serialized liveness record: subject(4) flags(1) dt_alive(8) dt_since(8).
-constexpr std::size_t kRecordWireSize = 21;
-
-void encode_record(Bytes& out, NodeId subject, const LivenessInfo& info);
-
-struct DecodedRecord {
-  NodeId subject;
-  LivenessInfo info;
-};
-
-/// Decodes `count` records from `in` starting at `offset`; returns false on
-/// truncation.
-bool decode_records(ByteView in, std::size_t offset, std::size_t count,
-                    std::vector<DecodedRecord>& out);
 
 }  // namespace p2panon::membership

@@ -19,11 +19,7 @@ constexpr double kQuarantineThreshold = 2.0;
 constexpr double kBiasPenalty = 1.0;
 }  // namespace
 
-NodeCache::NodeCache(std::size_t num_nodes) : entries_(num_nodes) {
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    entries_[i].node = static_cast<NodeId>(i);
-  }
-}
+NodeCache::NodeCache(std::size_t num_nodes) : entries_(num_nodes) {}
 
 void NodeCache::heard_directly(NodeId node, SimDuration dt_alive,
                                SimTime now) {
@@ -43,8 +39,7 @@ void NodeCache::heard_directly(NodeId node, SimDuration dt_alive,
   e.alive = true;
   e.direct = true;
   e.dt_alive = dt_alive;
-  e.dt_since = 0;
-  e.t_last = now;
+  e.t_origin = now;
 }
 
 void NodeCache::heard_left_directly(NodeId node, SimTime now) {
@@ -55,8 +50,7 @@ void NodeCache::heard_left_directly(NodeId node, SimTime now) {
   e.alive = false;
   e.direct = true;
   e.dt_alive = 0;
-  e.dt_since = 0;
-  e.t_last = now;
+  e.t_origin = now;
 }
 
 bool NodeCache::merge_indirect(NodeId node, const LivenessInfo& info,
@@ -66,12 +60,12 @@ bool NodeCache::merge_indirect(NodeId node, const LivenessInfo& info,
   // physically impossible (more uptime than the clock allows) or when it
   // contradicts our own direct observation of the subject (direct outranks
   // indirect — a relayed rumor cannot make a node look longer-lived than
-  // we saw it ourselves).
+  // we saw it ourselves). A direct entry's origin is the time we heard it.
   if (trust_enabled_ && info.alive) {
     const bool impossible = info.dt_alive > now + kClaimSlack;
     const bool over_direct =
         e.known && e.direct && e.alive &&
-        info.dt_alive > e.dt_alive + (now - e.t_last) + kClaimSlack;
+        info.dt_alive > e.dt_alive + (now - e.t_origin) + kClaimSlack;
     if (impossible || over_direct) {
       ++merge_stats_.inflated_rejected;
       report_suspicion(node, kInflationSuspicion, now);
@@ -85,19 +79,17 @@ bool NodeCache::merge_indirect(NodeId node, const LivenessInfo& info,
     e.alive = info.alive;
     e.direct = false;
     e.dt_alive = info.dt_alive;
-    e.dt_since = info.dt_since;
-    e.t_last = now;
+    e.t_origin = now - info.dt_since;
     return true;
   }
   // Effective staleness of what we already have.
-  const SimDuration current_since = e.dt_since + (now - e.t_last);
+  const SimDuration current_since = now - e.t_origin;
   if (info.dt_since < current_since) {
     ++merge_stats_.updates_indirect;
     e.alive = info.alive;
     e.direct = false;
     e.dt_alive = info.dt_alive;
-    e.dt_since = info.dt_since;
-    e.t_last = now;
+    e.t_origin = now - info.dt_since;
     return true;
   }
   ++merge_stats_.merges_rejected;
@@ -107,33 +99,8 @@ bool NodeCache::merge_indirect(NodeId node, const LivenessInfo& info,
 double NodeCache::predictor(NodeId node, SimTime now) const {
   const Entry& e = entries_.at(node);
   if (!e.known || !e.alive) return 0.0;
-  return liveness_predictor(e.dt_alive, e.dt_since, e.t_last, now);
-}
-
-std::optional<LivenessInfo> NodeCache::observation(NodeId node,
-                                                   SimTime now) const {
-  const Entry& e = entries_.at(node);
-  if (!e.known) return std::nullopt;
-  LivenessInfo info;
-  info.alive = e.alive;
-  info.dt_alive = e.dt_alive;
-  info.dt_since = e.dt_since + (now - e.t_last);
-  return info;
-}
-
-const NodeCache::Entry* NodeCache::find(NodeId node) const {
-  if (node >= entries_.size()) return nullptr;
-  const Entry& e = entries_[node];
-  return e.known ? &e : nullptr;
-}
-
-std::vector<NodeId> NodeCache::known_nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(known_count_);
-  for (const Entry& e : entries_) {
-    if (e.known) out.push_back(e.node);
-  }
-  return out;
+  // Eq. 3: stored dt_since plus local staleness is now - t_origin.
+  return liveness_predictor(e.dt_alive, now - e.t_origin);
 }
 
 std::vector<NodeId> NodeCache::sample_known(
@@ -151,10 +118,10 @@ std::vector<NodeId> NodeCache::sample_known(
   const bool gate = honor_quarantine && suspicion_enabled_;
   std::vector<NodeId> pool;
   pool.reserve(known_count_);
-  for (const Entry& e : entries_) {
-    if (!e.known || exclude.count(e.node) > 0) continue;
-    if (gate && quarantined(e.node, now)) continue;
-    pool.push_back(e.node);
+  for (NodeId node = 0; node < entries_.size(); ++node) {
+    if (!entries_[node].known || exclude.count(node) > 0) continue;
+    if (gate && quarantined(node, now)) continue;
+    pool.push_back(node);
   }
   if (pool.size() < count) return {};
   const auto picks = rng.sample_without_replacement(pool.size(), count);
@@ -169,20 +136,19 @@ std::vector<NodeId> NodeCache::top_by_predictor(
     const std::unordered_set<NodeId>& exclude) const {
   std::vector<std::pair<double, NodeId>> scored;
   scored.reserve(known_count_);
-  for (const Entry& e : entries_) {
-    if (!e.known || exclude.count(e.node) > 0) continue;
+  for (NodeId node = 0; node < entries_.size(); ++node) {
+    if (!entries_[node].known || exclude.count(node) > 0) continue;
     if (suspicion_enabled_) {
       // Behavioral bias (§4.9 generalized): quarantined nodes are refused
       // outright; any remaining suspicion demotes the liveness score by
       // q / (1 + penalty * s), so equally-live clean nodes win.
-      if (quarantined(e.node, now)) continue;
-      const double s = suspicion(e.node, now);
+      if (quarantined(node, now)) continue;
+      const double s = suspicion(node, now);
       scored.emplace_back(
-          predictor(e.node, now) / (1.0 + kBiasPenalty * s),
-          e.node);
+          predictor(node, now) / (1.0 + kBiasPenalty * s), node);
       continue;
     }
-    scored.emplace_back(predictor(e.node, now), e.node);
+    scored.emplace_back(predictor(node, now), node);
   }
   if (scored.size() < count) return {};
   std::partial_sort(scored.begin(),
@@ -198,11 +164,7 @@ std::vector<NodeId> NodeCache::top_by_predictor(
 }
 
 void NodeCache::clear() {
-  for (Entry& e : entries_) {
-    const NodeId id = e.node;
-    e = Entry{};
-    e.node = id;
-  }
+  std::fill(entries_.begin(), entries_.end(), Entry{});
   known_count_ = 0;
   merge_stats_ = MergeStats{};
   for (Suspicion& s : suspicion_) s = Suspicion{};
@@ -220,7 +182,7 @@ NodeCache::AgeStats NodeCache::age_stats(SimTime now,
   std::size_t stale = 0;
   for (const Entry& e : entries_) {
     if (!e.known || !e.alive) continue;
-    const SimDuration age = e.dt_since + (now - e.t_last);
+    const SimDuration age = now - e.t_origin;
     ages.push_back(age);
     if (age > stale_after) ++stale;
   }

@@ -2,13 +2,15 @@
 // Information").
 //
 // Each node seeking anonymity maintains one of these. An entry stores the
-// subject's last-known liveness observation (dt_alive, dt_since) and the
-// local timestamp t_last at which it was recorded. Merge rules follow the
-// paper exactly:
-//   - heard directly: overwrite dt_alive, reset dt_since to 0, t_last = now;
+// subject's last-known liveness observation: dt_alive, and the local time
+// t_origin at which the observation was made. A record received with
+// dt_since at local time t_last has t_origin = t_last - dt_since, so its
+// *effective* dt_since at `now` (stored dt_since + local staleness) is
+// now - t_origin. Merge rules follow the paper exactly:
+//   - heard directly: overwrite dt_alive, dt_since = 0, so t_origin = now;
 //   - heard indirectly: accept iff the received dt_since is smaller than
-//     the entry's *effective* dt_since (stored dt_since + local staleness),
-//     i.e. the received observation is fresher.
+//     the entry's effective dt_since, i.e. the received observation is
+//     fresher.
 // Leave observations travel the same way with alive = false.
 #pragma once
 
@@ -26,15 +28,23 @@ namespace p2panon::membership {
 
 class NodeCache {
  public:
+  /// One subject's record; the subject is the entry's index. N caches of
+  /// N entries each make the entry size the membership layer's O(N²)
+  /// constant, hence the 24-byte bound.
   struct Entry {
-    NodeId node = kInvalidNode;
-    bool known = false;
-    bool alive = false;       // last observed state
-    bool direct = false;      // last update was a first-hand observation
-    SimDuration dt_alive = 0; // subject uptime at observation
-    SimDuration dt_since = 0; // observation age when recorded
-    SimTime t_last = 0;       // local time the record was updated
+    SimDuration dt_alive = 0;  // subject uptime at observation
+    SimTime t_origin = 0;      // local time of the observation
+    bool known : 1 = false;
+    bool alive : 1 = false;   // last observed state
+    bool direct : 1 = false;  // last update was a first-hand observation
+
+    /// The record as gossiped at `now`: local staleness folded into
+    /// dt_since.
+    LivenessInfo observation(SimTime now) const {
+      return LivenessInfo{dt_alive, now - t_origin, alive};
+    }
   };
+  static_assert(sizeof(Entry) <= 24);
 
   /// Always-on cheap tallies of merge outcomes, surfaced as the obs
   /// `membership_cache_updates_total{rule=...}` counters by the harness
@@ -77,14 +87,20 @@ class NodeCache {
 
   /// The observation we would gossip about `node` right now: stored record
   /// with local staleness folded into dt_since. nullopt when unknown.
-  std::optional<LivenessInfo> observation(NodeId node, SimTime now) const;
+  std::optional<LivenessInfo> observation(NodeId node, SimTime now) const {
+    const Entry& e = entries_.at(node);
+    if (!e.known) return std::nullopt;
+    return e.observation(now);
+  }
 
-  const Entry* find(NodeId node) const;
+  /// The known entry for `node`; null when unknown or out of range.
+  const Entry* find(NodeId node) const {
+    if (node >= entries_.size()) return nullptr;
+    const Entry& e = entries_[node];
+    return e.known ? &e : nullptr;
+  }
   std::size_t known_count() const { return known_count_; }
   std::size_t capacity() const { return entries_.size(); }
-
-  /// All known node ids (regardless of believed state).
-  std::vector<NodeId> known_nodes() const;
 
   /// `count` distinct nodes chosen uniformly from all known nodes,
   /// skipping `exclude` — the paper's *random* mix choice (no liveness

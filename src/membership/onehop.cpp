@@ -14,6 +14,7 @@ constexpr std::uint8_t kKindKeepalive = 3;         // leader -> unit members
 constexpr std::uint8_t kKindLeaderAnnounce = 4;    // new leader -> unit+peers
 
 constexpr SimDuration kKeepaliveInterval = 2 * kSecond;  // leader -> members
+constexpr std::size_t kSnapshotChunk = 512;  // records per join snapshot
 // Failover mode: a member that hears no keepalive from its leader for
 // three intervals declares the leader dead.
 constexpr SimDuration kLeaderSilenceLimit = 3 * kKeepaliveInterval;
@@ -130,48 +131,42 @@ SimDuration OneHopMembership::own_uptime(NodeId node) const {
   return from_seconds(churn_.alive_seconds(node, simulator_.now()));
 }
 
-void OneHopMembership::send_snapshot(NodeId leader, NodeId joiner) {
-  const SimTime now = simulator_.now();
-  const auto known = caches_[leader].known_nodes();
-  Bytes msg;
-  std::vector<std::pair<NodeId, LivenessInfo>> records;
-  for (NodeId subject : known) {
-    if (subject == joiner) continue;
-    const auto obs = caches_[leader].observation(subject, now);
-    if (obs.has_value()) records.emplace_back(subject, *obs);
-    if (records.size() == 512) {
-      // Chunk very large snapshots.
-      msg.clear();
-      msg.push_back(kKindKeepalive);
-      put_u16be(msg, static_cast<std::uint16_t>(records.size()));
-      for (const auto& [s, info] : records) encode_record(msg, s, info);
-      demux_.send(net::Channel::kGossip, leader, joiner, msg);
-      ++messages_sent_;
-      bytes_sent_ += msg.size();
-      records.clear();
-    }
-  }
-  if (!records.empty()) {
-    msg.clear();
-    msg.push_back(kKindKeepalive);
-    put_u16be(msg, static_cast<std::uint16_t>(records.size()));
-    for (const auto& [s, info] : records) encode_record(msg, s, info);
-    demux_.send(net::Channel::kGossip, leader, joiner, msg);
-    ++messages_sent_;
-    bytes_sent_ += msg.size();
-  }
-}
-
-void OneHopMembership::send_event(NodeId from, NodeId to, std::uint8_t kind,
-                                  NodeId subject, const LivenessInfo& info) {
-  Bytes msg;
-  msg.reserve(1 + kRecordWireSize);
-  msg.push_back(kind);
-  put_u16be(msg, 1);
-  encode_record(msg, subject, info);
+void OneHopMembership::send_message(NodeId from, NodeId to, ByteView msg) {
   demux_.send(net::Channel::kGossip, from, to, msg);
   ++messages_sent_;
   bytes_sent_ += msg.size();
+}
+
+void OneHopMembership::send_snapshot(NodeId leader, NodeId joiner) {
+  const SimTime now = simulator_.now();
+  const NodeCache& cache = caches_[leader];
+  const std::size_t n = caches_.size();
+  writer_.begin(kKindKeepalive);
+  for (NodeId subject = 0; subject < n; ++subject) {
+    if (subject == joiner) continue;
+    const auto* entry = cache.find(subject);
+    if (entry == nullptr) continue;
+    writer_.add(subject, entry->observation(now));
+    if (writer_.count() == kSnapshotChunk) {
+      send_message(leader, joiner, writer_.finish());
+      writer_.begin(kKindKeepalive);
+    }
+  }
+  if (writer_.count() > 0) send_message(leader, joiner, writer_.finish());
+}
+
+void OneHopMembership::send_inter_leader(NodeId leader, NodeId subject,
+                                         const LivenessInfo& info) {
+  writer_.begin(kKindEventInterLeader);
+  writer_.add(subject, info);
+  const ByteView msg = writer_.finish();
+  for (std::size_t unit = 0; unit < config_.units; ++unit) {
+    const NodeId other = config_.deterministic_failover
+                             ? believed_leader(leader, unit)
+                             : unit_leader(unit);
+    if (other == kInvalidNode || other == leader) continue;
+    send_message(leader, other, msg);
+  }
 }
 
 void OneHopMembership::on_churn(NodeId node, bool up, SimTime when) {
@@ -213,9 +208,7 @@ void OneHopMembership::deliver_event(NodeId observer, NodeId subject) {
   if (leader == kInvalidNode) return;
   LivenessInfo info;
   if (observer == subject) {
-    info.alive = true;
-    info.dt_alive = own_uptime(subject);
-    info.dt_since = 0;
+    info = LivenessInfo{own_uptime(subject), 0, true};
   } else {
     const auto obs = caches_[observer].observation(subject, simulator_.now());
     if (!obs.has_value()) return;
@@ -223,16 +216,12 @@ void OneHopMembership::deliver_event(NodeId observer, NodeId subject) {
   }
   if (leader == observer) {
     // Already at the leader: fan out to other unit leaders.
-    for (std::size_t unit = 0; unit < config_.units; ++unit) {
-      const NodeId other = config_.deterministic_failover
-                               ? believed_leader(observer, unit)
-                               : unit_leader(unit);
-      if (other == kInvalidNode || other == leader) continue;
-      send_event(leader, other, kKindEventInterLeader, subject, info);
-    }
+    send_inter_leader(leader, subject, info);
     pending_unit_events_[unit_of(leader)].push_back(subject);
   } else {
-    send_event(observer, leader, kKindEventToLeader, subject, info);
+    writer_.begin(kKindEventToLeader);
+    writer_.add(subject, info);
+    send_message(observer, leader, writer_.finish());
   }
 }
 
@@ -253,23 +242,15 @@ void OneHopMembership::keepalive_send(NodeId leader, std::size_t unit,
   const SimTime now = simulator_.now();
   const auto [begin, end] = unit_range(unit);
 
-  Bytes msg;
-  msg.push_back(kKindKeepalive);
-  std::vector<std::pair<NodeId, LivenessInfo>> records;
-  records.reserve(pending.size() + 1);
-  LivenessInfo own;
-  own.alive = true;
-  own.dt_alive = own_uptime(leader);
-  own.dt_since = 0;
-  records.emplace_back(leader, own);
+  const NodeCache& cache = caches_[leader];
+  writer_.begin(kKindKeepalive);
+  writer_.add(leader, LivenessInfo{own_uptime(leader), 0, true});
   for (NodeId subject : pending) {
-    const auto obs = caches_[leader].observation(subject, now);
-    if (obs.has_value()) records.emplace_back(subject, *obs);
+    if (const auto* entry = cache.find(subject)) {
+      writer_.add(subject, entry->observation(now));
+    }
   }
-  put_u16be(msg, static_cast<std::uint16_t>(records.size()));
-  for (const auto& [subject, info] : records) {
-    encode_record(msg, subject, info);
-  }
+  const ByteView msg = writer_.finish();
 
   for (std::size_t member = begin; member < end; ++member) {
     const NodeId id = static_cast<NodeId>(member);
@@ -278,14 +259,12 @@ void OneHopMembership::keepalive_send(NodeId leader, std::size_t unit,
       // Belief-routed: a leader cannot consult ground truth for its
       // members any more than for anything else; sends to dead members
       // are dropped by the transport.
-      const auto* entry = caches_[leader].find(id);
+      const auto* entry = cache.find(id);
       if (entry == nullptr || !entry->alive) continue;
     } else if (!churn_.is_up(id)) {
       continue;
     }
-    demux_.send(net::Channel::kGossip, leader, id, msg);
-    ++messages_sent_;
-    bytes_sent_ += msg.size();
+    send_message(leader, id, msg);
   }
   pending.clear();
 }
@@ -325,96 +304,76 @@ void OneHopMembership::announce_leader(NodeId node, std::size_t unit) {
   // every lower-id unit member (the predecessors it believes dead), so
   // receivers that still trusted a dead predecessor converge in one hop
   // instead of timing each predecessor out in sequence.
-  Bytes msg;
-  msg.push_back(kKindLeaderAnnounce);
-  std::vector<std::pair<NodeId, LivenessInfo>> records;
-  LivenessInfo own;
-  own.alive = true;
-  own.dt_alive = own_uptime(node);
-  own.dt_since = 0;
-  records.emplace_back(node, own);
-  for (std::size_t id = begin; id < static_cast<std::size_t>(node); ++id) {
-    const auto obs = caches_[node].observation(static_cast<NodeId>(id), now);
-    if (obs.has_value()) records.emplace_back(static_cast<NodeId>(id), *obs);
+  const NodeCache& cache = caches_[node];
+  writer_.begin(kKindLeaderAnnounce);
+  writer_.add(node, LivenessInfo{own_uptime(node), 0, true});
+  for (NodeId id = static_cast<NodeId>(begin); id < node; ++id) {
+    if (const auto* entry = cache.find(id)) {
+      writer_.add(id, entry->observation(now));
+    }
   }
-  put_u16be(msg, static_cast<std::uint16_t>(records.size()));
-  for (const auto& [subject, info] : records) {
-    encode_record(msg, subject, info);
-  }
+  const ByteView msg = writer_.finish();
 
   // Unit members we believe alive, plus every other unit's believed leader
   // (so inter-leader event routing finds us).
   for (std::size_t member = begin; member < end; ++member) {
     const NodeId id = static_cast<NodeId>(member);
     if (id == node) continue;
-    const auto* entry = caches_[node].find(id);
+    const auto* entry = cache.find(id);
     if (entry == nullptr || !entry->alive) continue;
-    demux_.send(net::Channel::kGossip, node, id, msg);
-    ++messages_sent_;
-    bytes_sent_ += msg.size();
+    send_message(node, id, msg);
     ++control_stats_.leader_announcements;
   }
   for (std::size_t other = 0; other < config_.units; ++other) {
     if (other == unit) continue;
     const NodeId peer = believed_leader(node, other);
     if (peer == kInvalidNode) continue;
-    demux_.send(net::Channel::kGossip, node, peer, msg);
-    ++messages_sent_;
-    bytes_sent_ += msg.size();
+    send_message(node, peer, msg);
     ++control_stats_.leader_announcements;
   }
 }
 
 void OneHopMembership::handle_message(NodeId from, NodeId to,
                                       ByteView payload) {
-  if (!churn_.is_up(to) || payload.size() < 3) return;
+  if (!churn_.is_up(to) || payload.empty()) return;
   const std::uint8_t kind = payload[0];
-  const std::size_t count = get_u16be(payload, 1);
-  std::vector<DecodedRecord> records;
-  if (!decode_records(payload, 3, count, records)) return;
   const SimTime now = simulator_.now();
 
-  // Failover mode: a keepalive or announcement from a same-unit peer is
-  // proof of an acting leader — reset the silence clock.
-  if (config_.deterministic_failover &&
-      (kind == kKindKeepalive || kind == kKindLeaderAnnounce) &&
-      unit_of(from) == unit_of(to)) {
-    last_leader_heard_[to] = now;
-  }
-
   NodeCache& cache = caches_[to];
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& rec = records[i];
-    if (rec.subject == to) continue;
-    if (i == 0 && rec.subject == from && rec.info.dt_since == 0) {
-      cache.heard_directly(from, rec.info.dt_alive, now);
-    } else {
-      cache.merge_indirect(rec.subject, rec.info, now);
-    }
-    if (kind == kKindEventToLeader || kind == kKindEventInterLeader) {
-      // Leaders queue accepted events for their unit keepalive; an event
-      // arriving from another unit's observer also fans out inter-leader
-      // when we are the first leader to see it.
-      pending_unit_events_[unit_of(to)].push_back(rec.subject);
-      if (kind == kKindEventToLeader) {
-        const auto obs = cache.observation(rec.subject, now);
-        if (obs.has_value()) {
-          for (std::size_t unit = 0; unit < config_.units; ++unit) {
-            const NodeId other = config_.deterministic_failover
-                                     ? believed_leader(to, unit)
-                                     : unit_leader(unit);
-            if (other == kInvalidNode || other == to) continue;
-            send_event(to, other, kKindEventInterLeader, rec.subject, *obs);
-          }
+  const bool fits = for_each_record(
+      payload, caches_.size(),
+      [&](std::size_t index, NodeId subject, const LivenessInfo& info) {
+        if (subject == to) return;
+        if (index == 0 && subject == from && info.dt_since == 0) {
+          cache.heard_directly(from, info.dt_alive, now);
+        } else {
+          cache.merge_indirect(subject, info, now);
+        }
+        if (kind != kKindEventToLeader && kind != kKindEventInterLeader) {
+          return;
+        }
+        // Leaders queue accepted events for their unit keepalive; an event
+        // arriving from another unit's observer also fans out inter-leader
+        // when we are the first leader to see it.
+        pending_unit_events_[unit_of(to)].push_back(subject);
+        if (kind != kKindEventToLeader) return;
+        if (const auto* entry = cache.find(subject)) {
+          send_inter_leader(to, subject, entry->observation(now));
         }
         // A join announcement (the subject reporting itself): hand the
         // joiner a fresh membership snapshot, as OneHop's join protocol
         // downloads the membership table from a neighbor.
-        if (rec.subject == from && rec.info.alive) {
-          send_snapshot(to, from);
-        }
-      }
-    }
+        if (subject == from && info.alive) send_snapshot(to, from);
+      });
+
+  // Failover mode: a keepalive or announcement from a same-unit peer is
+  // proof of an acting leader — reset the silence clock. Nothing above
+  // reads the clock, so resetting it after the merges is the same as
+  // before them.
+  if (fits && config_.deterministic_failover &&
+      (kind == kKindKeepalive || kind == kKindLeaderAnnounce) &&
+      unit_of(from) == unit_of(to)) {
+    last_leader_heard_[to] = now;
   }
 }
 

@@ -27,6 +27,7 @@
 #include "common/rng.hpp"
 #include "membership/node_cache.hpp"
 #include "membership/provider.hpp"
+#include "membership/record_codec.hpp"
 #include "net/demux.hpp"
 #include "sim/simulator.hpp"
 
@@ -96,8 +97,10 @@ class OneHopMembership final : public MembershipProvider {
   void watchdog_tick(NodeId node);
   void keepalive_send(NodeId leader, std::size_t unit, bool always_send);
   void announce_leader(NodeId node, std::size_t unit);
-  void send_event(NodeId from, NodeId to, std::uint8_t kind, NodeId subject,
-                  const LivenessInfo& info);
+  void send_message(NodeId from, NodeId to, ByteView msg);
+  /// Sends one event to every other unit's leader, as `leader` sees them.
+  void send_inter_leader(NodeId leader, NodeId subject,
+                         const LivenessInfo& info);
   void send_snapshot(NodeId leader, NodeId joiner);
   /// The unit's id range [begin, end).
   std::pair<std::size_t, std::size_t> unit_range(std::size_t unit) const;
@@ -117,6 +120,10 @@ class OneHopMembership final : public MembershipProvider {
   std::vector<std::unique_ptr<sim::PeriodicTask>> watchdog_tasks_;
   std::vector<Rng> node_rngs_;
   std::vector<SimTime> last_leader_heard_;
+  // Every message is written here, then copied once by Demux::send.
+  // Transports deliver later, never inside send(), so no handler can
+  // rewrite it while a keepalive or announcement is still being sent.
+  RecordWriter writer_;
 
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

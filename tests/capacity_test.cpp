@@ -11,6 +11,7 @@
 
 #include "common/alloc_probe.hpp"
 #include "harness/environment.hpp"
+#include "membership/node_cache.hpp"
 #include "obs/capacity/census.hpp"
 #include "obs/capacity/loop_profiler.hpp"
 #include "obs/capacity/rusage.hpp"
@@ -262,9 +263,9 @@ TEST(ByteCensusTest, EnvironmentCensusCoversTheBigStructures) {
   EXPECT_EQ(census.subsystem_total("latency_matrix"),
             kNodes * kNodes * sizeof(SimDuration));
   // N node caches of N entries each — the census must see at least the
-  // raw entry storage (Entry is > 32 bytes) for the O(N^2) detector to
-  // have signal.
-  EXPECT_GE(census.subsystem_total("membership"), kNodes * kNodes * 32);
+  // raw entry storage for the O(N^2) detector to have signal.
+  EXPECT_GE(census.subsystem_total("membership"),
+            kNodes * kNodes * sizeof(membership::NodeCache::Entry));
   EXPECT_GT(census.subsystem_total("router"), 0u);
   EXPECT_GT(census.subsystem_total("pki"), 0u);
   EXPECT_GT(census.total(), 0u);

@@ -1,6 +1,6 @@
 // Control-plane resilience tests (DESIGN §9): bounded-trust merge rules,
-// the fault layer's gossip wire mutations cross-checked against the
-// membership encoder, anti-entropy convergence after a dissemination
+// the fault layer's gossip wire mutations checked against the membership
+// record codec, anti-entropy convergence after a dissemination
 // blackout heals, deterministic leader failover under a churn-invisible
 // crash, the staleness-aware mix-selection fallback, and one pinned
 // end-to-end membership-chaos run.
@@ -15,8 +15,10 @@
 #include "membership/gossip.hpp"
 #include "membership/node_cache.hpp"
 #include "membership/onehop.hpp"
+#include "membership/record_codec.hpp"
 #include "net/demux.hpp"
 #include "net/latency_matrix.hpp"
+#include "net/liveness_wire.hpp"
 #include "net/loopback_transport.hpp"
 #include "net/sim_transport.hpp"
 #include "sim/simulator.hpp"
@@ -118,28 +120,42 @@ TEST(NodeCacheAgeTest, AgeStatsTrackStaleFraction) {
   EXPECT_EQ(stats.age_p50, 10 * kMinute);  // median of {10,10,10,10,1,1} min
 }
 
-// --- fault-layer wire mutations vs the membership encoder ------------------------
+// --- fault-layer wire mutations vs the membership codec --------------------------
 
-// The fault layer hard-codes the gossip record layout (it cannot link
-// against p2panon_membership); these tests are the cross-check that the
-// two encodings agree. A gossip datagram is
+// The fault layer rewrites records in flight through the layout in
+// net/liveness_wire.hpp; these tests check that it finds the fields the
+// membership codec writes. A gossip datagram is
 //   [channel u8][kind u8][count u16be][21-byte records...]
-constexpr std::size_t kWireHeader = 4;
+struct WireRecord {
+  NodeId subject;
+  LivenessInfo info;
+};
 
 Bytes gossip_datagram(std::uint8_t kind,
-                      const std::vector<membership::DecodedRecord>& records) {
-  Bytes msg;
-  msg.push_back(static_cast<std::uint8_t>(net::Channel::kGossip));
-  msg.push_back(kind);
-  put_u16be(msg, static_cast<std::uint16_t>(records.size()));
-  for (const auto& record : records) {
-    membership::encode_record(msg, record.subject, record.info);
-  }
-  return msg;
+                      const std::vector<WireRecord>& records) {
+  membership::RecordWriter writer;
+  writer.begin(kind);
+  for (const auto& record : records) writer.add(record.subject, record.info);
+  const ByteView msg = writer.finish();
+  Bytes datagram;
+  datagram.push_back(static_cast<std::uint8_t>(net::Channel::kGossip));
+  append(datagram, msg);
+  return datagram;
+}
+
+// The records of a captured gossip datagram; empty when it is truncated.
+std::vector<WireRecord> records_of(const Bytes& datagram) {
+  std::vector<WireRecord> records;
+  membership::for_each_record(
+      ByteView(datagram).subspan(1), 1u << 20,
+      [&](std::size_t, NodeId subject, const LivenessInfo& info) {
+        records.push_back(WireRecord{subject, info});
+      });
+  return records;
 }
 
 TEST(GossipWireTest, StaleInjectAgesEveryRecordInFlight) {
-  ASSERT_EQ(membership::kRecordWireSize, 21u);
+  ASSERT_EQ(net::liveness_wire::kRecordSize, 21u);
   net::LoopbackTransport loopback(4);
   fault::FaultPlan plan;
   plan.stale_inject(/*probability=*/1.0, /*extra_staleness=*/60 * kSecond, 0,
@@ -157,8 +173,8 @@ TEST(GossipWireTest, StaleInjectAgesEveryRecordInFlight) {
   loopback.deliver_all();
 
   ASSERT_EQ(captured.size(), sent.size());
-  std::vector<membership::DecodedRecord> records;
-  ASSERT_TRUE(membership::decode_records(captured, kWireHeader, 2, records));
+  const auto records = records_of(captured);
+  ASSERT_EQ(records.size(), 2u);
   // dt_since aged by exactly the rule's extra staleness; dt_alive, subject
   // and flags untouched — the fault layer found the right field.
   EXPECT_EQ(records[0].subject, 0u);
@@ -190,8 +206,8 @@ TEST(GossipWireTest, ClaimInflateTouchesOnlySendersOwnRecord) {
                   1, {{0, LivenessInfo{300 * kSecond, 0, true}},
                       {9, LivenessInfo{100 * kSecond, 7 * kSecond, true}}}));
   loopback.deliver_all();
-  std::vector<membership::DecodedRecord> records;
-  ASSERT_TRUE(membership::decode_records(captured, kWireHeader, 2, records));
+  auto records = records_of(captured);
+  ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].info.dt_alive, 610 * kSecond);
   EXPECT_EQ(records[0].info.dt_since, 0);
   EXPECT_EQ(records[1].info.dt_alive, 100 * kSecond);
@@ -201,16 +217,16 @@ TEST(GossipWireTest, ClaimInflateTouchesOnlySendersOwnRecord) {
   faulty.send(0, 1,
               gossip_datagram(1, {{5, LivenessInfo{300 * kSecond, 0, true}}}));
   loopback.deliver_all();
-  records.clear();
-  ASSERT_TRUE(membership::decode_records(captured, kWireHeader, 1, records));
+  records = records_of(captured);
+  ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].info.dt_alive, 300 * kSecond);
 
   // A sender outside at_nodes never inflates.
   faulty.send(2, 1,
               gossip_datagram(1, {{2, LivenessInfo{300 * kSecond, 0, true}}}));
   loopback.deliver_all();
-  records.clear();
-  ASSERT_TRUE(membership::decode_records(captured, kWireHeader, 1, records));
+  records = records_of(captured);
+  ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].info.dt_alive, 300 * kSecond);
   EXPECT_EQ(faulty.counters().claims_inflated, 1u);
 }
@@ -376,12 +392,11 @@ TEST(LeaderFailoverTest, ReElectsAroundChurnInvisibleCrash) {
   // Dissemination to the orphaned unit kept flowing: the successor's
   // keepalives refresh its record at the members, so a mid-unit member
   // holds a near-fresh observation of node 13 — not a fossil from t = 0.
-  const auto* successor = fx.onehop.cache(18).find(13);
-  ASSERT_NE(successor, nullptr);
+  const auto successor =
+      fx.onehop.cache(18).observation(13, fx.simulator.now());
+  ASSERT_TRUE(successor.has_value());
   EXPECT_TRUE(successor->alive);
-  const SimDuration successor_age =
-      successor->dt_since + (fx.simulator.now() - successor->t_last);
-  EXPECT_LT(successor_age, 30 * kSecond);
+  EXPECT_LT(successor->dt_since, 30 * kSecond);
 }
 
 TEST(LeaderFailoverTest, WithoutFailoverTheZombieKeepsTheRole) {

@@ -10,8 +10,10 @@
 #include "membership/liveness.hpp"
 #include "membership/node_cache.hpp"
 #include "membership/onehop.hpp"
+#include "membership/record_codec.hpp"
 #include "net/demux.hpp"
 #include "net/latency_matrix.hpp"
+#include "net/liveness_wire.hpp"
 #include "net/sim_transport.hpp"
 #include "sim/simulator.hpp"
 
@@ -53,8 +55,11 @@ TEST(NodeCacheTest, DirectObservationResetsSince) {
   ASSERT_NE(entry, nullptr);
   EXPECT_TRUE(entry->alive);
   EXPECT_EQ(entry->dt_alive, 500 * kSecond);
-  EXPECT_EQ(entry->dt_since, 0);
-  EXPECT_EQ(entry->t_last, 1000 * kSecond);
+  // dt_since is 0 as of the direct observation at t = 1000 s.
+  const auto heard = cache.observation(3, 1000 * kSecond);
+  ASSERT_TRUE(heard.has_value());
+  EXPECT_EQ(heard->dt_since, 0);
+  EXPECT_EQ(cache.observation(3, 1010 * kSecond)->dt_since, 10 * kSecond);
 }
 
 TEST(NodeCacheTest, IndirectAcceptedOnlyIfFresher) {
@@ -415,23 +420,35 @@ TEST(OneHopTest, MaintainsAccuracyUnderChurn) {
 // --- wire helpers ----------------------------------------------------------------------
 
 TEST(GossipWireTest, RecordRoundTrip) {
-  Bytes buffer;
   LivenessInfo info;
   info.alive = true;
   info.dt_alive = 123 * kSecond;
   info.dt_since = 45 * kSecond;
-  encode_record(buffer, 42, info);
-  EXPECT_EQ(buffer.size(), kRecordWireSize);
-  std::vector<DecodedRecord> decoded;
-  ASSERT_TRUE(decode_records(buffer, 0, 1, decoded));
+  RecordWriter writer;
+  writer.begin(/*kind=*/1);
+  writer.add(42, info);
+  const Bytes msg(writer.finish().begin(), writer.finish().end());
+  EXPECT_EQ(net::liveness_wire::kRecordSize, 21u);
+  EXPECT_EQ(msg.size(),
+            net::liveness_wire::kHeaderSize + net::liveness_wire::kRecordSize);
+  std::vector<std::pair<NodeId, LivenessInfo>> decoded;
+  const auto collect = [&](std::size_t, NodeId subject,
+                           const LivenessInfo& record) {
+    decoded.emplace_back(subject, record);
+  };
+  ASSERT_TRUE(for_each_record(msg, 64, collect));
   ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0].subject, 42u);
-  EXPECT_TRUE(decoded[0].info.alive);
-  EXPECT_EQ(decoded[0].info.dt_alive, 123 * kSecond);
-  EXPECT_EQ(decoded[0].info.dt_since, 45 * kSecond);
-  // Truncated input rejected.
-  std::vector<DecodedRecord> out;
-  EXPECT_FALSE(decode_records(buffer, 0, 2, out));
+  EXPECT_EQ(decoded[0].first, 42u);
+  EXPECT_TRUE(decoded[0].second.alive);
+  EXPECT_EQ(decoded[0].second.dt_alive, 123 * kSecond);
+  EXPECT_EQ(decoded[0].second.dt_since, 45 * kSecond);
+  // Truncated input rejected: a message declaring two records but carrying
+  // one merges nothing.
+  Bytes truncated = msg;
+  truncated[net::liveness_wire::kCountOffset + 1] = 2;
+  decoded.clear();
+  EXPECT_FALSE(for_each_record(truncated, 64, collect));
+  EXPECT_TRUE(decoded.empty());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "anon/session.hpp"
 #include "membership/gossip.hpp"
 #include "membership/node_cache.hpp"
+#include "membership/record_codec.hpp"
 #include "net/demux.hpp"
 #include "net/latency_matrix.hpp"
 #include "net/loopback_transport.hpp"
@@ -67,9 +68,13 @@ TEST(ParserFuzzTest, GossipRecordsSurviveJunk) {
   Rng rng(5);
   for (int i = 0; i < 5000; ++i) {
     const Bytes junk = random_bytes(rng, 200);
-    std::vector<membership::DecodedRecord> out;
-    EXPECT_NO_THROW(membership::decode_records(
-        junk, 0, junk.empty() ? 0 : junk[0], out));
+    EXPECT_NO_THROW(membership::for_each_record(
+        junk, 64,
+        [](std::size_t, NodeId subject, const membership::LivenessInfo& info) {
+          EXPECT_LT(subject, 64u);
+          EXPECT_GE(info.dt_alive, 0);
+          EXPECT_GE(info.dt_since, 0);
+        }));
   }
 }
 
