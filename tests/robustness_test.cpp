@@ -261,6 +261,7 @@ TEST(EventQueueModelTest, MatchesMultimapReference) {
   sim::EventQueue queue;
   std::multimap<SimTime, int> reference;
   std::map<int, sim::EventId> live_ids;
+  std::vector<sim::EventId> dead_ids;  // fired or cancelled
   Rng rng(20);
   int next_tag = 0;
   std::vector<int> popped_queue;
@@ -284,7 +285,14 @@ TEST(EventQueueModelTest, MatchesMultimapReference) {
           break;
         }
       }
+      dead_ids.push_back(it->second);
       live_ids.erase(it);
+    } else if (choice < 82 && !dead_ids.empty()) {
+      // Cancel a fired or already-cancelled event: a no-op, whatever has
+      // been scheduled since.
+      const sim::EventId id = dead_ids[rng.next_below(dead_ids.size())];
+      ASSERT_FALSE(queue.pending(id));
+      ASSERT_FALSE(queue.cancel(id));
     } else {
       // Pop: times must match; among equal times the queue pops in
       // schedule order, which the multimap preserves for equal keys.
@@ -294,6 +302,8 @@ TEST(EventQueueModelTest, MatchesMultimapReference) {
       // Find and erase the matching tag (first inserted at that time).
       const int tag = reference.begin()->second;
       reference.erase(reference.begin());
+      ASSERT_EQ(ready.id, live_ids.at(tag));
+      dead_ids.push_back(ready.id);
       live_ids.erase(tag);
       popped_queue.push_back(tag);
       popped_reference.push_back(tag);
