@@ -10,16 +10,17 @@ committed full sweep or the CI smoke at N=1k/2k). Fails (exit 1) when:
     simulator must keep pushing events at scale, not just survive;
   * any arm's census bytes-per-node exceeds the linear-budget model
     PER_NODE_BASE + PER_NODE_PAIR * N (per-node state may grow linearly
-    in N because of the known O(N^2) structures, but the per-pair
+    in N because of the known O(N^2) structure, but the per-pair
     coefficient is capped);
   * the largest arm's peak RSS exceeds RSS_FACTOR * its census total plus
     RSS_BASE of process slack -- actual process memory must stay
     explainable by the structures the census can see;
   * the superlinear-growth detector flags a subsystem NOT on the known
-    O(N^2) list (latency_matrix, membership) -- a new quadratic structure
-    must not sneak in silently;
-  * the detector does NOT flag latency_matrix even though two network
-    sizes are present -- i.e. the detector itself must demonstrably work;
+    O(N^2) list (membership, whose N caches hold N entries each) -- a new
+    quadratic structure, or a latency table come back, must not sneak in
+    silently;
+  * the detector does NOT flag membership even though two network sizes
+    are present -- i.e. the detector itself must demonstrably work;
   * any arm's measured profiler self-overhead is >= OVERHEAD_PCT_MAX of
     the measured wall time (the probe must stay cheap enough to leave on).
 """
@@ -33,7 +34,7 @@ PER_NODE_PAIR = 150.0             # ... plus bytes per (node, peer) pair
 RSS_FACTOR = 2.0                  # RSS explainable as 2x census ...
 RSS_BASE = 500 * 1024 * 1024      # ... plus process slack (heap, code, libs)
 SUPERLINEAR_SLACK = 1.30          # growth factor beyond proportional
-EXPECTED_SUPERLINEAR = {"latency_matrix", "membership"}
+EXPECTED_SUPERLINEAR = {"membership"}
 OVERHEAD_PCT_MAX = 3.0
 
 
@@ -133,12 +134,12 @@ def check_doc(path, doc, failures):
         if unexpected:
             failures.append(f"{path}: {scenario} unexpected superlinear "
                             f"growth in {sorted(unexpected)}")
-        if "latency_matrix" not in flagged:
+        if "membership" not in flagged:
             failures.append(f"{path}: {scenario} detector failed to flag "
-                            f"the O(N^2) latency matrix "
+                            f"the O(N^2) membership caches "
                             f"(N {n1} -> {n2})")
         else:
-            print(f"{scenario}: detector correctly flags latency_matrix; "
+            print(f"{scenario}: detector correctly flags membership; "
                   f"no unexpected superlinear subsystems")
 
 

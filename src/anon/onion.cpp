@@ -217,14 +217,19 @@ std::uint64_t key_seed(ByteView key_material) {
   return seed;
 }
 
+// Keystream byte 8k + b is byte b of the k-th splitmix64 word, little end
+// first, so whole words XOR through a little-endian load and store.
 void xor_keystream(std::uint64_t seed, MutableByteView data) {
   std::uint64_t state = seed;
-  std::size_t i = 0;
-  while (i < data.size()) {
-    const std::uint64_t word = splitmix64(state);
-    for (int b = 0; b < 8 && i < data.size(); ++b, ++i) {
-      data[i] ^= static_cast<std::uint8_t>(word >> (8 * b));
-    }
+  std::uint8_t* p = data.data();
+  std::size_t left = data.size();
+  for (; left >= 8; p += 8, left -= 8) {
+    store_u64le(p, load_u64le(p) ^ splitmix64(state));
+  }
+  if (left == 0) return;
+  const std::uint64_t word = splitmix64(state);
+  for (std::size_t b = 0; b < left; ++b) {
+    p[b] ^= static_cast<std::uint8_t>(word >> (8 * b));
   }
 }
 

@@ -200,7 +200,7 @@ void Environment::sample() {
 }
 
 void Environment::byte_census(obs::capacity::ByteCensus& census) const {
-  census.add("latency_matrix", "delays", latency_->memory_bytes());
+  census.add("latency_matrix", "coordinates", latency_->memory_bytes());
   membership_->byte_census(census);
   router_->byte_census(census);
   census.add("pki", "directory", directory_.memory_bytes());

@@ -337,6 +337,8 @@ void OneHopMembership::handle_message(NodeId from, NodeId to,
                                       ByteView payload) {
   if (!churn_.is_up(to) || payload.empty()) return;
   const std::uint8_t kind = payload[0];
+  // A kind OneHop never sends is dropped unread, as gossip drops one.
+  if (kind < kKindEventToLeader || kind > kKindLeaderAnnounce) return;
   const SimTime now = simulator_.now();
 
   NodeCache& cache = caches_[to];

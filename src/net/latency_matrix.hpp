@@ -8,8 +8,12 @@
 // the properties the experiments rely on — triangle-inequality-ish
 // structure, heterogeneity across pairs, and the 152 ms mean (DESIGN.md
 // "Substitutions").
+//
+// Only the N coordinates and the scale are stored: a delay is computed from
+// its two endpoints when it is asked for, so the model is O(N) in memory.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -26,33 +30,46 @@ class LatencyMatrix {
   static LatencyMatrix synthetic(std::size_t num_nodes, Rng rng,
                                  SimDuration target_mean_rtt = from_millis(152));
 
-  /// One-way network delay from a to b. Symmetric by construction.
+  /// One-way network delay from a to b. Symmetric bit for bit: swapping
+  /// the endpoints only negates dx and dy and reorders one addition.
   SimDuration one_way(NodeId a, NodeId b) const {
-    return delays_[static_cast<std::size_t>(a) * n_ + b];
+    if (a == b) return 0;
+    return static_cast<SimDuration>(raw_delay(coords_[a], coords_[b]) *
+                                    scale_);
   }
 
   SimDuration rtt(NodeId a, NodeId b) const {
     return one_way(a, b) + one_way(b, a);
   }
 
-  std::size_t num_nodes() const { return n_; }
+  std::size_t num_nodes() const { return coords_.size(); }
 
-  /// Heap footprint of the delay table — the repo's canonical O(N²)
-  /// structure, reported per-subsystem by the capacity byte census.
+  /// Heap footprint of the per-node coordinates, reported per-subsystem by
+  /// the capacity byte census. Linear in N.
   std::uint64_t memory_bytes() const {
-    return static_cast<std::uint64_t>(delays_.capacity()) *
-           sizeof(SimDuration);
+    return static_cast<std::uint64_t>(coords_.capacity()) * sizeof(Coord);
   }
 
   /// Mean RTT over all ordered pairs (a != b).
   SimDuration mean_rtt() const;
 
  private:
-  /// Takes explicit one-way delays; `delays` is row-major N x N.
-  LatencyMatrix(std::size_t num_nodes, std::vector<SimDuration> delays);
+  struct Coord {
+    double x, y, access;
+  };
 
-  std::size_t n_;
-  std::vector<SimDuration> delays_;
+  LatencyMatrix() = default;  // built only by synthetic()
+
+  /// Unscaled one-way delay: propagation over the plane plus a share of
+  /// both access links.
+  static double raw_delay(const Coord& a, const Coord& b) {
+    const double dx = a.x - b.x;
+    const double dy = a.y - b.y;
+    return std::sqrt(dx * dx + dy * dy) + 0.35 * (a.access + b.access);
+  }
+
+  std::vector<Coord> coords_;
+  double scale_ = 0.0;  // raw delay -> SimDuration
 };
 
 }  // namespace p2panon::net

@@ -44,7 +44,7 @@ std::uint64_t hash_map_bytes(const Map& m) {
 
 struct CensusEntry {
   std::string subsystem;  // e.g. "latency_matrix", "gossip", "flow_log"
-  std::string detail;     // e.g. "delays", "rumor_queues"
+  std::string detail;     // e.g. "coordinates", "rumor_queues"
   std::uint64_t bytes = 0;
 };
 

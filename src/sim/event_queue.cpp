@@ -8,49 +8,88 @@ namespace p2panon::sim {
 
 EventId EventQueue::schedule(SimTime when, Callback fn,
                              obs::capacity::EventTypeId type) {
-  const EventId id = next_id_++;
-  heap_.push_back(
-      Entry{when, id, std::move(fn), obs::current_correlation(), type});
+  std::uint32_t index;
+  if (free_.empty()) {
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_.back();
+    free_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  if (++slot.generation == 0) slot.generation = 1;  // keeps ids nonzero
+  slot.fn = std::move(fn);  // a free slot's callback is already empty
+  slot.corr = obs::current_correlation();
+  slot.type = type;
+  slot.live = true;
+  ++live_;
+  heap_.push_back(Key{when, next_seq_++, index});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  live_.insert(id);
-  return id;
+  return make_id(index, slot.generation);
 }
 
 bool EventQueue::cancel(EventId id) {
-  // Erasing from live_ turns the heap entry into a tombstone; it is skipped
-  // when it reaches the top.
-  return live_.erase(id) > 0;
+  if (!pending(id)) return false;
+  // The key stays in the heap as a dead entry until it surfaces. The
+  // callback is destroyed last, once `slot` is no longer used: its
+  // destructor may schedule, which can grow slots_.
+  Slot& slot = slots_[static_cast<std::uint32_t>(id)];
+  slot.live = false;
+  --live_;
+  Callback doomed;
+  doomed.swap(slot.fn);
+  return true;
 }
 
-void EventQueue::drop_tombstone_head() {
-  while (!heap_.empty() && live_.count(heap_.front().id) == 0) {
+void EventQueue::drop_dead_head() {
+  while (!heap_.empty() && !slots_[heap_.front().slot].live) {
+    free_.push_back(heap_.front().slot);
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
 }
 
 SimTime EventQueue::next_time() {
-  drop_tombstone_head();
+  drop_dead_head();
   if (heap_.empty()) return kNeverTime;
   return heap_.front().time;
 }
 
 EventQueue::Ready EventQueue::pop() {
-  drop_tombstone_head();
+  drop_dead_head();
   if (heap_.empty()) {
     throw std::logic_error("EventQueue::pop on empty queue");
   }
-  // pop_heap moves the earliest entry to the back; move it out from there.
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry top = std::move(heap_.back());
+  const Key top = heap_.back();
   heap_.pop_back();
-  live_.erase(top.id);
-  return Ready{top.time, top.id, std::move(top.fn), top.corr, top.type};
+  free_.push_back(top.slot);
+  Slot& slot = slots_[top.slot];
+  slot.live = false;
+  --live_;
+  Ready ready{top.time, make_id(top.slot, slot.generation), nullptr,
+              slot.corr, slot.type};
+  ready.fn.swap(slot.fn);
+  return ready;
 }
 
 void EventQueue::clear() {
-  heap_ = std::vector<Entry>();
-  live_.clear();
+  // Every slot goes back to the free list with its generation kept. The
+  // callbacks are destroyed after the bookkeeping, for the reason cancel()
+  // gives.
+  std::vector<Callback> doomed;
+  doomed.reserve(live_);
+  heap_.clear();
+  free_.clear();
+  for (std::uint32_t index = 0; index < slots_.size(); ++index) {
+    Slot& slot = slots_[index];
+    if (slot.live) {
+      slot.live = false;
+      doomed.emplace_back().swap(slot.fn);
+    }
+    free_.push_back(index);
+  }
+  live_ = 0;
 }
 
 }  // namespace p2panon::sim

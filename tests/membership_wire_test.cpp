@@ -359,6 +359,30 @@ TEST(MembershipDecodeTest, OutOfRangeSubjectIsSkipped) {
             DirectFixture<membership::OneHopMembership>::kNodes - 1);
 }
 
+// A message under a kind OneHop never sends is dropped before any of its
+// records merge, as gossip drops one: a record saying node 6 left, sent
+// under kind 0x63, leaves the receiver's belief about node 6 as it was.
+TEST(MembershipDecodeTest, OneHopDropsUnknownKinds) {
+  DirectFixture<membership::OneHopMembership> fx(membership::OneHopConfig{});
+  fx.simulator.run_until(kMinute);
+  const SimTime now = fx.simulator.now();
+  const membership::NodeCache& cache = fx.provider.cache(1);
+  const auto before = cache.observation(6, now);
+  ASSERT_TRUE(before.has_value());
+  ASSERT_TRUE(before->alive);
+
+  fx.transport.deliver(2, 1, record_message(0x63, {{6, false, 0, 0}}));
+  const auto after = cache.observation(6, now);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_TRUE(after->alive);
+  EXPECT_EQ(after->dt_alive, before->dt_alive);
+  EXPECT_EQ(after->dt_since, before->dt_since);
+
+  // The same record under a real kind (3, a keepalive) does land.
+  fx.transport.deliver(2, 1, record_message(3, {{6, false, 0, 0}}));
+  EXPECT_FALSE(cache.observation(6, now)->alive);
+}
+
 // Every parsed membership message, mutated: every single-byte flip with
 // masks 0x01, 0x80 and 0xff, every truncation and a fixed set of seeded
 // multi-byte splices, each fed through the provider's demux handler.
