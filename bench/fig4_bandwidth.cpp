@@ -2,22 +2,24 @@
 // r in {2, 3, 4} at pa = 0.70, L = 3.
 //
 // Methodology: Monte-Carlo over the Bernoulli path model using the real
-// wire sizes of the protocol (per-hop framing, AEAD layer tags, sealed-core
-// overhead — identical between RealOnionCodec and FastOnionCodec). A
-// surviving path carries its segment across all L+1 hops; a path that died
-// carries it part-way (uniform over hops). Costs are averaged over trials
-// where the responder reconstructs (>= k/r paths alive), matching the
-// paper's "bandwidth cost of successful routing". The curves grow with k
-// because each extra path adds fixed per-message framing, and are ordered
-// by r because the payload cost is |M| * r * (L + 1).
+// wire sizes of the protocol (anon/wire.hpp: the Payload frame header, one
+// AEAD layer per remaining relay, the sealed core around the payload-core
+// header, and Demux's channel byte; identical between RealOnionCodec and
+// FastOnionCodec). A surviving path carries its segment across all L+1
+// hops; a path that died carries it part-way (uniform over hops). Costs
+// are averaged over trials where the responder reconstructs (>= k/r paths
+// alive), matching the paper's "bandwidth cost of successful routing". The
+// curves grow with k because each extra path adds fixed per-message
+// framing, and are ordered by r because the payload cost is
+// |M| * r * (L + 1).
 #include <cstdio>
 
 #include "analysis/path_model.hpp"
+#include "anon/wire.hpp"
 #include "common/config.hpp"
-#include "crypto/aead.hpp"
-#include "crypto/sealed_box.hpp"
 #include "metrics/summary.hpp"
 #include "metrics/table.hpp"
+#include "net/demux.hpp"
 #include "obs/export.hpp"
 
 using namespace p2panon;
@@ -25,32 +27,21 @@ using namespace p2panon::analysis;
 
 namespace {
 
-// Wire size of one payload message as it leaves the initiator (see
-// anon/router.cpp framing and anon/onion.cpp overheads): channel byte +
-// type + sid + seq + L AEAD layers + sealed core around the serialized
-// PayloadCore header (24 bytes + 32-byte responder key + 4-byte length).
-// The model sends one message per path, which is always that path's first
-// core and so always sealed; later cores on a path the responder has
-// answered are keyed and 32 bytes shorter, which this figure leaves out.
-double initiator_message_bytes(double segment_bytes, std::size_t L) {
-  const double core_plain = 24.0 + 32.0 + 4.0 + segment_bytes;
-  const double sealed = core_plain + crypto::kSealedBoxOverhead;
-  const double layered =
-      sealed + static_cast<double>(L) * crypto::kAeadTagSize;
-  return 1.0 + 1.0 + 8.0 + 8.0 + layered;
-}
-
-// Total bytes across hops for one path: the message sheds one 16-byte
-// layer per relay hop, and `hops_traversed` of the L+1 hops are taken.
-double path_bytes(double segment_bytes, std::size_t L,
-                  std::size_t hops_traversed) {
-  double total = 0.0;
-  double size = initiator_message_bytes(segment_bytes, L);
-  for (std::size_t hop = 0; hop < hops_traversed; ++hop) {
-    total += size;
-    size -= crypto::kAeadTagSize;  // one layer stripped per relay
-  }
-  return total;
+// Bytes one path puts on the wire over its first `hops` hops: its Payload
+// frames, each behind Demux's channel byte. The model sends one message
+// per path, which is always that path's first core and so always sealed;
+// later cores on a path the responder has answered are keyed and 32 bytes
+// shorter, which this figure leaves out. The segment, |M| / m, need not be
+// whole, and a frame's size is linear in it, so it is added per hop to the
+// frames of an empty segment.
+double path_bytes(double segment_bytes, std::size_t L, std::size_t hops) {
+  constexpr std::size_t kEmptySealedCore =
+      anon::wire::kCoreHeaderSize + anon::wire::kBoxOverhead;
+  const std::size_t empty_frames =
+      anon::wire::payload_path_bytes(kEmptySealedCore, L, hops);
+  return static_cast<double>(empty_frames) +
+         static_cast<double>(hops) *
+             (segment_bytes + net::Demux::kChannelByteSize);
 }
 
 }  // namespace

@@ -44,43 +44,40 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(10240)->Arg(65536);
 
+constexpr std::size_t kJsonEvents = 10000;  // N = 10k events per chain
+
+// One self-rescheduling chain of kJsonEvents ticks; returns the count.
+std::uint64_t dispatch_chain(obs::capacity::LoopProfiler* profiler) {
+  static const auto kTickEvent = obs::capacity::event_type("bench.tick");
+  sim::Simulator simulator;
+  simulator.set_profiler(profiler);
+  std::uint64_t counter = 0;
+  std::function<void()> tick = [&] {
+    if (++counter < kJsonEvents) {
+      simulator.schedule_after(1, tick, kTickEvent);
+    }
+  };
+  simulator.schedule_after(0, tick, kTickEvent);
+  simulator.run();
+  return counter;
+}
+
 void BM_SimulatorEventDispatch(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator simulator;
-    std::uint64_t counter = 0;
-    std::function<void()> tick = [&] {
-      if (++counter < 10000) simulator.schedule_after(1, tick);
-    };
-    simulator.schedule_after(0, tick);
-    simulator.run();
-    benchmark::DoNotOptimize(counter);
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(dispatch_chain(nullptr));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          10000);
+                          static_cast<std::int64_t>(kJsonEvents));
 }
 BENCHMARK(BM_SimulatorEventDispatch);
 
 void BM_SimulatorEventDispatchProfiled(benchmark::State& state) {
-  // Same self-rescheduling chain with the capacity loop profiler attached;
-  // the ratio to the plain variant is the profiler's dispatch-path cost.
-  const auto stride = static_cast<std::uint32_t>(state.range(0));
-  static const auto kTickEvent = obs::capacity::event_type("bench.tick");
+  // The same chain with the capacity loop profiler attached; the ratio to
+  // the plain variant is the profiler's dispatch-path cost.
   obs::capacity::LoopProfiler::Config config;
-  config.sample_stride = stride;
+  config.sample_stride = static_cast<std::uint32_t>(state.range(0));
   obs::capacity::LoopProfiler profiler(config);
-  for (auto _ : state) {
-    sim::Simulator simulator;
-    simulator.set_profiler(&profiler);
-    std::uint64_t counter = 0;
-    std::function<void()> tick = [&] {
-      if (++counter < 10000) simulator.schedule_after(1, tick, kTickEvent);
-    };
-    simulator.schedule_after(0, tick, kTickEvent);
-    simulator.run();
-    benchmark::DoNotOptimize(counter);
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(dispatch_chain(&profiler));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          10000);
+                          static_cast<std::int64_t>(kJsonEvents));
 }
 BENCHMARK(BM_SimulatorEventDispatchProfiled)->Arg(16)->Arg(1);
 
@@ -119,46 +116,40 @@ BENCHMARK(BM_LatencyMatrixSynthesis)->Arg(256)->Arg(1024)
 
 // --- --json report mode ----------------------------------------------------
 
-constexpr std::size_t kJsonEvents = 10000;  // N = 10k per measured run
+constexpr int kPairs = 11;  // interleaved detached / profiled windows
 
+// Events per second over `iters` calls of `fn`, kJsonEvents events each.
 template <class Fn>
-double measure_events_per_sec(std::size_t events_per_call, Fn&& fn) {
-  using clock = std::chrono::steady_clock;
-  fn();  // warmup
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    std::size_t iters = 1;
-    for (;;) {
-      const auto t0 = clock::now();
-      for (std::size_t i = 0; i < iters; ++i) fn();
-      const double secs =
-          std::chrono::duration<double>(clock::now() - t0).count();
-      if (secs >= 0.05) {
-        best = std::max(best, static_cast<double>(iters) *
-                                  static_cast<double>(events_per_call) /
-                                  secs);
-        break;
-      }
-      iters = secs <= 0.0 ? iters * 8 : iters * 2;
-    }
-  }
-  return best;
+double window_eps(Fn& fn, std::size_t iters) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < iters; ++i) fn();
+  const std::chrono::duration<double> secs =
+      std::chrono::steady_clock::now() - t0;
+  return static_cast<double>(iters * kJsonEvents) / secs.count();
 }
 
-double dispatch_run(obs::capacity::LoopProfiler* profiler) {
-  static const auto kTickEvent = obs::capacity::event_type("bench.tick");
-  return measure_events_per_sec(kJsonEvents, [&] {
-    sim::Simulator simulator;
-    simulator.set_profiler(profiler);
-    std::uint64_t counter = 0;
-    std::function<void()> tick = [&] {
-      if (++counter < kJsonEvents) {
-        simulator.schedule_after(1, tick, kTickEvent);
-      }
-    };
-    simulator.schedule_after(0, tick, kTickEvent);
-    simulator.run();
-  });
+// Calls per window: after one warmup call, the first count, doubling from
+// one, whose window lasts at least 50 ms.
+template <class Fn>
+std::size_t window_calls(Fn& fn) {
+  fn();
+  std::size_t iters = 1;
+  while (static_cast<double>(iters * kJsonEvents) / window_eps(fn, iters) <
+         0.05) {
+    iters *= 2;
+  }
+  return iters;
+}
+
+// Best of three windows.
+template <class Fn>
+double best_eps(Fn&& fn) {
+  const std::size_t iters = window_calls(fn);
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    best = std::max(best, window_eps(fn, iters));
+  }
+  return best;
 }
 
 int run_json_report(const std::string& path) {
@@ -167,34 +158,49 @@ int run_json_report(const std::string& path) {
 
   // Raw queue throughput: schedule N then drain N.
   Rng rng(1);
-  const double queue_eps = measure_events_per_sec(kJsonEvents, [&] {
-    sim::EventQueue queue;
-    for (std::size_t i = 0; i < kJsonEvents; ++i) {
-      queue.schedule(static_cast<SimTime>(rng.next_below(1000000)), [] {});
-    }
-    while (!queue.empty()) queue.pop();
-  });
-  report.add("queue_schedule_pop_events_per_sec", queue_eps);
+  report.add("queue_schedule_pop_events_per_sec", best_eps([&] {
+               sim::EventQueue queue;
+               for (std::size_t i = 0; i < kJsonEvents; ++i) {
+                 queue.schedule(static_cast<SimTime>(rng.next_below(1000000)),
+                                [] {});
+               }
+               while (!queue.empty()) queue.pop();
+             }));
 
-  // Full dispatch loop, profiler detached / attached (stride 16 and 1).
-  const double plain_eps = dispatch_run(nullptr);
-  report.add("dispatch_events_per_sec", plain_eps);
-
+  // Full dispatch loop, profiler detached and attached at stride 16, in
+  // kPairs pairs of back-to-back windows, each pair in the other order
+  // from the last so that a drift in host speed favours neither. The
+  // overhead is the median of the pairs' overheads; each throughput is its
+  // best window.
   obs::capacity::LoopProfiler::Config sampled_config;
   sampled_config.sample_stride = 16;
   obs::capacity::LoopProfiler sampled(sampled_config);
-  const double sampled_eps = dispatch_run(&sampled);
-  report.add("dispatch_profiled_events_per_sec", sampled_eps);
-  report.add("profiler_overhead_pct",
-             plain_eps > 0 && sampled_eps > 0
-                 ? 100.0 * (plain_eps - sampled_eps) / plain_eps
-                 : 0.0);
+  auto plain = [] { dispatch_chain(nullptr); };
+  auto profiled = [&] { dispatch_chain(&sampled); };
+  const std::size_t plain_iters = window_calls(plain);
+  const std::size_t profiled_iters = window_calls(profiled);
+  double plain_best = 0.0;
+  double profiled_best = 0.0;
+  std::vector<double> overheads;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double plain_eps = pair % 2 == 0 ? window_eps(plain, plain_iters) : 0.0;
+    const double profiled_eps = window_eps(profiled, profiled_iters);
+    if (pair % 2 == 1) plain_eps = window_eps(plain, plain_iters);
+    plain_best = std::max(plain_best, plain_eps);
+    profiled_best = std::max(profiled_best, profiled_eps);
+    overheads.push_back(100.0 * (plain_eps - profiled_eps) / plain_eps);
+  }
+  std::nth_element(overheads.begin(), overheads.begin() + kPairs / 2,
+                   overheads.end());
+  report.add("dispatch_events_per_sec", plain_best);
+  report.add("dispatch_profiled_events_per_sec", profiled_best);
+  report.add("profiler_overhead_pct", overheads[kPairs / 2]);
 
   obs::capacity::LoopProfiler::Config full_config;
   full_config.sample_stride = 1;
   obs::capacity::LoopProfiler every(full_config);
-  const double every_eps = dispatch_run(&every);
-  report.add("dispatch_profiled_stride1_events_per_sec", every_eps);
+  report.add("dispatch_profiled_stride1_events_per_sec",
+             best_eps([&] { dispatch_chain(&every); }));
 
   report.add_section("profiler", sampled.report_json());
   return report.write_if_requested(path) ? 0 : 1;

@@ -8,8 +8,7 @@ double BandwidthModel::per_path_payload(std::size_t k, double r) const {
   if (k == 0 || r < 1.0) {
     throw std::invalid_argument("need k >= 1 and r >= 1");
   }
-  return static_cast<double>(message_size) * r / static_cast<double>(k) +
-         static_cast<double>(per_message_overhead);
+  return static_cast<double>(message_size) * r / static_cast<double>(k);
 }
 
 double BandwidthModel::full_delivery_cost(std::size_t k, double r) const {

@@ -8,7 +8,9 @@
 // payload bytes (each of the k paths carries |M| r / k bytes across L
 // relay hops plus the hop to the responder). The *expected* cost under the
 // Bernoulli path model accounts for paths that die partway: a failed path
-// is assumed to carry its segments half the hops on average.
+// is assumed to carry its segments half the hops on average. Framing and
+// crypto overheads are the wire's (anon::wire::payload_path_bytes), not
+// this model's.
 #pragma once
 
 #include <cstddef>
@@ -18,9 +20,8 @@ namespace p2panon::analysis {
 struct BandwidthModel {
   std::size_t message_size = 1024;  // |M| bytes
   std::size_t path_length = 3;      // L
-  std::size_t per_message_overhead = 0;  // headers/crypto per hop-message
 
-  /// Bytes per path when all k paths are used: |M| * r / k + overhead.
+  /// Bytes per path when all k paths are used: |M| * r / k.
   double per_path_payload(std::size_t k, double r) const;
 
   /// Total cost when all k paths deliver (the Figure 4 curve).

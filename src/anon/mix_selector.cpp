@@ -32,11 +32,11 @@ std::optional<std::vector<std::vector<NodeId>>> MixSelector::select_paths(
       ++biased_selects_;
       // Staleness-aware degradation: when too much of the cache is stale,
       // the Eq. 3 ranking is noise — sample uniformly instead and let the
-      // bias return as repair freshens the records. The policy is off by
-      // default, in which case no age scan runs and no RNG is drawn.
-      if (staleness_.enabled) {
-        const auto ages = cache.age_stats(now, staleness_.stale_after);
-        if (ages.stale_fraction > staleness_.degrade_fraction) {
+      // bias return as repair freshens the records. Off by default, in
+      // which case no age scan runs and no RNG is drawn.
+      if (staleness_aware_) {
+        const auto ages = cache.age_stats(now, kStaleAfter);
+        if (ages.stale_fraction > kDegradeFraction) {
           ++stale_fallbacks_;
           picked = cache.sample_known(need, rng_, exclude, now,
                                       /*honor_quarantine=*/true);

@@ -30,27 +30,24 @@ enum class MixChoice { kRandom, kBiased };
 
 const char* to_string(MixChoice choice);
 
-/// Staleness-aware degradation policy (control-plane resilience, DESIGN
-/// §9). Biased choice is only as good as the liveness data behind it: after
-/// a gossip blackout the Eq. 3 ranking is computed over fossils, and
+/// Staleness-aware degradation (control-plane resilience, DESIGN §9).
+/// Biased choice is only as good as the liveness data behind it: after a
+/// gossip blackout the Eq. 3 ranking is computed over fossils, and
 /// confidently picking the "longest-lived" node from a stale cache is
-/// worse than admitting ignorance. When the fraction of known-alive
-/// records older than `stale_after` exceeds `degrade_fraction`, biased
-/// selection falls back to the random sampler for that decision — and
-/// recovers the bias automatically as anti-entropy repair freshens the
-/// cache back under the threshold. Default OFF: selection is then
-/// byte-identical to the seed.
-struct StalenessPolicy {
-  bool enabled = false;
-  SimDuration stale_after = 2 * kMinute;
-  double degrade_fraction = 0.5;
-};
+/// worse than admitting ignorance. When more than kDegradeFraction of the
+/// known-alive records are older than kStaleAfter, a staleness-aware
+/// selector's biased choice falls back to the random sampler for that
+/// decision, and recovers the bias as anti-entropy repair freshens the
+/// cache back under the threshold.
+constexpr SimDuration kStaleAfter = 2 * kMinute;
+constexpr double kDegradeFraction = 0.5;
 
 class MixSelector {
  public:
-  MixSelector(MixChoice choice, Rng rng) : choice_(choice), rng_(rng) {}
-  MixSelector(MixChoice choice, Rng rng, StalenessPolicy staleness)
-      : choice_(choice), rng_(rng), staleness_(staleness) {}
+  /// `staleness_aware` turns on the degradation above; off, selection
+  /// draws and ranks exactly as the seed did.
+  MixSelector(MixChoice choice, Rng rng, bool staleness_aware = false)
+      : choice_(choice), rng_(rng), staleness_aware_(staleness_aware) {}
 
   /// Picks `paths * path_length` distinct relays and splits them into
   /// `paths` disjoint relay lists of length `path_length`. Returns nullopt
@@ -66,7 +63,6 @@ class MixSelector {
       const std::vector<NodeId>& extra_exclude = {});
 
   MixChoice choice() const { return choice_; }
-  const StalenessPolicy& staleness() const { return staleness_; }
 
   /// How many biased selections fell back to random because the cache was
   /// stale, and how many biased selections ran in total.
@@ -76,7 +72,7 @@ class MixSelector {
  private:
   MixChoice choice_;
   Rng rng_;
-  StalenessPolicy staleness_;
+  bool staleness_aware_;
   std::uint64_t stale_fallbacks_ = 0;
   std::uint64_t biased_selects_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "anon/wire.hpp"
 #include "crypto/aead.hpp"
 #include "crypto/sealed_box.hpp"
 
@@ -31,7 +32,7 @@ std::optional<Bytes> OnionCodec::unwrap_layer(const RelayKey& key,
 
 Bytes serialize_path_hop(const PathHop& hop, ByteView rest) {
   Bytes out;
-  out.reserve(5 + hop.relay_key.size() + rest.size());
+  out.reserve(wire::kHopHeaderSize + rest.size());
   put_u32be(out, hop.next);
   out.push_back(hop.last ? 1 : 0);
   append(out, ByteView(hop.relay_key.data(), hop.relay_key.size()));
@@ -40,16 +41,15 @@ Bytes serialize_path_hop(const PathHop& hop, ByteView rest) {
 }
 
 std::optional<OnionCodec::PeeledPath> parse_path_hop(ByteView plain) {
-  constexpr std::size_t kHeader = 4 + 1 + crypto::kChaChaKeySize;
-  if (plain.size() < kHeader) return std::nullopt;
+  if (plain.size() < wire::kHopHeaderSize) return std::nullopt;
   OnionCodec::PeeledPath out;
   out.hop.next = get_u32be(plain, 0);
-  const std::uint8_t last = plain[4];
+  const std::uint8_t last = plain[wire::kHopLastOffset];
   if (last > 1) return std::nullopt;
   out.hop.last = last == 1;
-  std::memcpy(out.hop.relay_key.data(), plain.data() + 5,
+  std::memcpy(out.hop.relay_key.data(), plain.data() + wire::kHopKeyOffset,
               out.hop.relay_key.size());
-  const ByteView rest = plain.subspan(kHeader);
+  const ByteView rest = plain.subspan(wire::kHopHeaderSize);
   out.rest.assign(rest.begin(), rest.end());
   if (out.hop.last && !out.rest.empty()) return std::nullopt;
   if (!out.hop.last && out.rest.empty()) return std::nullopt;
@@ -58,8 +58,10 @@ std::optional<OnionCodec::PeeledPath> parse_path_hop(ByteView plain) {
 
 Bytes serialize_payload_core(const PayloadCore& core) {
   Bytes out;
-  out.reserve(24 + core.responder_key.size() + core.segment.size() +
-              (core.auth_flags != PayloadCore::kAuthNone ? 33 : 0));
+  out.reserve(wire::kCoreHeaderSize + core.segment.size() +
+              (core.auth_flags != PayloadCore::kAuthNone
+                   ? wire::kCoreTrailerSize
+                   : 0));
   put_u64be(out, core.message_id);
   put_u32be(out, core.segment_index);
   put_u32be(out, core.original_size);
@@ -81,25 +83,22 @@ Bytes serialize_payload_core(const PayloadCore& core) {
 }
 
 std::optional<PayloadCore> parse_payload_core(ByteView plain) {
-  constexpr std::size_t kHeader = 8 + 4 + 4 + 2 + 2 + crypto::kChaChaKeySize + 4;
-  if (plain.size() < kHeader) return std::nullopt;
+  if (plain.size() < wire::kCoreHeaderSize) return std::nullopt;
   PayloadCore core;
   core.message_id = get_u64be(plain, 0);
-  core.segment_index = get_u32be(plain, 8);
-  core.original_size = get_u32be(plain, 12);
-  core.needed_segments = get_u16be(plain, 16);
-  core.total_segments = get_u16be(plain, 18);
-  std::memcpy(core.responder_key.data(), plain.data() + 20,
+  core.segment_index = get_u32be(plain, wire::kCoreIndexOffset);
+  core.original_size = get_u32be(plain, wire::kCoreOriginalSizeOffset);
+  core.needed_segments = get_u16be(plain, wire::kCoreNeededOffset);
+  core.total_segments = get_u16be(plain, wire::kCoreTotalOffset);
+  std::memcpy(core.responder_key.data(), plain.data() + wire::kCoreKeyOffset,
               core.responder_key.size());
-  const std::size_t seg_len = get_u32be(plain, 20 + crypto::kChaChaKeySize);
+  const std::size_t seg_len = get_u32be(plain, wire::kCoreSegmentLenOffset);
   // Two valid shapes, each with an exact total size: legacy (no trailer)
-  // and tagged trailer (+33), whose flags byte must read kAuthTagged. A
-  // core of any other size, or a tagged-size core with any other flags
-  // byte, fails parsing.
-  constexpr std::size_t kTaggedTrailer =
-      1 + crypto::kMessageDigestSize + crypto::kSegmentTagSize;
-  if (plain.size() == kHeader + seg_len + kTaggedTrailer) {
-    const std::size_t trailer = kHeader + seg_len;
+  // and tagged trailer, whose flags byte must read kAuthTagged. A core of
+  // any other size, or a tagged-size core with any other flags byte, fails
+  // parsing.
+  const std::size_t trailer = wire::kCoreHeaderSize + seg_len;
+  if (plain.size() == trailer + wire::kCoreTrailerSize) {
     if (plain[trailer] != PayloadCore::kAuthTagged) return std::nullopt;
     core.auth_flags = PayloadCore::kAuthTagged;
     std::memcpy(core.message_digest.data(), plain.data() + trailer + 1,
@@ -107,7 +106,7 @@ std::optional<PayloadCore> parse_payload_core(ByteView plain) {
     std::memcpy(core.auth_tag.data(),
                 plain.data() + trailer + 1 + core.message_digest.size(),
                 core.auth_tag.size());
-  } else if (plain.size() != kHeader + seg_len) {
+  } else if (plain.size() != trailer) {
     return std::nullopt;
   }
   // Semantic validation, not just framing: every honestly serialized core
@@ -120,7 +119,7 @@ std::optional<PayloadCore> parse_payload_core(ByteView plain) {
       core.segment_index >= core.total_segments) {
     return std::nullopt;
   }
-  const ByteView seg = plain.subspan(kHeader, seg_len);
+  const ByteView seg = plain.subspan(wire::kCoreHeaderSize, seg_len);
   core.segment.assign(seg.begin(), seg.end());
   return core;
 }
@@ -167,11 +166,9 @@ std::optional<PayloadCore> OnionFormat::open_payload_core(
   return parse_payload_core(*plain);
 }
 
-std::size_t OnionFormat::layer_overhead() const { return crypto::kAeadTagSize; }
+std::size_t OnionFormat::layer_overhead() const { return wire::kLayerOverhead; }
 
-std::size_t OnionFormat::core_overhead() const {
-  return crypto::kSealedBoxOverhead;
-}
+std::size_t OnionFormat::core_overhead() const { return wire::kBoxOverhead; }
 
 // --- RealOnionCodec ---------------------------------------------------------------
 

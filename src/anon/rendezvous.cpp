@@ -2,9 +2,12 @@
 
 namespace p2panon::anon {
 
+// [kind u8][service u64be][conversation u64be], then the data.
+constexpr std::size_t kFrameHeaderSize = 1 + 8 + 8;
+
 Bytes serialize_frame(const RendezvousFrame& frame) {
   Bytes out;
-  out.reserve(17 + frame.data.size());
+  out.reserve(kFrameHeaderSize + frame.data.size());
   out.push_back(static_cast<std::uint8_t>(frame.kind));
   put_u64be(out, frame.service);
   put_u64be(out, frame.conversation);
@@ -13,14 +16,14 @@ Bytes serialize_frame(const RendezvousFrame& frame) {
 }
 
 std::optional<RendezvousFrame> parse_frame(ByteView payload) {
-  if (payload.size() < 17) return std::nullopt;
+  if (payload.size() < kFrameHeaderSize) return std::nullopt;
   const std::uint8_t kind = payload[0];
   if (kind < 1 || kind > 5) return std::nullopt;
   RendezvousFrame frame;
   frame.kind = static_cast<RendezvousFrame::Kind>(kind);
   frame.service = get_u64be(payload, 1);
   frame.conversation = get_u64be(payload, 9);
-  const ByteView data = payload.subspan(17);
+  const ByteView data = payload.subspan(kFrameHeaderSize);
   frame.data.assign(data.begin(), data.end());
   return frame;
 }

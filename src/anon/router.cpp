@@ -11,32 +11,11 @@
 namespace p2panon::anon {
 
 namespace {
-constexpr std::uint8_t kTypeConstruct = 1;
-constexpr std::uint8_t kTypeConstructAck = 2;
-constexpr std::uint8_t kTypePayload = 3;
-constexpr std::uint8_t kTypePayloadRev = 4;
-constexpr std::uint8_t kTypeTeardown = 5;
-constexpr std::uint8_t kTypeRetarget = 6;
-constexpr std::uint8_t kTypeConstructPayload = 7;
-// Overload backpressure (reverse channel, plain like kTypeConstructAck):
-// [type][sid:8][class:1]. A shedding relay originates it toward its
-// upstream; every relay maps downstream sid -> upstream sid until the
-// frame reaches the initiator's reverse handler. Only emitted under
-// OverloadPolicy::kShed, so the paper's wire traffic never contains it.
-constexpr std::uint8_t kTypeBackpressure = 8;
-// Keyed payload core (forward, framed like kTypePayload): once the
-// responder has replied on a path, the session wraps later cores in one
-// symmetric layer under R_{L+1} instead of a sealed box. Relays handle it
-// exactly like kTypePayload. The responder opens it with its terminal
-// entry's key, never by trying that key on a sealed core: FastOnionCodec
-// cannot authenticate, so trial decryption would accept garbage.
-constexpr std::uint8_t kTypePayloadKeyed = 9;
 
-/// Both payload frame types: refreshed, charged, shed, byte-counted and
-/// relayed the same way.
-bool is_payload(std::uint8_t type) {
-  return type == kTypePayload || type == kTypePayloadKeyed;
-}
+using wire::FrameType;
+
+static_assert(static_cast<std::uint8_t>(SegmentPriority::kControl) ==
+              wire::kMaxClass);
 
 // Decode-attempt budget for the digest-validated subset search
 // (erasure/verified_decode) over a tagged reassembly.
@@ -83,25 +62,31 @@ Bytes serialize_reverse_core(const ReverseCore& core) {
 }
 
 std::optional<ReverseCore> parse_reverse_core(ByteView plain) {
-  if (plain.size() < 13) return std::nullopt;
+  if (plain.size() < wire::kRevHeaderSize) return std::nullopt;
   ReverseCore core;
   const std::uint8_t type = plain[0];
-  if (type != 1 && type != 2 && type != 3) return std::nullopt;
+  if (type < static_cast<std::uint8_t>(ReverseCore::Type::kAck) ||
+      type > static_cast<std::uint8_t>(ReverseCore::Type::kCorruptNack)) {
+    return std::nullopt;
+  }
   core.type = static_cast<ReverseCore::Type>(type);
-  core.message_id = get_u64be(plain, 1);
-  core.segment_index = get_u32be(plain, 9);
+  core.message_id = get_u64be(plain, wire::kRevMessageIdOffset);
+  core.segment_index = get_u32be(plain, wire::kRevIndexOffset);
   if (core.type == ReverseCore::Type::kAck ||
       core.type == ReverseCore::Type::kCorruptNack) {
-    return plain.size() == 13 ? std::optional<ReverseCore>(core)
-                              : std::nullopt;
+    return plain.size() == wire::kRevHeaderSize
+               ? std::optional<ReverseCore>(core)
+               : std::nullopt;
   }
-  if (plain.size() < 13 + 4 + 4 + 2 + 2 + 4) return std::nullopt;
-  core.response_id = get_u32be(plain, 13);
-  core.original_size = get_u32be(plain, 17);
-  core.needed_segments = get_u16be(plain, 21);
-  core.total_segments = get_u16be(plain, 23);
-  const std::size_t seg_len = get_u32be(plain, 25);
-  if (plain.size() != 29 + seg_len) return std::nullopt;
+  if (plain.size() < wire::kRevResponseHeaderSize) return std::nullopt;
+  core.response_id = get_u32be(plain, wire::kRevResponseIdOffset);
+  core.original_size = get_u32be(plain, wire::kRevOriginalSizeOffset);
+  core.needed_segments = get_u16be(plain, wire::kRevNeededOffset);
+  core.total_segments = get_u16be(plain, wire::kRevTotalOffset);
+  const std::size_t seg_len = get_u32be(plain, wire::kRevSegmentLenOffset);
+  if (plain.size() != wire::kRevResponseHeaderSize + seg_len) {
+    return std::nullopt;
+  }
   // Same semantic validation as parse_payload_core: make_codec throws on
   // parameters outside 1 <= m <= n <= 255, so garbage that survives the
   // framing check must be rejected here.
@@ -111,7 +96,7 @@ std::optional<ReverseCore> parse_reverse_core(ByteView plain) {
       core.segment_index >= core.total_segments) {
     return std::nullopt;
   }
-  const ByteView seg = plain.subspan(29);
+  const ByteView seg = plain.subspan(wire::kRevResponseHeaderSize);
   core.segment.assign(seg.begin(), seg.end());
   return core;
 }
@@ -180,12 +165,12 @@ AnonRouter::AnonRouter(sim::Simulator& simulator, net::Demux& demux,
 
 void AnonRouter::start() {
   demux_.set_handler(net::Channel::kAnonForward,
-                     [this](NodeId from, NodeId to, ByteView payload) {
-                       handle_forward(from, to, payload);
+                     [this](NodeId from, NodeId to, ByteView datagram) {
+                       handle(from, to, datagram, /*reverse=*/false);
                      });
   demux_.set_handler(net::Channel::kAnonReverse,
-                     [this](NodeId from, NodeId to, ByteView payload) {
-                       handle_reverse(from, to, payload);
+                     [this](NodeId from, NodeId to, ByteView datagram) {
+                       handle(from, to, datagram, /*reverse=*/true);
                      });
   sweeper_ = std::make_unique<sim::PeriodicTask>(
       simulator_, config_.sweep_interval, [this] { sweep(); });
@@ -194,48 +179,30 @@ void AnonRouter::start() {
 
 // --- framing --------------------------------------------------------------------
 
-void AnonRouter::send_forward(NodeId from, NodeId to, std::uint8_t type,
-                              StreamId sid, std::uint64_t seq, ByteView blob,
-                              SegmentPriority priority) {
-  PooledBytes lease(pool_, 18 + blob.size());
-  Bytes& msg = *lease;
-  msg.push_back(type);
-  put_u64be(msg, sid);
-  if (is_payload(type) || type == kTypeRetarget ||
-      type == kTypeConstructPayload) {
-    put_u64be(msg, seq);
+void AnonRouter::send_frame(NodeId from, NodeId to, FrameType type,
+                            StreamId sid, std::uint64_t seq, ByteView body,
+                            SegmentPriority priority) {
+  PooledBytes lease(pool_, wire::kMaxHeaderSize + body.size());
+  Bytes& frame = *lease;
+  // Under kOff the framing is the paper's: no frame carries a class byte.
+  std::optional<std::uint8_t> cls;
+  if (config_.overload != OverloadPolicy::kOff) {
+    cls = static_cast<std::uint8_t>(priority);
   }
-  // The shed-priority byte exists only under a load-tracking policy and
-  // only on payload frames; every other frame type is control-plane by
-  // construction. Under kOff the framing is the paper's.
-  if (config_.overload != OverloadPolicy::kOff && is_payload(type)) {
-    msg.push_back(static_cast<std::uint8_t>(priority));
+  wire::write_header(frame, type, sid, seq, cls);
+  append(frame, body);
+  const bool reverse = wire::spec(type).reverse;
+  if (reverse) {
+    bytes_reverse_->inc(frame.size());
+  } else if (type == FrameType::kConstruct || type == FrameType::kRetarget) {
+    construct_bytes_ += frame.size();
+    bytes_construct_->inc(frame.size());
+  } else if (type != FrameType::kTeardown) {
+    payload_bytes_ += frame.size();
+    bytes_payload_->inc(frame.size());
   }
-  append(msg, blob);
-  if (type == kTypeConstruct || type == kTypeRetarget) {
-    construct_bytes_ += msg.size();
-    bytes_construct_->inc(msg.size());
-  } else if (is_payload(type) || type == kTypeConstructPayload) {
-    payload_bytes_ += msg.size();
-    bytes_payload_->inc(msg.size());
-  }
-  demux_.send(net::Channel::kAnonForward, from, to, msg);
-}
-
-void AnonRouter::send_reverse(NodeId from, NodeId to, std::uint8_t type,
-                              StreamId sid, std::uint64_t seq,
-                              ByteView blob) {
-  PooledBytes lease(pool_, 18 + blob.size());
-  Bytes& msg = *lease;
-  msg.push_back(type);
-  put_u64be(msg, sid);
-  if (type == kTypePayloadRev) {
-    put_u64be(msg, seq);
-  }
-  append(msg, blob);
-  reverse_bytes_ += msg.size();
-  bytes_reverse_->inc(msg.size());
-  demux_.send(net::Channel::kAnonReverse, from, to, msg);
+  demux_.send(reverse ? net::Channel::kAnonReverse : net::Channel::kAnonForward,
+              from, to, frame);
 }
 
 // --- initiator primitives ----------------------------------------------------------
@@ -269,7 +236,8 @@ StreamId AnonRouter::initiate_path(NodeId initiator,
     tracer.span_begin("anon", "path_construct", sid, args);
   }
   arm_pending(initiator, sid, timeout, std::move(callback), "path_construct");
-  send_forward(initiator, relays.front(), kTypeConstruct, sid, 0, onion_blob);
+  send_frame(initiator, relays.front(), FrameType::kConstruct, sid, 0,
+             onion_blob);
   return sid;
 }
 
@@ -334,89 +302,55 @@ void AnonRouter::send_payload(NodeId initiator, StreamId sid,
                               NodeId first_relay, std::uint64_t seq,
                               Bytes blob, bool keyed,
                               SegmentPriority priority) {
-  send_forward(initiator, first_relay, keyed ? kTypePayloadKeyed : kTypePayload,
-               sid, seq, blob, priority);
+  send_frame(initiator, first_relay,
+             keyed ? FrameType::kPayloadKeyed : FrameType::kPayload, sid, seq,
+             blob, priority);
 }
 
 void AnonRouter::send_teardown(NodeId initiator, StreamId sid,
                                NodeId first_relay) {
-  send_forward(initiator, first_relay, kTypeTeardown, sid, 0, {});
+  send_frame(initiator, first_relay, FrameType::kTeardown, sid, 0, {});
 }
 
 // --- receive paths -------------------------------------------------------------------
 
-void AnonRouter::handle_forward(NodeId from, NodeId to, ByteView payload) {
-  if (payload.size() < 9) return;
-  const std::uint8_t type = payload[0];
-  const StreamId sid = get_u64be(payload, 1);
+void AnonRouter::handle(NodeId from, NodeId to, ByteView datagram,
+                        bool reverse) {
+  const auto frame = wire::read_frame(
+      datagram, reverse, config_.overload != OverloadPolicy::kOff);
+  if (!frame.has_value()) return;
+  const auto& [type, sid, seq, cls, body] = *frame;
   switch (type) {
-    case kTypeConstruct:
-      on_construct(from, to, sid, payload.subspan(9));
+    case FrameType::kConstruct:
+      on_construct(from, to, sid, body);
       break;
-    case kTypePayload:
-    case kTypePayloadKeyed: {
-      if (payload.size() < 17) return;
-      const std::uint64_t seq = get_u64be(payload, 9);
-      if (config_.overload != OverloadPolicy::kOff) {
-        // Short frames and class bytes past kControl (a corrupted frame)
-        // are dropped alike.
-        constexpr auto kMaxClass =
-            static_cast<std::uint8_t>(SegmentPriority::kControl);
-        if (payload.size() < 18 || payload[17] > kMaxClass) return;
-        const auto priority = static_cast<SegmentPriority>(payload[17]);
-        on_payload(from, to, type, sid, seq, payload.subspan(18), priority);
-      } else {
-        on_payload(from, to, type, sid, seq, payload.subspan(17),
-                   SegmentPriority::kInteractive);
-      }
+    case FrameType::kConstructAck:
+      on_construct_ack(to, sid, body[0] != 0);
       break;
-    }
-    case kTypeTeardown:
+    case FrameType::kPayload:
+    case FrameType::kPayloadKeyed:
+      on_payload(from, to, type, sid, seq, body,
+                 cls.has_value() ? static_cast<SegmentPriority>(*cls)
+                                 : SegmentPriority::kInteractive);
+      break;
+    case FrameType::kPayloadRev:
+      on_payload_rev(to, sid, seq, body);
+      break;
+    case FrameType::kTeardown:
       on_teardown(to, sid);
       break;
-    case kTypeRetarget: {
-      if (payload.size() < 17) return;
-      const std::uint64_t seq = get_u64be(payload, 9);
-      on_retarget(to, sid, seq, payload.subspan(17));
+    case FrameType::kRetarget:
+      on_retarget(to, sid, seq, body);
       break;
-    }
-    case kTypeConstructPayload: {
-      if (payload.size() < 17) return;
-      const std::uint64_t seq = get_u64be(payload, 9);
-      on_construct_payload(from, to, sid, seq, payload.subspan(17));
+    case FrameType::kConstructPayload:
+      on_construct_payload(from, to, sid, seq, body);
       break;
-    }
-    default:
-      break;
-  }
-}
-
-void AnonRouter::handle_reverse(NodeId from, NodeId to, ByteView payload) {
-  (void)from;
-  if (payload.size() < 9) return;
-  const std::uint8_t type = payload[0];
-  const StreamId sid = get_u64be(payload, 1);
-  switch (type) {
-    case kTypeConstructAck: {
-      if (payload.size() < 10) return;
-      on_construct_ack(to, sid, payload[9] != 0);
-      break;
-    }
-    case kTypePayloadRev: {
-      if (payload.size() < 17) return;
-      const std::uint64_t seq = get_u64be(payload, 9);
-      on_payload_rev(to, sid, seq, payload.subspan(17));
-      break;
-    }
-    case kTypeBackpressure: {
+    case FrameType::kBackpressure:
       // Only kShed relays send these; under any other policy the frame is
       // forged, and it would silence the path's stall evidence.
-      if (config_.overload != OverloadPolicy::kShed) return;
-      if (payload.size() < 10) return;
-      on_backpressure(to, sid, payload[9]);
-      break;
-    }
-    default:
+      if (config_.overload == OverloadPolicy::kShed) {
+        on_backpressure(to, sid, body[0]);
+      }
       break;
   }
 }
@@ -467,17 +401,17 @@ void AnonRouter::signal_backpressure(NodeId node, NodeId upstream,
                                      StreamId upstream_sid,
                                      SegmentPriority priority) {
   backpressure_ctr_->inc();
-  send_reverse_byte(node, upstream, kTypeBackpressure, upstream_sid,
+  send_reverse_byte(node, upstream, FrameType::kBackpressure, upstream_sid,
                     static_cast<std::uint8_t>(priority));
 }
 
-void AnonRouter::send_reverse_byte(NodeId from, NodeId to, std::uint8_t type,
+void AnonRouter::send_reverse_byte(NodeId from, NodeId to, FrameType type,
                                    StreamId sid, std::uint8_t value) {
-  const std::uint8_t frame[1] = {value};
-  send_reverse(from, to, type, sid, 0, frame);
+  const std::uint8_t status[wire::kStatusSize] = {value};
+  send_frame(from, to, type, sid, 0, status);
 }
 
-bool AnonRouter::relay_reverse_byte(NodeId to, std::uint8_t type, StreamId sid,
+bool AnonRouter::relay_reverse_byte(NodeId to, FrameType type, StreamId sid,
                                     std::uint8_t value) {
   const RelayEntry* entry = tables_[to].find_by_downstream(sid);
   if (entry == nullptr) return false;
@@ -489,7 +423,7 @@ void AnonRouter::on_backpressure(NodeId to, StreamId sid,
                                  std::uint8_t shed_class) {
   // Relay on the path: pass it on (same plain-frame chain ConstructAck
   // rides).
-  if (relay_reverse_byte(to, kTypeBackpressure, sid, shed_class)) return;
+  if (relay_reverse_byte(to, FrameType::kBackpressure, sid, shed_class)) return;
   // Initiator: surface the signal to the session owning this path.
   const auto it = reverse_handlers_[to].find(sid);
   if (it == reverse_handlers_[to].end()) return;
@@ -526,10 +460,10 @@ void AnonRouter::on_construct(NodeId from, NodeId to, StreamId sid,
   if (hop->peeled.hop.last) {
     // End of the forwarding path (§4.1): the construct message stops here;
     // confirm to the initiator along the cached upstream chain.
-    send_reverse_byte(to, from, kTypeConstructAck, sid, 1);
+    send_reverse_byte(to, from, FrameType::kConstructAck, sid, 1);
   } else {
-    send_forward(to, hop->peeled.hop.next, kTypeConstruct, hop->down_sid, 0,
-                 hop->peeled.rest);
+    send_frame(to, hop->peeled.hop.next, FrameType::kConstruct,
+               hop->down_sid, 0, hop->peeled.rest);
   }
 }
 
@@ -559,15 +493,21 @@ std::optional<AnonRouter::InstalledHop> AnonRouter::install_hop(
 
 void AnonRouter::on_construct_ack(NodeId to, StreamId sid, bool ok) {
   // Am I a relay on this path? Then map downstream sid -> upstream sid.
-  if (relay_reverse_byte(to, kTypeConstructAck, sid, ok ? 1 : 0)) return;
+  if (relay_reverse_byte(to, FrameType::kConstructAck, sid, ok ? 1 : 0)) {
+    return;
+  }
   // Otherwise it may be addressed to me as the initiator.
   finish_pending(to, sid, ok, /*timed_out=*/false);
 }
 
-void AnonRouter::on_payload(NodeId from, NodeId to, std::uint8_t type,
+void AnonRouter::on_payload(NodeId from, NodeId to, FrameType type,
                             StreamId sid, std::uint64_t seq, ByteView blob,
                             SegmentPriority priority) {
-  const bool keyed = type == kTypePayloadKeyed;
+  // Relays pass a keyed core on like a sealed one. The responder opens it
+  // with its terminal entry's key, never by trying that key on a sealed
+  // core: FastOnionCodec cannot authenticate, so trial decryption would
+  // accept garbage.
+  const bool keyed = type == FrameType::kPayloadKeyed;
   RelayEntry* entry = tables_[to].find_by_upstream(sid);
   if (entry == nullptr) {
     // First contact as the responder: the last relay has stripped every
@@ -632,8 +572,8 @@ void AnonRouter::on_payload(NodeId from, NodeId to, std::uint8_t type,
   }
   ++messages_forwarded_;
   forwarded_ctr_->inc();
-  send_forward(to, entry->downstream, type, entry->downstream_sid, seq, *buf,
-               priority);
+  send_frame(to, entry->downstream, type, entry->downstream_sid, seq, *buf,
+             priority);
 }
 
 std::optional<PayloadCore> AnonRouter::open_keyed_core(const RelayEntry& entry,
@@ -665,21 +605,18 @@ void AnonRouter::send_construct_with_payload(NodeId initiator, StreamId sid,
                                              ByteView onion_blob,
                                              ByteView payload_blob) {
   Bytes combined;
-  combined.reserve(4 + onion_blob.size() + payload_blob.size());
-  put_u32be(combined, static_cast<std::uint32_t>(onion_blob.size()));
-  append(combined, onion_blob);
-  append(combined, payload_blob);
-  send_forward(initiator, first_relay, kTypeConstructPayload, sid, seq,
-               combined);
+  combined.reserve(wire::kLengthPrefixSize + onion_blob.size() +
+                   payload_blob.size());
+  wire::append_construct_payload(combined, onion_blob, payload_blob);
+  send_frame(initiator, first_relay, FrameType::kConstructPayload, sid, seq,
+             combined);
 }
 
 void AnonRouter::on_construct_payload(NodeId from, NodeId to, StreamId sid,
                                       std::uint64_t seq, ByteView blob) {
-  if (blob.size() < 4) return;
-  const std::size_t onion_len = get_u32be(blob, 0);
-  if (blob.size() < 4 + onion_len) return;
-  const ByteView onion_blob = blob.subspan(4, onion_len);
-  const ByteView payload_blob = blob.subspan(4 + onion_len);
+  const auto parts = wire::split_construct_payload(blob);
+  if (!parts.has_value()) return;
+  const auto [onion_blob, payload_blob] = *parts;
 
   if (config_.overload != OverloadPolicy::kOff) {
     // Combined construct+payload is path (re)construction — control-plane
@@ -707,15 +644,14 @@ void AnonRouter::on_construct_payload(NodeId from, NodeId to, StreamId sid,
     // Construction ends here (§4.1); the stripped payload carries on to
     // the responder as a normal payload message. It keeps the control
     // classification it travelled with.
-    send_forward(to, next.next, kTypePayload, hop->down_sid, seq, *inner,
-                 SegmentPriority::kControl);
+    send_frame(to, next.next, FrameType::kPayload, hop->down_sid, seq, *inner,
+               SegmentPriority::kControl);
   } else {
-    PooledBytes combined(pool_, 4 + rest.size() + inner->size());
-    put_u32be(*combined, static_cast<std::uint32_t>(rest.size()));
-    append(*combined, rest);
-    append(*combined, *inner);
-    send_forward(to, next.next, kTypeConstructPayload, hop->down_sid, seq,
-                 *combined);
+    PooledBytes combined(pool_,
+                         wire::kLengthPrefixSize + rest.size() + inner->size());
+    wire::append_construct_payload(*combined, rest, *inner);
+    send_frame(to, next.next, FrameType::kConstructPayload, hop->down_sid, seq,
+               *combined);
   }
 }
 
@@ -733,7 +669,7 @@ void AnonRouter::send_retarget(NodeId initiator, StreamId sid,
     tracer.span_begin("anon", "retarget", sid, args);
   }
   arm_pending(initiator, sid, timeout, std::move(callback), "retarget");
-  send_forward(initiator, first_relay, kTypeRetarget, sid, seq, blob);
+  send_frame(initiator, first_relay, FrameType::kRetarget, sid, seq, blob);
 }
 
 void AnonRouter::on_retarget(NodeId to, StreamId sid, std::uint64_t seq,
@@ -753,19 +689,19 @@ void AnonRouter::on_retarget(NodeId to, StreamId sid, std::uint64_t seq,
   ++messages_forwarded_;
   forwarded_ctr_->inc();
   if (!entry->last_relay) {
-    send_forward(to, entry->downstream, kTypeRetarget, entry->downstream_sid,
-                 seq, *inner);
+    send_frame(to, entry->downstream, FrameType::kRetarget,
+               entry->downstream_sid, seq, *inner);
     return;
   }
-  // Last relay: the fully unwrapped blob is the 4-byte new destination.
-  if (inner->size() != 4) {
+  // Last relay: the fully unwrapped blob is the new destination.
+  const auto new_destination = wire::read_destination(*inner);
+  if (!new_destination.has_value()) {
     record_peel_failure(to, "retarget");
     return;
   }
-  const NodeId new_destination = get_u32be(*inner, 0);
-  if (new_destination >= node_keys_.size()) return;
-  tables_[to].retarget(*entry, new_destination);
-  send_reverse_byte(to, entry->upstream, kTypeConstructAck,
+  if (*new_destination >= node_keys_.size()) return;
+  tables_[to].retarget(*entry, *new_destination);
+  send_reverse_byte(to, entry->upstream, FrameType::kConstructAck,
                     entry->upstream_sid, 1);
 }
 
@@ -778,7 +714,7 @@ void AnonRouter::on_teardown(NodeId to, StreamId sid) {
                           downstream != kInvalidNode;
   tables_[to].release_by_upstream(sid);
   if (forward_on) {
-    send_forward(to, downstream, kTypeTeardown, down_sid, 0, {});
+    send_frame(to, downstream, FrameType::kTeardown, down_sid, 0, {});
   }
 }
 
@@ -1065,8 +1001,8 @@ void AnonRouter::send_reverse_core(NodeId responder, RelayEntry& entry,
   const std::uint64_t seq = entry.reverse_seq++;
   Bytes blob = serialize_reverse_core(core);
   onion_.wrap_layer_in_place(entry.key, seq | kReverseBit, blob);
-  send_reverse(responder, entry.upstream, kTypePayloadRev, entry.upstream_sid,
-               seq, blob);
+  send_frame(responder, entry.upstream, FrameType::kPayloadRev,
+             entry.upstream_sid, seq, blob);
 }
 
 void AnonRouter::on_payload_rev(NodeId to, StreamId sid, std::uint64_t seq,
@@ -1085,8 +1021,8 @@ void AnonRouter::on_payload_rev(NodeId to, StreamId sid, std::uint64_t seq,
     onion_.wrap_layer_in_place(entry->key, seq | kReverseBit, *buf);
     ++messages_forwarded_;
     forwarded_ctr_->inc();
-    send_reverse(to, entry->upstream, kTypePayloadRev, entry->upstream_sid,
-                 seq, *buf);
+    send_frame(to, entry->upstream, FrameType::kPayloadRev,
+               entry->upstream_sid, seq, *buf);
     return;
   }
   // Initiator case: hand the blob to the session owning this path.

@@ -3,13 +3,8 @@
 // One AnonRouter instance drives the relay and responder behavior of every
 // node in the simulation (per-node state is strictly partitioned, so the
 // logical separation between nodes is preserved). It offers the initiator
-// primitives that Session builds on:
-//
-//   forward channel            reverse channel
-//   ---------------            ---------------
-//   Construct  sid, onion      ConstructAck  sid, status
-//   Payload    sid, seq, blob  PayloadRev    sid, seq, blob
-//   Teardown   sid
+// primitives that Session builds on, and sends and reads every frame of
+// the anon wire (anon/wire.hpp) through one header writer and one reader.
 //
 // A payload blob carries the responder core sealed to the responder's
 // public key until the responder has replied on the path, and wrapped under
@@ -31,6 +26,7 @@
 #include "anon/buffer_pool.hpp"
 #include "anon/onion.hpp"
 #include "anon/path_state.hpp"
+#include "anon/wire.hpp"
 #include "common/rng.hpp"
 #include "crypto/keys.hpp"
 #include "erasure/codec.hpp"
@@ -177,7 +173,7 @@ class AnonRouter {
   /// never learn it; the last relay rewires its cached state (generating
   /// the paper's sid'_L) and acks end-to-end. The callback fires true on
   /// the ack, false on timeout. `blob` must be the relay-layered wrapping
-  /// of the 4-byte big-endian destination (Session::redirect builds it).
+  /// of wire::append_destination's bytes (Session::redirect builds it).
   void send_retarget(NodeId initiator, StreamId sid, NodeId first_relay,
                      std::uint64_t seq, Bytes blob, SimDuration timeout,
                      ConstructCallback callback);
@@ -214,8 +210,6 @@ class AnonRouter {
   };
   OverloadStats overload_stats(SimTime now) const;
 
-  const BufferPool& pool() const { return pool_; }
-
   /// Fires when an *undelivered* reassembly record is TTL-swept — the
   /// message can no longer complete at that responder (segments that
   /// straggle in later start a fresh, doomed record). Chaos accounting
@@ -234,14 +228,10 @@ class AnonRouter {
 
   std::uint64_t construct_bytes() const { return construct_bytes_; }
   std::uint64_t payload_bytes() const { return payload_bytes_; }
-  std::uint64_t reverse_bytes() const { return reverse_bytes_; }
   std::uint64_t messages_forwarded() const { return messages_forwarded_; }
   std::uint64_t peel_failures() const { return peel_failures_; }
   const OnionCodec& onion() const { return onion_; }
   const crypto::KeyDirectory& directory() const { return directory_; }
-  const crypto::KeyPair& node_key(NodeId node) const {
-    return node_keys_[node];
-  }
   Rng& rng() { return rng_; }
   sim::Simulator& simulator() { return simulator_; }
   const RouterConfig& config() const { return config_; }
@@ -289,10 +279,11 @@ class AnonRouter {
     std::vector<StreamId> quarantined_sids;
   };
 
-  void handle_forward(NodeId from, NodeId to, ByteView payload);
-  void handle_reverse(NodeId from, NodeId to, ByteView payload);
+  /// Reads one datagram of the forward or the `reverse` channel and
+  /// dispatches it by frame type; a frame the reader rejects is dropped.
+  void handle(NodeId from, NodeId to, ByteView datagram, bool reverse);
   void on_construct(NodeId from, NodeId to, StreamId sid, ByteView onion_blob);
-  void on_payload(NodeId from, NodeId to, std::uint8_t type, StreamId sid,
+  void on_payload(NodeId from, NodeId to, wire::FrameType type, StreamId sid,
                   std::uint64_t seq, ByteView blob, SegmentPriority priority);
   /// Responder side of a keyed-core frame: strips the R_{L+1} layer with
   /// the terminal entry's key and parses the core, whose responder key is
@@ -366,19 +357,21 @@ class AnonRouter {
                            SegmentPriority priority);
 
   // framing helpers
-  void send_forward(NodeId from, NodeId to, std::uint8_t type, StreamId sid,
-                    std::uint64_t seq, ByteView blob,
-                    SegmentPriority priority = SegmentPriority::kControl);
-  void send_reverse(NodeId from, NodeId to, std::uint8_t type, StreamId sid,
-                    std::uint64_t seq, ByteView blob);
+
+  /// Frames `body` under a `type` header in a pooled buffer, counts its
+  /// bytes and sends it on the type's channel. `priority` becomes the class
+  /// byte of a payload frame under every policy but kOff.
+  void send_frame(NodeId from, NodeId to, wire::FrameType type, StreamId sid,
+                  std::uint64_t seq, ByteView body,
+                  SegmentPriority priority = SegmentPriority::kControl);
   /// A plain one-byte reverse frame (construct-ack status, backpressure
   /// class).
-  void send_reverse_byte(NodeId from, NodeId to, std::uint8_t type,
+  void send_reverse_byte(NodeId from, NodeId to, wire::FrameType type,
                          StreamId sid, std::uint8_t value);
   /// Relay step for one-byte reverse frames: maps the downstream `sid` to
   /// the upstream one and passes the byte on. False when `to` relays no
   /// path with that downstream sid.
-  bool relay_reverse_byte(NodeId to, std::uint8_t type, StreamId sid,
+  bool relay_reverse_byte(NodeId to, wire::FrameType type, StreamId sid,
                           std::uint8_t value);
 
   sim::Simulator& simulator_;
@@ -419,7 +412,6 @@ class AnonRouter {
 
   std::uint64_t construct_bytes_ = 0;
   std::uint64_t payload_bytes_ = 0;
-  std::uint64_t reverse_bytes_ = 0;
   std::uint64_t messages_forwarded_ = 0;
   std::uint64_t peel_failures_ = 0;
   std::uint64_t reassemblies_expired_ = 0;
@@ -449,7 +441,7 @@ class AnonRouter {
   // Overload outcomes. Registered eagerly like every other series; they
   // stay 0 in legacy runs. The control-class shed counter exists so the
   // sweep gate can assert it is still zero — should_shed never sheds
-  // control, and handle_forward drops class bytes past kControl.
+  // control, and the frame reader drops class bytes past kControl.
   obs::Counter* shed_ctrs_[4];  // indexed by SegmentPriority
   obs::Counter* backpressure_ctr_;
 };
@@ -459,7 +451,8 @@ struct ReverseCore {
   /// kCorruptNack (corruption resilience): the responder's verdict that
   /// the named segment arrived tampered with — either its auth tag failed
   /// or the digest-validated decode proved it wrong. Framed exactly like
-  /// kAck (13 bytes). Only ever sent in reply to auth-trailer segments.
+  /// kAck (wire::kRevHeaderSize bytes). Only ever sent in reply to
+  /// auth-trailer segments.
   enum class Type : std::uint8_t {
     kAck = 1,
     kResponseSegment = 2,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "anon/wire.hpp"
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
 
@@ -49,8 +50,7 @@ Session::Session(AnonRouter& router, const membership::NodeCache& cache,
       responder_(responder),
       config_(config),
       rng_(rng),
-      selector_(config.mix_choice, rng_.fork(),
-                StalenessPolicy{.enabled = config.staleness_aware}),
+      selector_(config.mix_choice, rng_.fork(), config.staleness_aware),
       alive_(std::make_shared<bool>(true)) {
   config_.erasure.validate();
   obs::Registry& reg = router_.metrics();
@@ -1080,12 +1080,12 @@ void Session::redirect(NodeId new_responder, RedirectHandler handler) {
   for (std::size_t index = 0; index < paths_.size(); ++index) {
     const PathInfo& path = paths_[index];
     if (path.state != PathState::kEstablished) continue;
-    // Layer the 4-byte destination so only the last relay can read it.
+    // Layer the destination so only the last relay can read it.
     PathKeys& keys = keys_[index];
     Bytes blob;
-    blob.reserve(4 +
+    blob.reserve(wire::kDestinationSize +
                  keys.relay_keys.size() * router_.onion().layer_overhead());
-    put_u32be(blob, new_responder);
+    wire::append_destination(blob, new_responder);
     const std::uint64_t seq = keys.next_seq++;
     for (std::size_t i = keys.relay_keys.size(); i-- > 0;) {
       router_.onion().wrap_layer_in_place(keys.relay_keys[i], seq, blob);

@@ -86,10 +86,10 @@ struct SessionConfig {
   /// called enable_suspicion(); reports are silently dropped otherwise.
   bool relay_suspicion = false;
 
-  /// Staleness-aware mix selection with StalenessPolicy's default
-  /// thresholds: biased choice degrades to the random sampler while the
-  /// cache is stale, and recovers the bias as membership repair catches
-  /// up (DESIGN §9). Off: no cache-age scan, no extra obs series.
+  /// Staleness-aware mix selection (kStaleAfter and kDegradeFraction in
+  /// anon/mix_selector.hpp): biased choice degrades to the random sampler
+  /// while the cache is stale, and recovers the bias as membership repair
+  /// catches up (DESIGN §9). Off: no cache-age scan, no extra obs series.
   bool staleness_aware = false;
 };
 

@@ -54,9 +54,6 @@ class ChurnModel {
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t up_count() const { return up_count_; }
 
-  /// Time of the node's most recent join (kNeverTime if it never joined).
-  SimTime last_join_time(NodeId node) const { return nodes_[node].last_join; }
-
   /// Ground-truth seconds the node has been up, 0 if down. The membership
   /// layer estimates this via gossip; tests compare against this oracle.
   double alive_seconds(NodeId node, SimTime now) const;

@@ -67,16 +67,6 @@ class Rng {
   /// Derives an independent child generator (for per-node streams).
   Rng fork();
 
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const std::size_t j = static_cast<std::size_t>(next_below(i));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
-
   /// Samples `count` distinct indices from [0, n) uniformly (count <= n).
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t count);

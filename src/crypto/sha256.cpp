@@ -137,9 +137,4 @@ Sha256Digest Sha256::hash(ByteView data) {
   return h.finish();
 }
 
-Bytes sha256(ByteView data) {
-  const Sha256Digest d = Sha256::hash(data);
-  return Bytes(d.begin(), d.end());
-}
-
 }  // namespace p2panon::crypto

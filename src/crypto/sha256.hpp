@@ -34,7 +34,4 @@ class Sha256 {
   std::uint64_t total_bytes_ = 0;
 };
 
-/// Digest as Bytes (for wire formats).
-Bytes sha256(ByteView data);
-
 }  // namespace p2panon::crypto

@@ -1,6 +1,5 @@
 #include "erasure/matrix.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "erasure/gf256.hpp"
@@ -131,17 +130,6 @@ Matrix Matrix::inverted() const {
     throw std::domain_error("Matrix::inverted: singular matrix");
   }
   return work.columns(cols_, 2 * cols_);
-}
-
-std::string Matrix::to_string() const {
-  std::ostringstream out;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out << static_cast<int>(at(r, c)) << (c + 1 == cols_ ? "" : " ");
-    }
-    out << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace p2panon::erasure

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -56,8 +55,6 @@ class Matrix {
   Matrix inverted() const;
 
   bool operator==(const Matrix& other) const = default;
-
-  std::string to_string() const;
 
  private:
   std::size_t rows_;

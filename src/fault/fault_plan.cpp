@@ -109,11 +109,6 @@ FaultPlan& FaultPlan::claim_inflate(double probability, double factor,
   return *this;
 }
 
-bool FaultPlan::empty() const {
-  return crashes_.empty() && partitions_.empty() && !has_link_rules() &&
-         !has_membership_rules();
-}
-
 bool FaultPlan::is_crashed(NodeId node, SimTime now) const {
   for (const CrashEvent& crash : crashes_) {
     if (crash.node == node && now >= crash.at && now < crash.recover_at) {

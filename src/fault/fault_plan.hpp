@@ -158,8 +158,6 @@ class FaultPlan {
                            SimDuration boost, SimTime start, SimTime end,
                            std::vector<NodeId> at_nodes = {});
 
-  bool empty() const;
-
   // --- queries ---
   bool is_crashed(NodeId node, SimTime now) const;
   bool partitioned(NodeId from, NodeId to, SimTime now) const;

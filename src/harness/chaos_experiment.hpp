@@ -192,25 +192,6 @@ struct ChaosResult {
                : static_cast<double>(messages_delivered_correct) /
                      static_cast<double>(messages_accepted);
   }
-  /// Fraction of accepted messages delivered with *different* bytes —
-  /// the integrity violation. Invariant with segment auth on: 0.
-  double wrong_rate() const {
-    return messages_accepted == 0
-               ? 0.0
-               : static_cast<double>(messages_delivered_wrong) /
-                     static_cast<double>(messages_accepted);
-  }
-  /// Fraction of accepted messages that were neither delivered correct nor
-  /// delivered wrong: the protocol failed *closed*. With segment auth on,
-  /// failed_closed_rate + correct_rate == 1 at every corruption rate.
-  double failed_closed_rate() const {
-    return messages_accepted == 0
-               ? 0.0
-               : static_cast<double>(messages_accepted -
-                                     messages_delivered_correct -
-                                     messages_delivered_wrong) /
-                     static_cast<double>(messages_accepted);
-  }
   /// Delivered fraction of everything the application *tried* to send.
   /// Unlike delivery_rate() this charges a protocol for refusing sends
   /// while its paths are down (send_message returning 0), so protocols

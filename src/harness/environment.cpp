@@ -146,7 +146,7 @@ void Environment::sample() {
   // it, stale past the staleness-aware selection threshold. Merge and
   // control-plane counters advance by delta.
   const membership::NodeCache& cache = membership_->cache(0);
-  const auto ages = cache.age_stats(now, anon::StalenessPolicy{}.stale_after);
+  const auto ages = cache.age_stats(now, anon::kStaleAfter);
   reg.gauge("membership_record_age_p50_ms")
       ->set(static_cast<std::int64_t>(to_millis(ages.age_p50)));
   reg.gauge("membership_record_age_p95_ms")

@@ -140,7 +140,6 @@ class NodeCache {
   /// enabled, so a persistent inflater quarantines itself out of the mix
   /// pool.
   void enable_bounded_trust();
-  bool bounded_trust_enabled() const { return trust_enabled_; }
 
   const MergeStats& merge_stats() const { return merge_stats_; }
 

@@ -78,7 +78,6 @@ class OneHopMembership final : public MembershipProvider {
   NodeId believed_leader(NodeId observer, std::size_t unit) const;
 
   std::size_t unit_of(NodeId node) const;
-  std::size_t num_units() const { return config_.units; }
 
   double belief_accuracy() const override;
 

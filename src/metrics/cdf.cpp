@@ -82,9 +82,4 @@ std::vector<std::pair<double, double>> EmpiricalCdf::curve(
   return out;
 }
 
-const std::vector<double>& EmpiricalCdf::sorted_samples() const {
-  ensure_sorted();
-  return samples_;
-}
-
 }  // namespace p2panon::metrics

@@ -35,8 +35,6 @@ class EmpiricalCdf {
   /// [min, max] with their CDF values.
   std::vector<std::pair<double, double>> curve(std::size_t points) const;
 
-  const std::vector<double>& sorted_samples() const;
-
  private:
   void ensure_sorted() const;
   mutable std::vector<double> samples_;

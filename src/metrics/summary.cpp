@@ -1,7 +1,6 @@
 #include "metrics/summary.hpp"
 
 #include <cmath>
-#include <sstream>
 
 namespace p2panon::metrics {
 
@@ -36,14 +35,5 @@ double Summary::variance() const {
 }
 
 double Summary::stddev() const { return std::sqrt(variance()); }
-
-std::string Summary::to_string(int digits) const {
-  std::ostringstream out;
-  out.precision(digits);
-  out << std::fixed;
-  out << "n=" << count_ << " mean=" << mean() << " sd=" << stddev()
-      << " min=" << min() << " max=" << max();
-  return out.str();
-}
 
 }  // namespace p2panon::metrics

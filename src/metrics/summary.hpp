@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 
 namespace p2panon::metrics {
 
@@ -20,8 +19,6 @@ class Summary {
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
   double sum() const { return mean_ * static_cast<double>(count_); }
-
-  std::string to_string(int digits = 2) const;
 
  private:
   std::uint64_t count_ = 0;

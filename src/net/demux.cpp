@@ -14,7 +14,7 @@ Demux::Demux(Transport& transport, std::size_t num_nodes)
 
 void Demux::send(Channel channel, NodeId from, NodeId to, ByteView payload) {
   Bytes datagram;
-  datagram.reserve(payload.size() + 1);
+  datagram.reserve(kChannelByteSize + payload.size());
   datagram.push_back(static_cast<std::uint8_t>(channel));
   append(datagram, payload);
   transport_.send(from, to, std::move(datagram));
@@ -28,7 +28,7 @@ void Demux::dispatch(NodeId from, NodeId to, const Bytes& datagram) {
   if (datagram.empty()) return;
   const Handler& handler = handlers_[datagram[0]];
   if (handler) {
-    handler(from, to, ByteView(datagram).subspan(1));
+    handler(from, to, ByteView(datagram).subspan(kChannelByteSize));
   }
 }
 

@@ -25,6 +25,9 @@ enum class Channel : std::uint8_t {
 
 class Demux {
  public:
+  /// The channel byte in front of every datagram.
+  static constexpr std::size_t kChannelByteSize = 1;
+
   using Handler =
       std::function<void(NodeId from, NodeId to, ByteView payload)>;
 

@@ -38,10 +38,6 @@ class LatencyMatrix {
                                     scale_);
   }
 
-  SimDuration rtt(NodeId a, NodeId b) const {
-    return one_way(a, b) + one_way(b, a);
-  }
-
   std::size_t num_nodes() const { return coords_.size(); }
 
   /// Heap footprint of the per-node coordinates, reported per-subsystem by

@@ -52,7 +52,6 @@ class ByteCensus {
  public:
   void add(std::string subsystem, std::string detail, std::uint64_t bytes);
 
-  const std::vector<CensusEntry>& entries() const { return entries_; }
   std::uint64_t total() const;
   std::uint64_t subsystem_total(const std::string& subsystem) const;
 

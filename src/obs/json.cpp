@@ -48,16 +48,6 @@ std::uint64_t JsonValue::as_u64() const {
   return std::strtoull(raw_number.c_str(), nullptr, 10);
 }
 
-std::int64_t JsonValue::as_i64() const {
-  if (kind != Kind::kNumber) return 0;
-  return std::strtoll(raw_number.c_str(), nullptr, 10);
-}
-
-double JsonValue::as_double() const {
-  if (kind != Kind::kNumber) return 0.0;
-  return std::strtod(raw_number.c_str(), nullptr);
-}
-
 std::string_view JsonValue::as_string(std::string_view fallback) const {
   return kind == Kind::kString ? std::string_view(string) : fallback;
 }

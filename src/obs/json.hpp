@@ -35,20 +35,16 @@ class JsonValue {
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;
 
-  bool is_null() const { return kind == Kind::kNull; }
   bool is_object() const { return kind == Kind::kObject; }
   bool is_array() const { return kind == Kind::kArray; }
   bool is_string() const { return kind == Kind::kString; }
-  bool is_number() const { return kind == Kind::kNumber; }
 
   /// First member with this key, nullptr if absent or not an object.
   const JsonValue* find(std::string_view key) const;
 
-  /// Numeric views of the raw token; 0 / 0.0 when not a number. as_u64
-  /// parses the token with strtoull so 64-bit correlation ids survive.
+  /// The raw token parsed with strtoull, so 64-bit correlation ids
+  /// survive; 0 when not a number.
   std::uint64_t as_u64() const;
-  std::int64_t as_i64() const;
-  double as_double() const;
 
   /// `string` if kString, otherwise the fallback.
   std::string_view as_string(std::string_view fallback = "") const;

@@ -210,12 +210,6 @@ void Tracer::add_sink(TraceSink* sink) {
   enabled_.store(true, std::memory_order_relaxed);
 }
 
-void Tracer::remove_sink(TraceSink* sink) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::erase(sinks_, sink);
-  enabled_.store(!sinks_.empty(), std::memory_order_relaxed);
-}
-
 void Tracer::clear_sinks() {
   std::lock_guard<std::mutex> lock(mutex_);
   sinks_.clear();

@@ -125,9 +125,8 @@ class Tracer {
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Installs a sink (not owned; caller keeps it alive until remove/clear).
+  /// Installs a sink (not owned; caller keeps it alive until clear).
   void add_sink(TraceSink* sink);
-  void remove_sink(TraceSink* sink);
   void clear_sinks();
 
   /// Attaches the sim clock: `fn(ctx)` must return current sim time in µs.

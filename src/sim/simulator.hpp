@@ -104,7 +104,6 @@ class PeriodicTask {
   void start_at(SimTime when);  // first fire at an absolute time
   void cancel();
   bool active() const { return event_ != kInvalidEventId; }
-  void set_interval(SimDuration interval) { interval_ = interval; }
 
  private:
   void fire();

@@ -19,18 +19,6 @@ enum class TrafficClass : std::uint8_t {
   kStreaming = 2,
 };
 
-inline const char* traffic_class_name(TrafficClass cls) {
-  switch (cls) {
-    case TrafficClass::kBulk:
-      return "bulk";
-    case TrafficClass::kInteractive:
-      return "interactive";
-    case TrafficClass::kStreaming:
-      return "streaming";
-  }
-  return "unknown";
-}
-
 // Shape of the offered-load curve over the measurement window.
 enum class LoadShape : std::uint8_t {
   kSteady = 0,      // constant mean arrival rate

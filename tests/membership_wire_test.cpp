@@ -25,6 +25,8 @@
 #include "net/sim_transport.hpp"
 #include "sim/simulator.hpp"
 
+#include "mutations.hpp"
+
 namespace p2panon {
 namespace {
 
@@ -383,57 +385,10 @@ TEST(MembershipDecodeTest, OneHopDropsUnknownKinds) {
   EXPECT_FALSE(cache.observation(6, now)->alive);
 }
 
-// Every parsed membership message, mutated: every single-byte flip with
-// masks 0x01, 0x80 and 0xff, every truncation and a fixed set of seeded
-// multi-byte splices, each fed through the provider's demux handler.
-// Nothing may crash or throw, the receiving cache's known_count() must
-// match its known entries after every datagram, and a truncated message
-// merges nothing.
-std::vector<Bytes> mutations_of(const Bytes& msg,
-                                const std::vector<Bytes>& donors, Rng& rng) {
-  std::vector<Bytes> out;
-  for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
-    for (std::size_t i = 0; i < msg.size(); ++i) {
-      Bytes flipped = msg;
-      flipped[i] ^= mask;
-      out.push_back(std::move(flipped));
-    }
-  }
-  for (std::size_t len = 0; len < msg.size(); ++len) {
-    out.emplace_back(msg.begin(), msg.begin() + static_cast<long>(len));
-  }
-  // Splices: overwrite 2-16 bytes at a random offset with random bytes or
-  // with a slice of another valid message; half of them also take the
-  // donor's tail, which changes the length.
-  constexpr int kSplices = 48;
-  for (int k = 0; k < kSplices; ++k) {
-    Bytes spliced = msg;
-    const std::size_t at = rng.next_below(msg.size());
-    const std::size_t len = 2 + rng.next_below(15);
-    if (rng.bernoulli(0.5)) {
-      for (std::size_t i = at; i < std::min(at + len, spliced.size()); ++i) {
-        spliced[i] = static_cast<std::uint8_t>(rng.next_below(256));
-      }
-    } else {
-      const Bytes& donor = donors[rng.next_below(donors.size())];
-      const std::size_t from = rng.next_below(donor.size());
-      if (rng.bernoulli(0.5)) {
-        spliced.resize(at);
-        spliced.insert(spliced.end(), donor.begin() + static_cast<long>(from),
-                       donor.end());
-      } else {
-        for (std::size_t i = 0;
-             i < len && at + i < spliced.size() && from + i < donor.size();
-             ++i) {
-          spliced[at + i] = donor[from + i];
-        }
-      }
-    }
-    out.push_back(std::move(spliced));
-  }
-  return out;
-}
-
+// Every parsed membership message, mutated (tests/mutations.hpp), fed
+// through the provider's demux handler. Nothing may crash or throw, the
+// receiving cache's known_count() must match its known entries after every
+// datagram, and a truncated message merges nothing.
 std::uint64_t merges(const membership::NodeCache& cache) {
   const auto& stats = cache.merge_stats();
   return stats.updates_direct + stats.updates_indirect +

@@ -2,12 +2,17 @@
 // that the fast codec is byte-size-identical to the real one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "anon/buffer_pool.hpp"
 #include "anon/onion.hpp"
 #include "anon/router.hpp"
+#include "anon/wire.hpp"
 #include "common/alloc_probe.hpp"
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
+
+#include "mutations.hpp"
 
 namespace p2panon::anon {
 namespace {
@@ -159,9 +164,11 @@ TEST_P(OnionCodecTest, InPlaceFormsMatchAllocatingForms) {
   EXPECT_FALSE(codec->unwrap_layer_in_place(key, 12, tiny));
 }
 
-// Every single-byte flip (low bit, high bit, whole byte) and every
-// truncation of a valid path onion, sealed core, forward layer and reverse
-// core goes through each parser. None may crash (the sanitizer build runs
+// Every mutant (tests/mutations.hpp: single-byte flips, truncations,
+// seeded splices with the other inputs as donors) of a valid path onion,
+// sealed cores without and with the auth trailer, the same cores under a
+// forward layer, and an ack and a response reverse core under a reverse
+// layer goes through each parser. None may crash (the sanitizer build runs
 // this too); under RealOnionCodec none may open. FastOnionCodec cannot
 // authenticate, so it only has to survive.
 TEST_P(OnionCodecTest, MutatedInputsNeverCrashOrOpen) {
@@ -173,15 +180,21 @@ TEST_P(OnionCodecTest, MutatedInputsNeverCrashOrOpen) {
   constexpr std::uint64_t kSeq = 17;
   constexpr std::uint64_t kReverseSeq = kSeq | AnonRouter::kReverseBit;
 
-  PayloadCore core;
-  core.message_id = 99;
-  core.segment_index = 1;
-  core.original_size = 100;
-  core.needed_segments = 2;
-  core.total_segments = 3;
-  core.segment = Bytes(64, 0x3c);
-  core.responder_key = crypto::random_symmetric_key(fx.rng);
-  core.auth_flags = PayloadCore::kAuthTagged;
+  PayloadCore legacy;
+  legacy.message_id = 99;
+  legacy.segment_index = 1;
+  legacy.original_size = 100;
+  legacy.needed_segments = 2;
+  legacy.total_segments = 3;
+  legacy.segment = Bytes(64, 0x3c);
+  legacy.responder_key = crypto::random_symmetric_key(fx.rng);
+  PayloadCore tagged = legacy;
+  tagged.auth_flags = PayloadCore::kAuthTagged;
+  fx.rng.fill(tagged.message_digest.data(), tagged.message_digest.size());
+  fx.rng.fill(tagged.auth_tag.data(), tagged.auth_tag.size());
+  ReverseCore ack;
+  ack.message_id = 99;
+  ack.segment_index = 2;
   ReverseCore response;
   response.type = ReverseCore::Type::kResponseSegment;
   response.message_id = 99;
@@ -189,29 +202,40 @@ TEST_P(OnionCodecTest, MutatedInputsNeverCrashOrOpen) {
   response.total_segments = 2;
   response.segment = Bytes(40, 0xc3);
 
-  Bytes layer = serialize_payload_core(core);
-  codec->wrap_layer_in_place(key, kSeq, layer);
-  Bytes reverse = serialize_reverse_core(response);
-  codec->wrap_layer_in_place(key, kReverseSeq, reverse);
-  const std::vector<Bytes> valid = {
-      codec->build_path_onion({1, 2, 3}, fx.relay_keys(3), 7, fx.directory,
-                              fx.rng),
-      codec->seal_payload_core(core, responder.public_key, fx.rng), layer,
-      reverse};
+  std::vector<Bytes> valid = {codec->build_path_onion(
+      {1, 2, 3}, fx.relay_keys(3), 7, fx.directory, fx.rng)};
+  for (const PayloadCore& core : {legacy, tagged}) {
+    valid.push_back(
+        codec->seal_payload_core(core, responder.public_key, fx.rng));
+    Bytes layer = serialize_payload_core(core);
+    codec->wrap_layer_in_place(key, kSeq, layer);
+    valid.push_back(std::move(layer));
+  }
+  for (const ReverseCore& core : {ack, response}) {
+    Bytes reverse = serialize_reverse_core(core);
+    codec->wrap_layer_in_place(key, kReverseSeq, reverse);
+    valid.push_back(std::move(reverse));
+  }
 
   // The unmutated inputs open under their own parser.
   ASSERT_TRUE(codec->peel_path_onion(relay, valid[0]).has_value());
-  ASSERT_TRUE(codec->open_payload_core(responder, valid[1]).has_value());
-  Bytes buf = layer;
-  ASSERT_TRUE(codec->unwrap_layer_in_place(key, kSeq, buf));
-  ASSERT_TRUE(parse_payload_core(buf).has_value());
-  buf = reverse;
-  ASSERT_TRUE(codec->unwrap_layer_in_place(key, kReverseSeq, buf));
-  ASSERT_TRUE(parse_reverse_core(buf).has_value());
+  for (const std::size_t sealed : {1, 3}) {
+    ASSERT_TRUE(codec->open_payload_core(responder, valid[sealed]));
+    Bytes buf = valid[sealed + 1];
+    ASSERT_TRUE(codec->unwrap_layer_in_place(key, kSeq, buf));
+    ASSERT_TRUE(parse_payload_core(buf).has_value());
+  }
+  for (const std::size_t reverse : {5, 6}) {
+    Bytes buf = valid[reverse];
+    ASSERT_TRUE(codec->unwrap_layer_in_place(key, kReverseSeq, buf));
+    ASSERT_TRUE(parse_reverse_core(buf).has_value());
+  }
 
   std::size_t mutants = 0;
   std::size_t opened = 0;
   const auto parse_all = [&](const Bytes& mutant) {
+    // A splice can rebuild a valid input, which is not a mutant.
+    if (std::find(valid.begin(), valid.end(), mutant) != valid.end()) return;
     ++mutants;
     if (codec->peel_path_onion(relay, mutant).has_value()) ++opened;
     if (codec->open_payload_core(responder, mutant).has_value()) ++opened;
@@ -224,19 +248,13 @@ TEST_P(OnionCodecTest, MutatedInputsNeverCrashOrOpen) {
     }
     (void)parse_reverse_core(mutant);
   };
+  Rng rng(91);
   for (const Bytes& input : valid) {
-    for (std::size_t i = 0; i < input.size(); ++i) {
-      for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
-        Bytes mutant = input;
-        mutant[i] ^= mask;
-        parse_all(mutant);
-      }
-    }
-    for (std::size_t len = 0; len < input.size(); ++len) {
-      parse_all(Bytes(input.begin(), input.begin() + len));
+    for (const Bytes& mutant : mutations_of(input, valid, rng)) {
+      parse_all(mutant);
     }
   }
-  EXPECT_GT(mutants, 2000u);
+  EXPECT_GT(mutants, 4000u);
   if (GetParam()) {
     EXPECT_EQ(opened, 0u);
   }
@@ -442,16 +460,16 @@ TEST(PathHopWireTest, ParseRejectsMalformed) {
   // Too short.
   EXPECT_FALSE(parse_path_hop(Bytes(10, 0)).has_value());
   // Bad last flag.
-  Bytes bad(4 + 1 + 32, 0);
-  bad[4] = 7;
+  Bytes bad(wire::kHopHeaderSize, 0);
+  bad[wire::kHopLastOffset] = 7;
   EXPECT_FALSE(parse_path_hop(bad).has_value());
   // last = 1 but trailing bytes present.
-  Bytes trailing(4 + 1 + 32 + 3, 0);
-  trailing[4] = 1;
+  Bytes trailing(wire::kHopHeaderSize + 3, 0);
+  trailing[wire::kHopLastOffset] = 1;
   EXPECT_FALSE(parse_path_hop(trailing).has_value());
   // last = 0 but no nested onion.
-  Bytes empty_rest(4 + 1 + 32, 0);
-  empty_rest[4] = 0;
+  Bytes empty_rest(wire::kHopHeaderSize, 0);
+  empty_rest[wire::kHopLastOffset] = 0;
   EXPECT_FALSE(parse_path_hop(empty_rest).has_value());
 }
 
