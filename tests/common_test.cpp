@@ -57,6 +57,32 @@ TEST(BytesTest, BigEndianRoundTrip) {
   EXPECT_EQ(get_u32be(out, 2), 0xdeadbeefu);
   EXPECT_EQ(get_u64be(out, 6), 0x0123456789abcdefULL);
   EXPECT_THROW(get_u32be(out, out.size() - 2), std::out_of_range);
+
+  // The fixed-offset stores write the same bytes as put_*, and the loads
+  // read them back, at an unaligned offset.
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{1}, ~std::uint64_t{0},
+        std::uint64_t{0x0123456789abcdefULL}}) {
+    SCOPED_TRACE(v);
+    const auto v16 = static_cast<std::uint16_t>(v);
+    const auto v32 = static_cast<std::uint32_t>(v);
+    std::uint8_t buf[1 + 2 + 4 + 8] = {};
+    store_u16be(buf + 1, v16);
+    store_u32be(buf + 3, v32);
+    store_u64be(buf + 7, v);
+    Bytes expected = {0};
+    put_u16be(expected, v16);
+    put_u32be(expected, v32);
+    put_u64be(expected, v);
+    EXPECT_EQ(Bytes(buf, buf + sizeof(buf)), expected);
+    EXPECT_EQ(load_u16be(buf + 1), v16);
+    EXPECT_EQ(load_u32be(buf + 3), v32);
+    EXPECT_EQ(load_u64be(buf + 7), v);
+  }
+  std::uint8_t mixed[8];
+  store_u64be(mixed, 0x0123456789abcdefULL);
+  EXPECT_EQ(Bytes(mixed, mixed + 8),
+            (Bytes{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef}));
 }
 
 TEST(BytesTest, LittleEndianRoundTrip) {
