@@ -20,7 +20,6 @@
 #include <array>
 #include <deque>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "churn/churn_model.hpp"
@@ -109,10 +108,14 @@ class GossipMembership final : public MembershipProvider {
   void handle_digest(NodeId from, NodeId to, ByteView payload,
                      bool reply_with_digest);
   void enqueue_rumor(NodeId owner, NodeId subject);
+  /// The word of `owner`'s rumor bitmap that holds `subject`'s bit.
+  std::uint64_t& rumor_word(NodeId owner, NodeId subject) {
+    return rumor_bits_[owner * rumor_words_ + subject / 64];
+  }
   /// Starts a record-bearing message in writer_ with the sender's own
   /// record, which rides along in every one ("includes dt_alive in every
-  /// packet it sends").
-  void begin_records(NodeId from, std::uint8_t kind);
+  /// packet it sends"), and room for `max_records` more.
+  void begin_records(NodeId from, std::uint8_t kind, std::size_t max_records);
   void send_message(NodeId from, NodeId to, ByteView msg);
   /// Sends `to` the records of every subject in [0, N) that `pick` accepts
   /// and `from` knows, chunked into messages of kind `kind`; returns the
@@ -138,7 +141,10 @@ class GossipMembership final : public MembershipProvider {
 
   std::vector<NodeCache> caches_;
   std::vector<std::deque<Rumor>> rumor_queues_;
-  std::vector<std::unordered_set<NodeId>> rumor_members_;  // dedupe
+  // Rumor dedupe: bit `subject` of owner's row is set while the subject is
+  // in the owner's queue. Rows are rumor_words_ 64-bit words long.
+  std::vector<std::uint64_t> rumor_bits_;
+  std::size_t rumor_words_ = 0;
   std::vector<NodeId> refresh_cursors_;  // round-robin anti-entropy sweep
   std::vector<std::unique_ptr<sim::PeriodicTask>> tasks_;
   std::vector<std::unique_ptr<sim::PeriodicTask>> anti_entropy_tasks_;

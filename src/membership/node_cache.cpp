@@ -17,90 +17,78 @@ constexpr double kInflationSuspicion = 0.5;
 constexpr SimDuration kSuspicionHalfLife = 5 * kMinute;
 constexpr double kQuarantineThreshold = 2.0;
 constexpr double kBiasPenalty = 1.0;
+
+void check_range(NodeId node, std::size_t capacity) {
+  if (node >= capacity) throw std::out_of_range("NodeCache: node id");
+}
 }  // namespace
 
-NodeCache::NodeCache(std::size_t num_nodes) : entries_(num_nodes) {}
+NodeCache::NodeCache(std::size_t num_nodes)
+    : flags_(num_nodes), times_(num_nodes) {}
 
 void NodeCache::heard_directly(NodeId node, SimDuration dt_alive,
                                SimTime now) {
-  Entry& e = entries_.at(node);
-  if (!e.known) ++known_count_;
-  // Bounded trust: direct contact proves the node is alive *now*, but its
-  // claimed uptime is still just a claim. No node can have been up longer
-  // than the simulation has run, so cap at now + slack and file suspicion
-  // for the excess — the node stays usable but loses its stolen bias.
-  if (trust_enabled_ && dt_alive > now + kClaimSlack) {
-    dt_alive = now + kClaimSlack;
-    ++merge_stats_.inflated_rejected;
-    report_suspicion(node, kInflationSuspicion, now);
-  }
-  ++merge_stats_.updates_direct;
-  e.known = true;
-  e.alive = true;
-  e.direct = true;
-  e.dt_alive = dt_alive;
-  e.t_origin = now;
+  check_range(node, flags_.size());
+  MergeStats tally;
+  merge(node, LivenessInfo{dt_alive, 0, true}, /*direct=*/true, now, tally);
+  add_tally(tally);
 }
 
 void NodeCache::heard_left_directly(NodeId node, SimTime now) {
-  Entry& e = entries_.at(node);
-  if (!e.known) ++known_count_;
+  std::uint8_t& flags = flags_.at(node);
+  if (!(flags & kKnown)) ++known_count_;
   ++merge_stats_.updates_direct;
-  e.known = true;
-  e.alive = false;
-  e.direct = true;
-  e.dt_alive = 0;
-  e.t_origin = now;
+  flags = kKnown | kDirect;
+  times_[node] = Times{0, now};
 }
 
 bool NodeCache::merge_indirect(NodeId node, const LivenessInfo& info,
                                SimTime now) {
-  Entry& e = entries_.at(node);
-  // Bounded trust: an indirect claim is rejected outright when it is
-  // physically impossible (more uptime than the clock allows) or when it
-  // contradicts our own direct observation of the subject (direct outranks
-  // indirect — a relayed rumor cannot make a node look longer-lived than
-  // we saw it ourselves). A direct entry's origin is the time we heard it.
-  if (trust_enabled_ && info.alive) {
-    const bool impossible = info.dt_alive > now + kClaimSlack;
-    const bool over_direct =
-        e.known && e.direct && e.alive &&
-        info.dt_alive > e.dt_alive + (now - e.t_origin) + kClaimSlack;
-    if (impossible || over_direct) {
-      ++merge_stats_.inflated_rejected;
-      report_suspicion(node, kInflationSuspicion, now);
-      return false;
-    }
+  check_range(node, flags_.size());
+  MergeStats tally;
+  const bool accepted =
+      merge(node, info, /*direct=*/false, now, tally).accepted;
+  add_tally(tally);
+  return accepted;
+}
+
+bool NodeCache::admit_claim(NodeId node, LivenessInfo& info, bool direct,
+                            SimTime now, MergeStats& tally) const {
+  // Direct contact proves the node is alive *now*, but its claimed uptime
+  // is still just a claim. No node can have been up longer than the
+  // simulation has run, so cap at now + slack and file suspicion for the
+  // excess — the node stays usable but loses its stolen bias.
+  //
+  // An indirect claim is rejected outright when it is physically
+  // impossible (more uptime than the clock allows) or when it contradicts
+  // our own direct observation of the subject (direct outranks indirect —
+  // a relayed rumor cannot make a node look longer-lived than we saw it
+  // ourselves). A direct entry's origin is the time we heard it.
+  bool inflated;
+  if (direct) {
+    inflated = info.dt_alive > now + kClaimSlack;
+    if (inflated) info.dt_alive = now + kClaimSlack;
+  } else {
+    const std::uint8_t flags = flags_[node];
+    const Times& times = times_[node];
+    inflated = info.alive &&
+               (info.dt_alive > now + kClaimSlack ||
+                ((flags & (kKnown | kAlive | kDirect)) ==
+                     (kKnown | kAlive | kDirect) &&
+                 info.dt_alive >
+                     times.dt_alive + (now - times.t_origin) + kClaimSlack));
   }
-  if (!e.known) {
-    ++known_count_;
-    ++merge_stats_.updates_indirect;
-    e.known = true;
-    e.alive = info.alive;
-    e.direct = false;
-    e.dt_alive = info.dt_alive;
-    e.t_origin = now - info.dt_since;
-    return true;
-  }
-  // Effective staleness of what we already have.
-  const SimDuration current_since = now - e.t_origin;
-  if (info.dt_since < current_since) {
-    ++merge_stats_.updates_indirect;
-    e.alive = info.alive;
-    e.direct = false;
-    e.dt_alive = info.dt_alive;
-    e.t_origin = now - info.dt_since;
-    return true;
-  }
-  ++merge_stats_.merges_rejected;
-  return false;
+  if (!inflated) return true;
+  ++tally.inflated_rejected;
+  report_suspicion(node, kInflationSuspicion, now);
+  return direct;
 }
 
 double NodeCache::predictor(NodeId node, SimTime now) const {
-  const Entry& e = entries_.at(node);
-  if (!e.known || !e.alive) return 0.0;
+  if ((flags_.at(node) & (kKnown | kAlive)) != (kKnown | kAlive)) return 0.0;
   // Eq. 3: stored dt_since plus local staleness is now - t_origin.
-  return liveness_predictor(e.dt_alive, now - e.t_origin);
+  return liveness_predictor(times_[node].dt_alive,
+                            now - times_[node].t_origin);
 }
 
 std::vector<NodeId> NodeCache::sample_known(
@@ -118,8 +106,8 @@ std::vector<NodeId> NodeCache::sample_known(
   const bool gate = honor_quarantine && suspicion_enabled_;
   std::vector<NodeId> pool;
   pool.reserve(known_count_);
-  for (NodeId node = 0; node < entries_.size(); ++node) {
-    if (!entries_[node].known || exclude.count(node) > 0) continue;
+  for (NodeId node = 0; node < flags_.size(); ++node) {
+    if (!(flags_[node] & kKnown) || exclude.count(node) > 0) continue;
     if (gate && quarantined(node, now)) continue;
     pool.push_back(node);
   }
@@ -136,8 +124,8 @@ std::vector<NodeId> NodeCache::top_by_predictor(
     const std::unordered_set<NodeId>& exclude) const {
   std::vector<std::pair<double, NodeId>> scored;
   scored.reserve(known_count_);
-  for (NodeId node = 0; node < entries_.size(); ++node) {
-    if (!entries_[node].known || exclude.count(node) > 0) continue;
+  for (NodeId node = 0; node < flags_.size(); ++node) {
+    if (!(flags_[node] & kKnown) || exclude.count(node) > 0) continue;
     if (suspicion_enabled_) {
       // Behavioral bias (§4.9 generalized): quarantined nodes are refused
       // outright; any remaining suspicion demotes the liveness score by
@@ -164,7 +152,8 @@ std::vector<NodeId> NodeCache::top_by_predictor(
 }
 
 void NodeCache::clear() {
-  std::fill(entries_.begin(), entries_.end(), Entry{});
+  std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
+  std::fill(times_.begin(), times_.end(), Times{});
   known_count_ = 0;
   merge_stats_ = MergeStats{};
   for (Suspicion& s : suspicion_) s = Suspicion{};
@@ -180,9 +169,9 @@ NodeCache::AgeStats NodeCache::age_stats(SimTime now,
   std::vector<SimDuration> ages;
   ages.reserve(known_count_);
   std::size_t stale = 0;
-  for (const Entry& e : entries_) {
-    if (!e.known || !e.alive) continue;
-    const SimDuration age = now - e.t_origin;
+  for (NodeId node = 0; node < flags_.size(); ++node) {
+    if ((flags_[node] & (kKnown | kAlive)) != (kKnown | kAlive)) continue;
+    const SimDuration age = now - times_[node].t_origin;
     ages.push_back(age);
     if (age > stale_after) ++stale;
   }
@@ -206,7 +195,7 @@ NodeCache::AgeStats NodeCache::age_stats(SimTime now,
 
 void NodeCache::enable_suspicion() {
   suspicion_enabled_ = true;
-  suspicion_.assign(entries_.size(), Suspicion{});
+  suspicion_.assign(flags_.size(), Suspicion{});
 }
 
 double NodeCache::decayed_suspicion(NodeId node, SimTime now) const {

@@ -70,8 +70,8 @@ NodeId OneHopMembership::believed_leader(NodeId observer,
       if (churn_.is_up(observer)) return id;
       continue;
     }
-    const auto* entry = caches_[observer].find(id);
-    if (entry != nullptr && entry->alive) return id;
+    const auto entry = caches_[observer].find(id);
+    if (entry && entry->alive) return id;
   }
   return kInvalidNode;
 }
@@ -141,15 +141,15 @@ void OneHopMembership::send_snapshot(NodeId leader, NodeId joiner) {
   const SimTime now = simulator_.now();
   const NodeCache& cache = caches_[leader];
   const std::size_t n = caches_.size();
-  writer_.begin(kKindKeepalive);
+  writer_.begin(kKindKeepalive, kSnapshotChunk);
   for (NodeId subject = 0; subject < n; ++subject) {
     if (subject == joiner) continue;
-    const auto* entry = cache.find(subject);
-    if (entry == nullptr) continue;
+    const auto entry = cache.find(subject);
+    if (!entry) continue;
     writer_.add(subject, entry->observation(now));
     if (writer_.count() == kSnapshotChunk) {
       send_message(leader, joiner, writer_.finish());
-      writer_.begin(kKindKeepalive);
+      writer_.begin(kKindKeepalive, kSnapshotChunk);
     }
   }
   if (writer_.count() > 0) send_message(leader, joiner, writer_.finish());
@@ -157,7 +157,7 @@ void OneHopMembership::send_snapshot(NodeId leader, NodeId joiner) {
 
 void OneHopMembership::send_inter_leader(NodeId leader, NodeId subject,
                                          const LivenessInfo& info) {
-  writer_.begin(kKindEventInterLeader);
+  writer_.begin(kKindEventInterLeader, 1);
   writer_.add(subject, info);
   const ByteView msg = writer_.finish();
   for (std::size_t unit = 0; unit < config_.units; ++unit) {
@@ -219,7 +219,7 @@ void OneHopMembership::deliver_event(NodeId observer, NodeId subject) {
     send_inter_leader(leader, subject, info);
     pending_unit_events_[unit_of(leader)].push_back(subject);
   } else {
-    writer_.begin(kKindEventToLeader);
+    writer_.begin(kKindEventToLeader, 1);
     writer_.add(subject, info);
     send_message(observer, leader, writer_.finish());
   }
@@ -243,10 +243,10 @@ void OneHopMembership::keepalive_send(NodeId leader, std::size_t unit,
   const auto [begin, end] = unit_range(unit);
 
   const NodeCache& cache = caches_[leader];
-  writer_.begin(kKindKeepalive);
+  writer_.begin(kKindKeepalive, 1 + pending.size());
   writer_.add(leader, LivenessInfo{own_uptime(leader), 0, true});
   for (NodeId subject : pending) {
-    if (const auto* entry = cache.find(subject)) {
+    if (const auto entry = cache.find(subject)) {
       writer_.add(subject, entry->observation(now));
     }
   }
@@ -259,8 +259,8 @@ void OneHopMembership::keepalive_send(NodeId leader, std::size_t unit,
       // Belief-routed: a leader cannot consult ground truth for its
       // members any more than for anything else; sends to dead members
       // are dropped by the transport.
-      const auto* entry = cache.find(id);
-      if (entry == nullptr || !entry->alive) continue;
+      const auto entry = cache.find(id);
+      if (!entry || !entry->alive) continue;
     } else if (!churn_.is_up(id)) {
       continue;
     }
@@ -305,10 +305,10 @@ void OneHopMembership::announce_leader(NodeId node, std::size_t unit) {
   // receivers that still trusted a dead predecessor converge in one hop
   // instead of timing each predecessor out in sequence.
   const NodeCache& cache = caches_[node];
-  writer_.begin(kKindLeaderAnnounce);
+  writer_.begin(kKindLeaderAnnounce, 1 + (node - begin));
   writer_.add(node, LivenessInfo{own_uptime(node), 0, true});
   for (NodeId id = static_cast<NodeId>(begin); id < node; ++id) {
-    if (const auto* entry = cache.find(id)) {
+    if (const auto entry = cache.find(id)) {
       writer_.add(id, entry->observation(now));
     }
   }
@@ -319,8 +319,8 @@ void OneHopMembership::announce_leader(NodeId node, std::size_t unit) {
   for (std::size_t member = begin; member < end; ++member) {
     const NodeId id = static_cast<NodeId>(member);
     if (id == node) continue;
-    const auto* entry = cache.find(id);
-    if (entry == nullptr || !entry->alive) continue;
+    const auto entry = cache.find(id);
+    if (!entry || !entry->alive) continue;
     send_message(node, id, msg);
     ++control_stats_.leader_announcements;
   }
@@ -342,15 +342,12 @@ void OneHopMembership::handle_message(NodeId from, NodeId to,
   const SimTime now = simulator_.now();
 
   NodeCache& cache = caches_[to];
-  const bool fits = for_each_record(
-      payload, caches_.size(),
-      [&](std::size_t index, NodeId subject, const LivenessInfo& info) {
-        if (subject == to) return;
-        if (index == 0 && subject == from && info.dt_since == 0) {
-          cache.heard_directly(from, info.dt_alive, now);
-        } else {
-          cache.merge_indirect(subject, info, now);
-        }
+  const bool fits = merge_records(
+      payload, cache, to, now,
+      [from](std::size_t index, NodeId subject, const LivenessInfo& info) {
+        return index == 0 && subject == from && info.dt_since == 0;
+      },
+      [&](NodeId subject, const LivenessInfo& info, NodeCache::Merged) {
         if (kind != kKindEventToLeader && kind != kKindEventInterLeader) {
           return;
         }
@@ -359,7 +356,7 @@ void OneHopMembership::handle_message(NodeId from, NodeId to,
         // when we are the first leader to see it.
         pending_unit_events_[unit_of(to)].push_back(subject);
         if (kind != kKindEventToLeader) return;
-        if (const auto* entry = cache.find(subject)) {
+        if (const auto entry = cache.find(subject)) {
           send_inter_leader(to, subject, entry->observation(now));
         }
         // A join announcement (the subject reporting itself): hand the
@@ -387,8 +384,8 @@ double OneHopMembership::belief_accuracy() const {
     if (!churn_.is_up(owner)) continue;
     for (NodeId subject = 0; subject < n; ++subject) {
       if (subject == owner) continue;
-      const auto* entry = caches_[owner].find(subject);
-      const bool believed_alive = entry != nullptr && entry->alive;
+      const auto entry = caches_[owner].find(subject);
+      const bool believed_alive = entry && entry->alive;
       ++total;
       if (believed_alive == churn_.is_up(subject)) ++correct;
     }

@@ -263,10 +263,10 @@ TEST(ByteCensusTest, EnvironmentCensusCoversTheBigStructures) {
   // its bytes grow linearly in N.
   EXPECT_EQ(census.subsystem_total("latency_matrix"),
             kNodes * 3 * sizeof(double));
-  // N node caches of N entries each — the census must see at least the
-  // raw entry storage for the O(N^2) detector to have signal.
+  // N node caches of N subjects each — the census must see at least the
+  // raw per-subject storage for the O(N^2) detector to have signal.
   EXPECT_GE(census.subsystem_total("membership"),
-            kNodes * kNodes * sizeof(membership::NodeCache::Entry));
+            kNodes * kNodes * membership::NodeCache::kBytesPerSubject);
   EXPECT_GT(census.subsystem_total("router"), 0u);
   EXPECT_GT(census.subsystem_total("pki"), 0u);
   EXPECT_GT(census.total(), 0u);

@@ -39,8 +39,8 @@ TEST(BoundedTrustTest, DirectClaimCappedAndSuspicionFiled) {
   // At t = 100 s no node can have been up 500 s; the claim is capped at
   // now + slack and the subject earns suspicion, but stays usable.
   cache.heard_directly(3, 500 * kSecond, 100 * kSecond);
-  const auto* entry = cache.find(3);
-  ASSERT_NE(entry, nullptr);
+  const auto entry = cache.find(3);
+  ASSERT_NE(entry, std::nullopt);
   EXPECT_TRUE(entry->alive);
   EXPECT_EQ(entry->dt_alive, 130 * kSecond);
   EXPECT_EQ(cache.merge_stats().inflated_rejected, 1u);
@@ -62,7 +62,7 @@ TEST(BoundedTrustTest, ImpossibleIndirectClaimRejected) {
   // the node is not even learned, and suspicion is filed on the subject.
   EXPECT_FALSE(cache.merge_indirect(
       5, LivenessInfo{600 * kSecond, 0, true}, 60 * kSecond));
-  EXPECT_EQ(cache.find(5), nullptr);
+  EXPECT_EQ(cache.find(5), std::nullopt);
   EXPECT_EQ(cache.merge_stats().inflated_rejected, 1u);
   EXPECT_GT(cache.suspicion(5, 60 * kSecond), 0.0);
 
@@ -134,7 +134,7 @@ struct WireRecord {
 Bytes gossip_datagram(std::uint8_t kind,
                       const std::vector<WireRecord>& records) {
   membership::RecordWriter writer;
-  writer.begin(kind);
+  writer.begin(kind, records.size());
   for (const auto& record : records) writer.add(record.subject, record.info);
   const ByteView msg = writer.finish();
   Bytes datagram;
@@ -382,8 +382,8 @@ TEST(LeaderFailoverTest, ReElectsAroundChurnInvisibleCrash) {
   std::size_t believe_dead = 0;
   std::size_t follow_successor = 0;
   for (NodeId member = 13; member < 24; ++member) {
-    const auto* entry = fx.onehop.cache(member).find(12);
-    if (entry != nullptr && !entry->alive) ++believe_dead;
+    const auto entry = fx.onehop.cache(member).find(12);
+    if (entry != std::nullopt && !entry->alive) ++believe_dead;
     if (fx.onehop.believed_leader(member, 1) == 13u) ++follow_successor;
   }
   EXPECT_GT(believe_dead, 8u);
@@ -413,8 +413,8 @@ TEST(LeaderFailoverTest, WithoutFailoverTheZombieKeepsTheRole) {
   EXPECT_EQ(fx.onehop.unit_leader(1), 12u);
   EXPECT_EQ(fx.onehop.believed_leader(13, 1), 12u);
   EXPECT_EQ(fx.onehop.control_stats().elections, 0u);
-  const auto* entry = fx.onehop.cache(18).find(12);
-  ASSERT_NE(entry, nullptr);
+  const auto entry = fx.onehop.cache(18).find(12);
+  ASSERT_NE(entry, std::nullopt);
   EXPECT_TRUE(entry->alive);  // the lie the resilient arm corrects
 }
 

@@ -51,8 +51,8 @@ TEST(LivenessTest, AliveProbabilityEquation1) {
 TEST(NodeCacheTest, DirectObservationResetsSince) {
   NodeCache cache(8);
   cache.heard_directly(3, 500 * kSecond, 1000 * kSecond);
-  const auto* entry = cache.find(3);
-  ASSERT_NE(entry, nullptr);
+  const auto entry = cache.find(3);
+  ASSERT_NE(entry, std::nullopt);
   EXPECT_TRUE(entry->alive);
   EXPECT_EQ(entry->dt_alive, 500 * kSecond);
   // dt_since is 0 as of the direct observation at t = 1000 s.
@@ -298,8 +298,8 @@ TEST(GossipTest, UptimeEstimatesReachOtherCaches) {
   // dt_alive near 5 minutes.
   std::size_t informed = 0;
   for (NodeId owner = 1; owner < GossipFixture::kNodes; ++owner) {
-    const auto* entry = gossip.cache(owner).find(0);
-    if (entry != nullptr && entry->alive &&
+    const auto entry = gossip.cache(owner).find(0);
+    if (entry != std::nullopt && entry->alive &&
         entry->dt_alive > 3 * kMinute) {
       ++informed;
     }
@@ -378,8 +378,8 @@ TEST(GossipTest, RejoinResetsPerceivedUptime) {
       churn_model.alive_seconds(cycled, simulator.now());
   for (NodeId observer = 0; observer < n; ++observer) {
     if (!churn_model.is_up(observer) || observer == cycled) continue;
-    const auto* entry = gossip.cache(observer).find(cycled);
-    if (entry == nullptr || !entry->alive) continue;
+    const auto entry = gossip.cache(observer).find(cycled);
+    if (entry == std::nullopt || !entry->alive) continue;
     EXPECT_LT(to_seconds(entry->dt_alive), truth + 120.0)
         << "observer " << observer << " sees stale pre-cycle uptime";
   }
@@ -425,7 +425,7 @@ TEST(GossipWireTest, RecordRoundTrip) {
   info.dt_alive = 123 * kSecond;
   info.dt_since = 45 * kSecond;
   RecordWriter writer;
-  writer.begin(/*kind=*/1);
+  writer.begin(/*kind=*/1, /*max_records=*/1);
   writer.add(42, info);
   const Bytes msg(writer.finish().begin(), writer.finish().end());
   EXPECT_EQ(net::liveness_wire::kRecordSize, 21u);
