@@ -30,6 +30,10 @@ FaultPlan& FaultPlan::crash(NodeId node, SimTime at, SimTime recover_at) {
     throw std::invalid_argument("FaultPlan::crash: recover_at must be > at");
   }
   crashes_.push_back(CrashEvent{node, at, recover_at});
+  if (node >= crash_windows_.size()) {
+    crash_windows_.resize(std::size_t{node} + 1);
+  }
+  crash_windows_[node].push_back(CrashWindow{at, recover_at});
   return *this;
 }
 
@@ -110,10 +114,9 @@ FaultPlan& FaultPlan::claim_inflate(double probability, double factor,
 }
 
 bool FaultPlan::is_crashed(NodeId node, SimTime now) const {
-  for (const CrashEvent& crash : crashes_) {
-    if (crash.node == node && now >= crash.at && now < crash.recover_at) {
-      return true;
-    }
+  if (node >= crash_windows_.size()) return false;
+  for (const CrashWindow& window : crash_windows_[node]) {
+    if (in_window(window.at, window.recover_at, now)) return true;
   }
   return false;
 }

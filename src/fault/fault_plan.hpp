@@ -159,6 +159,9 @@ class FaultPlan {
                            std::vector<NodeId> at_nodes = {});
 
   // --- queries ---
+  /// True inside any of `node`'s crash windows. Looks only at that node's
+  /// windows: the liveness oracle and FaultyTransport ask several times
+  /// per datagram.
   bool is_crashed(NodeId node, SimTime now) const;
   bool partitioned(NodeId from, NodeId to, SimTime now) const;
 
@@ -201,6 +204,13 @@ class FaultPlan {
 
  private:
   std::vector<CrashEvent> crashes_;
+  // The same windows indexed by node id (ids are dense, [0, N)), each
+  // node's in crash() order.
+  struct CrashWindow {
+    SimTime at;
+    SimTime recover_at;
+  };
+  std::vector<std::vector<CrashWindow>> crash_windows_;
   std::vector<PartitionRule> partitions_;
   std::vector<LinkSpikeRule> link_spikes_;
   std::vector<DuplicateRule> duplicates_;
