@@ -5,7 +5,10 @@
 // One arm = (N, scenario). Per arm the probe builds a full Environment
 // with the capacity loop profiler attached, runs a bounded number of
 // events (warmup excluded from timing), and records:
-//   * events/sec over the measured window (wall clock);
+//   * events/sec: the median over kWindows measured windows run back to
+//     back, each of --events events (wall clock), and the spread of the
+//     windows as their interquartile range — one sub-second window read
+//     host noise as much as the code;
 //   * a deterministic byte census of every big structure, total and
 //     per-node, per subsystem (the O(N²) membership caches show up here
 //     as a number, not a comment);
@@ -71,9 +74,15 @@ std::string alloc_scopes_json() {
   return out;
 }
 
+// Measured windows per arm. They run back to back in one environment:
+// alternating with another arm's windows would keep two environments
+// alive at once, twice the membership caches at N = 16k.
+constexpr int kWindows = 5;
+
 struct ArmResult {
   std::string name;
-  double events_per_sec = 0;
+  double events_per_sec = 0;         // median over the windows
+  double events_per_sec_spread = 0;  // their interquartile range
   std::uint64_t events_executed = 0;
   double wall_seconds = 0;
   std::uint64_t census_total = 0;
@@ -107,17 +116,25 @@ ArmResult run_arm(std::size_t nodes, const std::string& scenario,
   env.start();
 
   env.simulator().run_steps(warmup_events);
-  profiler.reset();  // measured window only
+  profiler.reset();  // measured windows only
 
   using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  arm.events_executed = env.simulator().run_steps(measure_events);
-  arm.wall_seconds =
-      std::chrono::duration<double>(clock::now() - t0).count();
-  arm.events_per_sec =
-      arm.wall_seconds > 0
-          ? static_cast<double>(arm.events_executed) / arm.wall_seconds
-          : 0;
+  std::vector<double> rates;
+  for (int window = 0; window < kWindows; ++window) {
+    const auto t0 = clock::now();
+    const std::uint64_t executed = env.simulator().run_steps(measure_events);
+    const double seconds =
+        std::chrono::duration<double>(clock::now() - t0).count();
+    arm.events_executed += executed;
+    arm.wall_seconds += seconds;
+    rates.push_back(seconds > 0 ? static_cast<double>(executed) / seconds
+                                : 0);
+  }
+  // Nearest-rank quartiles of the kWindows readings.
+  std::sort(rates.begin(), rates.end());
+  arm.events_per_sec = rates[rates.size() / 2];
+  arm.events_per_sec_spread =
+      rates[(rates.size() * 3) / 4] - rates[rates.size() / 4];
 
   obs::capacity::ByteCensus census;
   env.byte_census(census);
@@ -148,9 +165,9 @@ int main(int argc, char** argv) {
   auto& scenarios_csv =
       flags.add_string("scenarios", "steady,churn", "steady and/or churn");
   auto& warmup = flags.add_int("warmup-events", 50000,
-                               "events run before the measured window");
+                               "events run before the measured windows");
   auto& events = flags.add_int("events", 200000,
-                               "events in the measured window (per arm)");
+                               "events in each measured window");
   auto& stride =
       flags.add_int("stride", 16, "profiler sampling stride (1 = every event)");
   auto& json_path = obs::add_json_flag(flags);
@@ -179,17 +196,18 @@ int main(int argc, char** argv) {
                                     bench_scale()));
 
   std::printf("# Capacity scale probe (%zu sizes x %zu scenarios, "
-              "%zu measured events/arm, stride %d)\n",
-              sizes.size(), scenario_names.size(), measure_events,
+              "%d windows x %zu measured events/arm, stride %d)\n",
+              sizes.size(), scenario_names.size(), kWindows, measure_events,
               static_cast<int>(stride));
-  std::printf("%-16s %14s %12s %14s %14s %10s\n", "arm", "events/sec",
-              "census_MB", "census_B/node", "peak_rss_MB", "ovh_%");
+  std::printf("%-16s %14s %12s %12s %14s %14s %10s\n", "arm", "events/sec",
+              "spread", "census_MB", "census_B/node", "peak_rss_MB", "ovh_%");
 
   obs::BenchReport report("scale_probe");
   report.add("alloc_probe_active",
              static_cast<std::uint64_t>(alloc_probe::active() ? 1 : 0));
   report.add("sample_stride", static_cast<std::uint64_t>(stride));
   report.add("measure_events", static_cast<std::uint64_t>(measure_events));
+  report.add("measure_windows", static_cast<std::uint64_t>(kWindows));
 
   std::string arms_list = "[";
   bool first_arm = true;
@@ -198,8 +216,9 @@ int main(int argc, char** argv) {
       const ArmResult arm =
           run_arm(n, scenario, warmup_events, measure_events,
                   static_cast<std::uint32_t>(std::max(1, (int)stride)));
-      std::printf("%-16s %14.0f %12.1f %14.0f %14.1f %10.2f\n",
+      std::printf("%-16s %14.0f %12.0f %12.1f %14.0f %14.1f %10.2f\n",
                   arm.name.c_str(), arm.events_per_sec,
+                  arm.events_per_sec_spread,
                   static_cast<double>(arm.census_total) / 1e6,
                   static_cast<double>(arm.census_total) /
                       static_cast<double>(n),
@@ -208,6 +227,8 @@ int main(int argc, char** argv) {
 
       report.add(arm.name + "_nodes", static_cast<std::uint64_t>(n));
       report.add(arm.name + "_events_per_sec", arm.events_per_sec);
+      report.add(arm.name + "_events_per_sec_spread",
+                 arm.events_per_sec_spread);
       report.add(arm.name + "_events_executed", arm.events_executed);
       report.add(arm.name + "_wall_seconds", arm.wall_seconds);
       report.add(arm.name + "_census_total_bytes", arm.census_total);
