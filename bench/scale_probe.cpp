@@ -63,7 +63,9 @@ std::string alloc_scopes_json() {
     const auto stats = alloc_probe::scope_stats(id);
     if (!first) out += ",";
     first = false;
-    out += "\"" + std::string(alloc_probe::scope_name(id)) + "\":{";
+    out += "\"";
+    out += alloc_probe::scope_name(id);
+    out += "\":{";
     out += "\"allocs\":" + std::to_string(stats.allocs);
     out += ",\"frees\":" + std::to_string(stats.frees);
     out += ",\"live_bytes\":" + std::to_string(stats.live_bytes);
@@ -99,7 +101,8 @@ ArmResult run_arm(std::size_t nodes, const std::string& scenario,
                   std::size_t warmup_events, std::size_t measure_events,
                   std::uint32_t stride) {
   ArmResult arm;
-  arm.name = "n" + std::to_string(nodes) + "_" + scenario;
+  arm.name.append("n").append(std::to_string(nodes));
+  arm.name.append("_").append(scenario);
 
   obs::capacity::LoopProfiler::Config profiler_config;
   profiler_config.sample_stride = stride;

@@ -63,10 +63,6 @@ std::uint64_t FlowLog::earliest_us() const {
   return size() == 0 ? 0 : time_us_[slot(0)];
 }
 
-std::uint64_t FlowLog::latest_us() const {
-  return size() == 0 ? 0 : time_us_[slot(size() - 1)];
-}
-
 std::string FlowLog::to_jsonl() const {
   std::ostringstream out;
   for (std::size_t i = 0; i < size(); ++i) {

@@ -67,9 +67,8 @@ class FlowLog {
   std::uint64_t appended() const { return appended_; }
   std::uint64_t evicted() const { return evicted_; }
 
-  /// Time bounds of the held records (0 when empty).
+  /// Time of the oldest held record (0 when empty).
   std::uint64_t earliest_us() const;
-  std::uint64_t latest_us() const;
 
   /// One JSON object per record, newline-separated, oldest first — the
   /// link-record JSONL format tools/trace_analyze ingests via --flows.

@@ -45,18 +45,6 @@ double initiator_identification_probability(std::size_t N, double f,
                  (1.0 / honest_pool) * (1.0 - 1.0 / static_cast<double>(L)) * s);
 }
 
-double first_relay_compromised_monte_carlo(double f, std::size_t L,
-                                           std::size_t trials, Rng& rng) {
-  check_f(f);
-  (void)L;
-  if (trials == 0) return 0.0;
-  std::size_t hits = 0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    if (rng.bernoulli(f)) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(trials);
-}
-
 double multipath_first_relay_exposure(double f, std::size_t k) {
   check_f(f);
   if (k == 0) return 0.0;  // no paths, no first relays exposed

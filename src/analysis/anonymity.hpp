@@ -16,8 +16,6 @@
 
 #include <cstddef>
 
-#include "common/rng.hpp"
-
 namespace p2panon::analysis {
 
 /// P(Case 1): the first relay of an L-relay path is malicious, conditioned
@@ -28,12 +26,6 @@ double first_relay_compromised_weight(double f, std::size_t L);
 /// initiator.
 double initiator_identification_probability(std::size_t N, double f,
                                             std::size_t L);
-
-/// Monte-Carlo: places L relays (each malicious with prob f) and measures
-/// how often the first relay is malicious — sanity check that the analysis
-/// weight stays below the raw compromise rate.
-double first_relay_compromised_monte_carlo(double f, std::size_t L,
-                                           std::size_t trials, Rng& rng);
 
 /// With k node-disjoint paths, the initiator is exposed if ANY path's first
 /// relay is malicious: 1 - (1 - f)^k (first relays are k distinct nodes).

@@ -21,7 +21,7 @@ std::optional<std::vector<std::vector<NodeId>>> MixSelector::select_paths(
   // threshold is never selected, random or biased, until it decays clean.
   // Biased choice additionally demotes non-quarantined suspects inside
   // top_by_predictor (score = q / (1 + penalty * s)). With suspicion off
-  // (the default) both calls are byte-identical to the seed behavior.
+  // (the default) neither call reads it.
   std::vector<NodeId> picked;
   switch (choice_) {
     case MixChoice::kRandom:

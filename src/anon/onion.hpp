@@ -69,7 +69,7 @@ struct PayloadCore {
   RelayKey responder_key{};         // R_{L+1}, for the reverse path
 
   // Corruption-resilience trailer (absent on the wire when auth_flags ==
-  // kAuthNone, which keeps legacy cores byte-identical). The digest is the
+  // kAuthNone, the paper's core). The digest is the
   // truncated SHA-256 of the whole message M; the tag authenticates this
   // segment plus every header field the decoder will trust (see
   // crypto/segment_auth.hpp).

@@ -47,16 +47,6 @@ void PathStateTable::refresh(RelayEntry& entry, SimTime now,
   entry.expires = now + ttl;
 }
 
-StreamId PathStateTable::retarget(RelayEntry& entry, NodeId new_downstream) {
-  if (entry.downstream_sid != 0) {
-    downstream_to_upstream_.erase(entry.downstream_sid);
-  }
-  entry.downstream = new_downstream;
-  entry.downstream_sid = fresh_sid();
-  downstream_to_upstream_[entry.downstream_sid] = entry.upstream_sid;
-  return entry.downstream_sid;
-}
-
 bool PathStateTable::release_by_upstream(StreamId upstream_sid) {
   const auto it = by_upstream_.find(upstream_sid);
   if (it == by_upstream_.end()) return false;

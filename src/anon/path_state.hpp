@@ -1,4 +1,4 @@
-// Relay-side cached path state with TTL (paper §4.3, §4.4).
+// Relay-side cached path state with TTL (paper §4.3).
 //
 // Each relay on a path caches [P_{i-1}, sid_{i-1}, P_{i+1}, sid_i, R_i].
 // Payload traffic refreshes the TTL; states orphaned by upstream failures
@@ -51,11 +51,6 @@ class PathStateTable {
 
   /// Extends an entry's TTL (payload messages double as refreshes).
   void refresh(RelayEntry& entry, SimTime now, SimDuration ttl);
-
-  /// Path reuse (§4.4): re-points an entry at a new downstream node,
-  /// generating a fresh downstream stream id (the paper's sid'_L).
-  /// Returns the new downstream sid.
-  StreamId retarget(RelayEntry& entry, NodeId new_downstream);
 
   /// Removes the entry with this upstream sid (explicit teardown).
   bool release_by_upstream(StreamId upstream_sid);

@@ -194,7 +194,7 @@ void AnonRouter::send_frame(NodeId from, NodeId to, FrameType type,
   const bool reverse = wire::spec(type).reverse;
   if (reverse) {
     bytes_reverse_->inc(frame.size());
-  } else if (type == FrameType::kConstruct || type == FrameType::kRetarget) {
+  } else if (type == FrameType::kConstruct) {
     construct_bytes_ += frame.size();
     bytes_construct_->inc(frame.size());
   } else if (type != FrameType::kTeardown) {
@@ -235,20 +235,10 @@ StreamId AnonRouter::initiate_path(NodeId initiator,
         .add("hops", static_cast<std::uint64_t>(relays.size()));
     tracer.span_begin("anon", "path_construct", sid, args);
   }
-  arm_pending(initiator, sid, timeout, std::move(callback), "path_construct");
-  send_frame(initiator, relays.front(), FrameType::kConstruct, sid, 0,
-             onion_blob);
-  return sid;
-}
-
-void AnonRouter::arm_pending(NodeId initiator, StreamId sid,
-                             SimDuration timeout, ConstructCallback callback,
-                             const char* span) {
   static const auto kTimeoutEvent =
       obs::capacity::event_type("router.timeout");
   PendingConstruction pending;
   pending.callback = std::move(callback);
-  pending.span = span;
   pending.timeout_event = simulator_.schedule_after(
       timeout,
       [this, initiator, sid] {
@@ -256,6 +246,9 @@ void AnonRouter::arm_pending(NodeId initiator, StreamId sid,
       },
       kTimeoutEvent);
   pending_[initiator][sid] = std::move(pending);
+  send_frame(initiator, relays.front(), FrameType::kConstruct, sid, 0,
+             onion_blob);
+  return sid;
 }
 
 void AnonRouter::finish_pending(NodeId initiator, StreamId sid, bool ok,
@@ -264,7 +257,6 @@ void AnonRouter::finish_pending(NodeId initiator, StreamId sid, bool ok,
   const auto it = pmap.find(sid);
   if (it == pmap.end()) return;
   if (!timed_out) simulator_.cancel(it->second.timeout_event);
-  const char* span = it->second.span;
   ConstructCallback cb = std::move(it->second.callback);
   pmap.erase(it);
   (ok ? construct_ok_ctr_ : construct_timeout_ctr_)->inc();
@@ -273,7 +265,7 @@ void AnonRouter::finish_pending(NodeId initiator, StreamId sid, bool ok,
     obs::TraceArgs args;
     args.add("ok", static_cast<std::uint64_t>(ok ? 1 : 0))
         .add("timed_out", static_cast<std::uint64_t>(timed_out ? 1 : 0));
-    tracer.span_end("anon", span, sid, args);
+    tracer.span_end("anon", "path_construct", sid, args);
   }
   cb(ok);
 }
@@ -338,9 +330,6 @@ void AnonRouter::handle(NodeId from, NodeId to, ByteView datagram,
       break;
     case FrameType::kTeardown:
       on_teardown(to, sid);
-      break;
-    case FrameType::kRetarget:
-      on_retarget(to, sid, seq, body);
       break;
     case FrameType::kConstructPayload:
       on_construct_payload(from, to, sid, seq, body);
@@ -653,56 +642,6 @@ void AnonRouter::on_construct_payload(NodeId from, NodeId to, StreamId sid,
     send_frame(to, next.next, FrameType::kConstructPayload, hop->down_sid, seq,
                *combined);
   }
-}
-
-void AnonRouter::send_retarget(NodeId initiator, StreamId sid,
-                               NodeId first_relay, std::uint64_t seq,
-                               Bytes blob, SimDuration timeout,
-                               ConstructCallback callback) {
-  // The end-to-end confirmation reuses the construct-ack machinery keyed
-  // by the initiator-side sid.
-  obs::CorrelationScope corr_scope(sid);
-  auto& tracer = obs::Tracer::instance();
-  if (tracer.enabled()) {
-    obs::TraceArgs args;
-    args.add("initiator", static_cast<std::uint64_t>(initiator));
-    tracer.span_begin("anon", "retarget", sid, args);
-  }
-  arm_pending(initiator, sid, timeout, std::move(callback), "retarget");
-  send_frame(initiator, first_relay, FrameType::kRetarget, sid, seq, blob);
-}
-
-void AnonRouter::on_retarget(NodeId to, StreamId sid, std::uint64_t seq,
-                             ByteView blob) {
-  RelayEntry* entry = tables_[to].find_by_upstream(sid);
-  if (entry == nullptr || entry->at_responder) return;
-  tables_[to].refresh(*entry, simulator_.now(), config_.state_ttl);
-  const bool traced = obs::Tracer::instance().enabled();
-  std::optional<HopRelaySpan> hop_span;
-  if (traced) hop_span.emplace(to, "retarget");
-  PooledBytes inner(pool_, blob.size());
-  inner->assign(blob.begin(), blob.end());
-  if (!onion_.unwrap_layer_in_place(entry->key, seq, *inner)) {
-    record_peel_failure(to, "retarget");
-    return;
-  }
-  ++messages_forwarded_;
-  forwarded_ctr_->inc();
-  if (!entry->last_relay) {
-    send_frame(to, entry->downstream, FrameType::kRetarget,
-               entry->downstream_sid, seq, *inner);
-    return;
-  }
-  // Last relay: the fully unwrapped blob is the new destination.
-  const auto new_destination = wire::read_destination(*inner);
-  if (!new_destination.has_value()) {
-    record_peel_failure(to, "retarget");
-    return;
-  }
-  if (*new_destination >= node_keys_.size()) return;
-  tables_[to].retarget(*entry, *new_destination);
-  send_reverse_byte(to, entry->upstream, FrameType::kConstructAck,
-                    entry->upstream_sid, 1);
 }
 
 void AnonRouter::on_teardown(NodeId to, StreamId sid) {

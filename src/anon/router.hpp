@@ -167,17 +167,6 @@ class AnonRouter {
   /// Asks every relay on the path to release its cached state (§4.3).
   void send_teardown(NodeId initiator, StreamId sid, NodeId first_relay);
 
-  /// Path reuse (§4.4): re-points the path's last relay at a new
-  /// destination without rebuilding the path (no asymmetric crypto). The
-  /// new destination rides inside the layered blob, so intermediate relays
-  /// never learn it; the last relay rewires its cached state (generating
-  /// the paper's sid'_L) and acks end-to-end. The callback fires true on
-  /// the ack, false on timeout. `blob` must be the relay-layered wrapping
-  /// of wire::append_destination's bytes (Session::redirect builds it).
-  void send_retarget(NodeId initiator, StreamId sid, NodeId first_relay,
-                     std::uint64_t seq, Bytes blob, SimDuration timeout,
-                     ConstructCallback callback);
-
   // --- responder primitives ---
 
   /// Sends an application response for a previously reconstructed message:
@@ -255,7 +244,6 @@ class AnonRouter {
   struct PendingConstruction {
     ConstructCallback callback;
     sim::EventId timeout_event = sim::kInvalidEventId;
-    const char* span = "path_construct";  // trace span closed on ack/timeout
   };
 
   struct Reassembly {
@@ -291,7 +279,6 @@ class AnonRouter {
   std::optional<PayloadCore> open_keyed_core(const RelayEntry& entry,
                                              std::uint64_t seq, ByteView blob);
   void on_teardown(NodeId to, StreamId sid);
-  void on_retarget(NodeId to, StreamId sid, std::uint64_t seq, ByteView blob);
   void on_construct_payload(NodeId from, NodeId to, StreamId sid,
                             std::uint64_t seq, ByteView blob);
   void on_construct_ack(NodeId to, StreamId sid, bool ok);
@@ -333,10 +320,6 @@ class AnonRouter {
   void send_reverse_core(NodeId responder, RelayEntry& entry,
                          const ReverseCore& core);
   void sweep();
-  /// Holds `callback` until the construct-ack for the initiator's `sid`
-  /// arrives or `timeout` passes; `span` is the trace span it closes.
-  void arm_pending(NodeId initiator, StreamId sid, SimDuration timeout,
-                   ConstructCallback callback, const char* span);
   void finish_pending(NodeId initiator, StreamId sid, bool ok, bool timed_out);
   void record_peel_failure(NodeId node, const char* where);
 
@@ -462,8 +445,7 @@ struct ReverseCore {
   MessageId message_id = 0;
   std::uint32_t segment_index = 0;
   // Response-segment fields. response_id distinguishes multiple responses
-  // sent for the same request (e.g. a rendezvous host pushing many
-  // forwarded calls down one registration's reverse path).
+  // sent for the same request.
   std::uint32_t response_id = 0;
   std::uint32_t original_size = 0;
   std::uint16_t needed_segments = 1;

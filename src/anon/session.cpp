@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "anon/wire.hpp"
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
 
@@ -82,8 +81,8 @@ Session::Session(AnonRouter& router, const membership::NodeCache& cache,
   stall_suppressed_ctr_ = reg.counter("session_backpressure_total",
                                       {{"event", "stall_suppressed"}});
   if (config_.staleness_aware) {
-    // Registered only when the mode is on, so default-off registries stay
-    // byte-identical to the pre-feature baseline.
+    // Registered only when the mode is on, so a run without it exports
+    // neither series.
     stale_fallbacks_ctr_ = reg.counter("anon_mix_stale_fallbacks_total");
     biased_selects_ctr_ = reg.counter("anon_mix_biased_selects_total");
   }
@@ -528,7 +527,7 @@ Bytes Session::seal_segment(std::size_t path_index, std::uint64_t seq,
     // Keyed core: the responder's terminal entry already holds R_{L+1}.
     // Its nonce is the forward seq, whose bit 63 is clear, while reverse
     // cores under the same key use seq | kReverseBit; next_seq never
-    // repeats on a slot and R_{L+1} is redrawn on provision and redirect.
+    // repeats on a slot and R_{L+1} is redrawn on provision.
     // Sealed boxes and auth tags use keys derived from other inputs.
     blob = serialize_payload_core(core);
     blob.reserve(blob.size() + (layers + 1) * onion.layer_overhead());
@@ -1056,54 +1055,6 @@ MessageId Session::send_message_on_demand(ByteView data) {
     track_segment(path_index, std::move(seg), /*fail_pending_path=*/true);
   }
   return sent_any ? id : 0;
-}
-
-void Session::redirect(NodeId new_responder, RedirectHandler handler) {
-  responder_ = new_responder;
-  // Fresh responder keys: the old responder must not be able to read
-  // traffic intended for the new one.
-  for (PathKeys& keys : keys_) {
-    keys.responder_key = crypto::random_symmetric_key(rng_);
-    keys.responder_replied = false;
-  }
-
-  auto remaining = std::make_shared<std::size_t>(0);
-  auto succeeded = std::make_shared<std::size_t>(0);
-  auto done = std::make_shared<RedirectHandler>(std::move(handler));
-  for (const PathInfo& path : paths_) {
-    if (path.state == PathState::kEstablished) ++*remaining;
-  }
-  if (*remaining == 0) {
-    (*done)(0);
-    return;
-  }
-  for (std::size_t index = 0; index < paths_.size(); ++index) {
-    const PathInfo& path = paths_[index];
-    if (path.state != PathState::kEstablished) continue;
-    // Layer the destination so only the last relay can read it.
-    PathKeys& keys = keys_[index];
-    Bytes blob;
-    blob.reserve(wire::kDestinationSize +
-                 keys.relay_keys.size() * router_.onion().layer_overhead());
-    wire::append_destination(blob, new_responder);
-    const std::uint64_t seq = keys.next_seq++;
-    for (std::size_t i = keys.relay_keys.size(); i-- > 0;) {
-      router_.onion().wrap_layer_in_place(keys.relay_keys[i], seq, blob);
-    }
-    router_.send_retarget(
-        initiator_, path.sid, path.relays.front(), seq, std::move(blob),
-        config_.construct_timeout,
-        [this, index, remaining, succeeded, done,
-         alive = alive_](bool ok) {
-          if (!*alive) return;
-          if (ok) {
-            ++*succeeded;
-          } else {
-            mark_path_failed(index);
-          }
-          if (--*remaining == 0) (*done)(*succeeded);
-        });
-  }
 }
 
 void Session::teardown() {

@@ -131,16 +131,6 @@ class Session {
   /// overload sends at kInteractive, the paper-equivalent class.
   MessageId send_message(ByteView data, SegmentPriority priority);
 
-  /// Path reuse (§4.4): re-points every established path at a new
-  /// responder WITHOUT rebuilding them (no asymmetric construction cost).
-  /// Intermediate relays never learn the new destination; each path's last
-  /// relay rewires its cached state and acks. The handler fires once with
-  /// the number of paths successfully redirected; subsequent
-  /// send_message() calls go to the new responder. Fresh responder keys
-  /// are generated so the old responder cannot read future traffic.
-  using RedirectHandler = std::function<void(std::size_t paths_redirected)>;
-  void redirect(NodeId new_responder, RedirectHandler handler);
-
   /// On-demand combined construction + sending (§4.2): like
   /// send_message(), but paths that are unbuilt or failed are (re)built by
   /// the very message that carries their segment — no up-front construct()
@@ -225,8 +215,8 @@ class Session {
     std::uint64_t next_seq = 0;  // layer nonce of the next forward message
     /// A reverse core on this path opened under responder_key and parsed,
     /// so the responder's terminal entry holds R_{L+1}: segments go out as
-    /// keyed cores instead of sealed boxes. A redirect and a segment
-    /// timeout on the path clear it.
+    /// keyed cores instead of sealed boxes. A segment timeout on the path
+    /// clears it.
     bool responder_replied = false;
   };
 
@@ -378,8 +368,8 @@ class Session {
 
   PendingLedger pending_segments_;
 
-  // Response reassembly keyed by (message id, response id) — the same
-  // request can receive several distinct responses (rendezvous push).
+  // Response reassembly keyed by (message id, response id) — a responder
+  // may send several distinct responses to one request.
   struct ResponseReassembly {
     std::size_t needed = 0;
     std::size_t total = 0;
@@ -432,8 +422,7 @@ class Session {
   obs::Counter* shed_congested_ctr_;
   obs::Counter* bp_rx_ctr_;
   obs::Counter* stall_suppressed_ctr_;
-  // Null unless staleness_aware (lazy registration keeps default-off
-  // registries byte-identical).
+  // Null unless staleness_aware.
   obs::Counter* stale_fallbacks_ctr_ = nullptr;
   obs::Counter* biased_selects_ctr_ = nullptr;
 };

@@ -1,6 +1,6 @@
 // Wire layout of the anonymous channel (paper §4.1–§4.5): the one
-// definition that the router's framing, the onion format's cores, the
-// session's retarget blob, Figure 4 and the tests all read.
+// definition that the router's framing, the onion format's cores,
+// Figure 4 and the tests all read.
 //
 // Every anon datagram is one frame, behind Demux's channel byte:
 //
@@ -43,7 +43,6 @@ enum class FrameType : std::uint8_t {
   kPayload = 3,
   kPayloadRev = 4,
   kTeardown = 5,
-  kRetarget = 6,
   kConstructPayload = 7,
   kBackpressure = 8,
   kPayloadKeyed = 9,
@@ -58,7 +57,7 @@ struct FrameSpec {
 
 constexpr std::size_t kStatusSize = 1;  // ConstructAck, Backpressure body
 
-/// Indexed by frame type; entry 0 is no frame.
+/// Indexed by frame type; entries 0 and 6 are no frame.
 inline constexpr FrameSpec kFrames[] = {
     // reverse  seq   class  fixed body    body
     {false, false, false, 0},           // (none)
@@ -67,7 +66,7 @@ inline constexpr FrameSpec kFrames[] = {
     {false, true, true, 0},             // Payload: layered sealed core
     {true, true, false, 0},             // PayloadRev: layered reverse core
     {false, false, false, 0},           // Teardown: empty
-    {false, true, false, 0},            // Retarget: layered destination
+    {false, false, false, 0},           // (none)
     {false, true, false, 0},            // ConstructPayload: see below
     {true, false, false, kStatusSize},  // Backpressure: shed class
     {false, true, true, 0},             // PayloadKeyed: core under R_{L+1}
@@ -76,6 +75,11 @@ constexpr std::size_t kFrameTypes = sizeof(kFrames) / sizeof(kFrames[0]);
 
 constexpr const FrameSpec& spec(FrameType type) {
   return kFrames[static_cast<std::size_t>(type)];
+}
+
+/// Whether a type byte names a frame.
+constexpr bool is_frame_type(std::uint8_t type) {
+  return type != 0 && type != 6 && type < kFrameTypes;
 }
 
 /// The highest shed class (SegmentPriority::kControl).
@@ -116,9 +120,7 @@ inline void write_header(Bytes& out, FrameType type, StreamId sid,
 /// body, or a class byte past kMaxClass.
 inline std::optional<Frame> read_frame(ByteView datagram, bool reverse,
                                        bool classed) {
-  if (datagram.empty() || datagram[0] == 0 || datagram[0] >= kFrameTypes) {
-    return std::nullopt;
-  }
+  if (datagram.empty() || !is_frame_type(datagram[0])) return std::nullopt;
   Frame frame;
   frame.type = static_cast<FrameType>(datagram[0]);
   const FrameSpec& s = spec(frame.type);
@@ -137,7 +139,6 @@ inline std::optional<Frame> read_frame(ByteView datagram, bool reverse,
 }
 
 constexpr std::size_t kLengthPrefixSize = 4;  // ConstructPayload's onion
-constexpr std::size_t kDestinationSize = 4;   // Retarget's destination
 
 /// A ConstructPayload body: [onion length u32][path onion][layered core].
 inline void append_construct_payload(Bytes& out, ByteView onion,
@@ -156,16 +157,6 @@ inline std::optional<std::pair<ByteView, ByteView>> split_construct_payload(
   if (body.size() - kLengthPrefixSize < onion_len) return std::nullopt;
   return std::make_pair(body.subspan(kLengthPrefixSize, onion_len),
                         body.subspan(kLengthPrefixSize + onion_len));
-}
-
-inline void append_destination(Bytes& out, NodeId destination) {
-  put_u32be(out, destination);
-}
-
-/// nullopt unless the unwrapped Retarget blob is exactly a destination.
-inline std::optional<NodeId> read_destination(ByteView blob) {
-  if (blob.size() != kDestinationSize) return std::nullopt;
-  return get_u32be(blob, 0);
 }
 
 constexpr std::size_t kHopLastOffset = 4;

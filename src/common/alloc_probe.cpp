@@ -11,19 +11,11 @@ __attribute__((weak)) bool active() { return false; }
 
 __attribute__((weak)) std::uint64_t allocations() { return 0; }
 
-__attribute__((weak)) std::uint64_t deallocations() { return 0; }
-
-__attribute__((weak)) std::uint64_t total_bytes() { return 0; }
-
 __attribute__((weak)) std::uint64_t live_bytes() { return 0; }
-
-__attribute__((weak)) std::uint64_t peak_bytes() { return 0; }
 
 __attribute__((weak)) std::uint32_t scope_id(const char*) { return 0; }
 
 __attribute__((weak)) std::uint32_t set_scope(std::uint32_t) { return 0; }
-
-__attribute__((weak)) std::uint32_t current_scope() { return 0; }
 
 __attribute__((weak)) std::uint32_t scope_count() { return 0; }
 

@@ -11,7 +11,7 @@
 // be bypassed by over-aligned allocations — for the whole binary.
 //
 // Two layers of accounting:
-//   * process totals: allocations / deallocations / bytes, live and peak;
+//   * process totals: allocations and live bytes;
 //   * scope tags: a thread-local subsystem tag set by `MemScope`, stamped
 //     into every allocation at new() time and read back at delete() time,
 //     so frees are attributed to the scope that allocated (not the scope
@@ -32,17 +32,8 @@ bool active();
 /// Heap allocations (operator new calls) observed so far; 0 when inactive.
 std::uint64_t allocations();
 
-/// Heap deallocations (operator delete calls on live pointers) so far.
-std::uint64_t deallocations();
-
-/// Cumulative requested bytes over every allocation so far.
-std::uint64_t total_bytes();
-
 /// Requested bytes currently live (allocated, not yet freed).
 std::uint64_t live_bytes();
-
-/// High-water mark of live_bytes() over the process lifetime.
-std::uint64_t peak_bytes();
 
 /// Fixed tag table: tag 0 is the implicit "untagged" scope; scope_id()
 /// interning beyond the table falls back to 0 rather than failing.
@@ -64,9 +55,6 @@ std::uint32_t scope_id(const char* name);
 
 /// Sets this thread's current tag; returns the previous one.
 std::uint32_t set_scope(std::uint32_t id);
-
-/// This thread's current tag (0 = untagged).
-std::uint32_t current_scope();
 
 /// Number of interned tags, the untagged slot included (>= 1 when active).
 std::uint32_t scope_count();

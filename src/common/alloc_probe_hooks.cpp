@@ -51,10 +51,7 @@ struct TagSlot {
 };
 
 std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<std::uint64_t> g_deallocations{0};
-std::atomic<std::uint64_t> g_total_bytes{0};
 std::atomic<std::uint64_t> g_live_bytes{0};
-std::atomic<std::uint64_t> g_peak_bytes{0};
 
 TagSlot g_tags[kMaxScopes];
 std::atomic<std::uint32_t> g_tag_count{1};  // slot 0 = untagged
@@ -71,10 +68,7 @@ void raise_peak(std::atomic<std::uint64_t>& peak, std::uint64_t live) {
 
 void note_alloc(std::uint32_t tag, std::uint64_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  g_total_bytes.fetch_add(size, std::memory_order_relaxed);
-  const std::uint64_t live =
-      g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
-  raise_peak(g_peak_bytes, live);
+  g_live_bytes.fetch_add(size, std::memory_order_relaxed);
   TagSlot& slot = g_tags[tag];
   slot.allocs.fetch_add(1, std::memory_order_relaxed);
   slot.total_bytes.fetch_add(size, std::memory_order_relaxed);
@@ -84,7 +78,6 @@ void note_alloc(std::uint32_t tag, std::uint64_t size) {
 }
 
 void note_free(std::uint32_t tag, std::uint64_t size) {
-  g_deallocations.fetch_add(1, std::memory_order_relaxed);
   g_live_bytes.fetch_sub(size, std::memory_order_relaxed);
   TagSlot& slot = g_tags[tag];
   slot.frees.fetch_add(1, std::memory_order_relaxed);
@@ -151,20 +144,8 @@ std::uint64_t allocations() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
-std::uint64_t deallocations() {
-  return g_deallocations.load(std::memory_order_relaxed);
-}
-
-std::uint64_t total_bytes() {
-  return g_total_bytes.load(std::memory_order_relaxed);
-}
-
 std::uint64_t live_bytes() {
   return g_live_bytes.load(std::memory_order_relaxed);
-}
-
-std::uint64_t peak_bytes() {
-  return g_peak_bytes.load(std::memory_order_relaxed);
 }
 
 std::uint32_t scope_id(const char* name) {
@@ -194,8 +175,6 @@ std::uint32_t set_scope(std::uint32_t id) {
   t_current_tag = id < kMaxScopes ? id : 0;
   return prev;
 }
-
-std::uint32_t current_scope() { return t_current_tag; }
 
 std::uint32_t scope_count() {
   return g_tag_count.load(std::memory_order_acquire);

@@ -5,44 +5,6 @@
 
 namespace p2panon {
 
-namespace {
-constexpr char kHexDigits[] = "0123456789abcdef";
-
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-}  // namespace
-
-std::string to_hex(ByteView data) {
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (std::uint8_t b : data) {
-    out.push_back(kHexDigits[b >> 4]);
-    out.push_back(kHexDigits[b & 0x0f]);
-  }
-  return out;
-}
-
-Bytes from_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) {
-    throw std::invalid_argument("from_hex: odd-length input");
-  }
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = hex_nibble(hex[i]);
-    const int lo = hex_nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      throw std::invalid_argument("from_hex: non-hex character");
-    }
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
-  return out;
-}
-
 Bytes bytes_of(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }
@@ -53,15 +15,6 @@ std::string string_of(ByteView data) {
 
 void append(Bytes& dst, ByteView src) {
   dst.insert(dst.end(), src.begin(), src.end());
-}
-
-Bytes concat(std::initializer_list<ByteView> parts) {
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  Bytes out;
-  out.reserve(total);
-  for (const auto& p : parts) append(out, p);
-  return out;
 }
 
 bool constant_time_equal(ByteView a, ByteView b) {

@@ -1,7 +1,7 @@
 // Byte-buffer utilities shared by the crypto, erasure and wire-format layers.
 //
 // The whole codebase passes raw octet strings as `Bytes` (an owning vector)
-// or `ByteView` (a non-owning span). Helpers here cover hex round-trips,
+// or `ByteView` (a non-owning span). Helpers here cover string round-trips,
 // big-endian integer packing for wire formats, and constant-time comparison
 // for MAC verification.
 #pragma once
@@ -21,13 +21,6 @@ using Bytes = std::vector<std::uint8_t>;
 using ByteView = std::span<const std::uint8_t>;
 using MutableByteView = std::span<std::uint8_t>;
 
-/// Encodes `data` as lowercase hex ("deadbeef").
-std::string to_hex(ByteView data);
-
-/// Decodes a hex string (upper or lower case, even length) into bytes.
-/// Throws std::invalid_argument on malformed input.
-Bytes from_hex(std::string_view hex);
-
 /// Builds a Bytes from a string's raw octets (no encoding applied).
 Bytes bytes_of(std::string_view s);
 
@@ -36,9 +29,6 @@ std::string string_of(ByteView data);
 
 /// Appends `src` to `dst`.
 void append(Bytes& dst, ByteView src);
-
-/// Concatenates any number of byte views.
-Bytes concat(std::initializer_list<ByteView> parts);
 
 /// Constant-time equality; safe for comparing MACs. Returns false on length
 /// mismatch without early exit on content.

@@ -96,7 +96,7 @@ void FaultyTransport::send(NodeId from, NodeId to, Bytes payload) {
 
   // Crash windows: the plan is also bridged into the liveness oracle (so
   // in-flight messages die at delivery time), but dropping here keeps the
-  // semantics under transports with no oracle (LoopbackTransport) and
+  // semantics under transports with no oracle (in-process test ones) and
   // attributes the drop to its cause.
   if (!plan_.crashes().empty() &&
       (plan_.is_crashed(from, when) || plan_.is_crashed(to, when))) {

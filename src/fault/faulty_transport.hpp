@@ -1,7 +1,7 @@
 // Fault-injecting Transport decorator.
 //
-// Wraps any Transport (SimTransport for simulated runs, LoopbackTransport
-// for in-process protocol tests) and applies a FaultPlan's rules to every
+// Wraps any Transport (SimTransport for simulated runs, a test's in-process
+// transport for protocol tests) and applies a FaultPlan's rules to every
 // datagram handed to send(): crash drops, partition drops, spike loss,
 // extra delay (via the simulator when one is provided; delay rules are
 // ignored without it), duplication, bounded reordering, and byte
@@ -53,8 +53,8 @@ class FaultyTransport final : public net::Transport {
   /// `simulator` enables the delay/reorder rules (and supplies the clock
   /// the time windows are evaluated against); without one, time is pinned
   /// to 0 so only rules whose window covers t=0 apply, and delays are
-  /// ignored (LoopbackTransport has no time axis). Injections are mirrored
-  /// into `metrics` (nullptr = global registry) as
+  /// ignored (an in-process transport has no time axis). Injections are
+  /// mirrored into `metrics` (nullptr = global registry) as
   /// `fault_injections_total{kind=...}` plus the `fault_extra_delay_us`
   /// histogram of injected delay spikes.
   FaultyTransport(net::Transport& inner, const FaultPlan& plan,
@@ -108,9 +108,8 @@ class FaultyTransport final : public net::Transport {
   obs::Counter* inj_duplicated_;
   obs::Counter* inj_delayed_;
   obs::Counter* inj_corrupted_;
-  // Membership-plane mirrors, registered lazily on first injection so a
-  // plan without membership rules leaves the registry byte-identical to the
-  // pre-feature baseline.
+  // Membership-plane mirrors, registered lazily on first injection, so a
+  // plan without membership rules registers none of them.
   obs::Counter* inj_gossip_blackout_ = nullptr;
   obs::Counter* inj_gossip_loss_ = nullptr;
   obs::Counter* inj_stale_ = nullptr;

@@ -10,9 +10,8 @@
 // correlation at the responder — and each AnonymityReport is paired with
 // its closed-form comparator from src/analysis/anonymity.
 //
-// The observer and every knob here default OFF at the harness level: a
-// ChaosConfig/EnvironmentConfig that never mentions this header runs
-// byte-identically to the seed.
+// Nothing here is on at the harness level: a ChaosConfig or
+// EnvironmentConfig that never mentions this header attaches no observer.
 #pragma once
 
 #include <cstdint>

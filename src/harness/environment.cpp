@@ -81,8 +81,7 @@ Environment::Environment(EnvironmentConfig config)
   alloc_probe::MemScope membership_scope("membership");
 
   // Either provider consumes exactly one fork here, so switching kinds
-  // leaves every downstream RNG stream (router) in place, and the default
-  // (gossip) run stays byte-identical to the seed.
+  // leaves every downstream RNG stream (router) in place.
   if (config_.membership_kind == MembershipKind::kOneHop) {
     membership_ = std::make_unique<membership::OneHopMembership>(
         simulator_, *demux_, *churn_, config_.onehop, rng_.fork());

@@ -81,15 +81,16 @@ struct EnvironmentConfig {
   /// Optional capacity loop profiler (not owned; must outlive the
   /// Environment) attached to the simulator at construction. Passive —
   /// it only reads wall clocks around event dispatch, never schedules or
-  /// draws randomness — so attaching one keeps runs byte-identical to the
-  /// seed; the default (null) costs one branch per event.
+  /// draws randomness — so a profiled run is byte-identical to an
+  /// unprofiled one (OffMeansOffTest pins this); the default (null) costs
+  /// one branch per event.
   obs::capacity::LoopProfiler* loop_profiler = nullptr;
 
   /// Optional passive wire observer (not owned; must outlive the
   /// Environment) installed on the SimTransport underneath any fault
   /// decorator — a global observer sees the wire, not the faults' view.
-  /// Null (the default) is a plain pointer pass: no RNG stream, event or
-  /// registry series changes, so runs stay byte-identical to the seed.
+  /// Null (the default) is a plain pointer pass, and a tap draws no
+  /// randomness, schedules no event and registers no series.
   net::LinkTap* link_tap = nullptr;
 };
 

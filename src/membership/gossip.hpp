@@ -55,8 +55,6 @@ struct GossipConfig {
   ///   - per-node RNG streams for gossip peer selection and churn-observer
   ///     picks, so one node's draw history is independent of every other
   ///     node's tick interleaving.
-  /// Off, RNG draw sequences and wire traffic are byte-identical to the
-  /// seed.
   bool resilient = false;
 };
 

@@ -1,7 +1,5 @@
 #include "membership/liveness.hpp"
 
-#include <cmath>
-
 namespace p2panon::membership {
 
 double liveness_predictor(SimDuration dt_alive, SimDuration dt_since) {
@@ -9,18 +7,6 @@ double liveness_predictor(SimDuration dt_alive, SimDuration dt_since) {
   if (dt_since < 0) dt_since = 0;
   return static_cast<double>(dt_alive) /
          static_cast<double>(dt_alive + dt_since);
-}
-
-double liveness_predictor(SimDuration dt_alive, SimDuration dt_since,
-                          SimTime t_last, SimTime t_now) {
-  const SimDuration staleness = t_now > t_last ? t_now - t_last : 0;
-  return liveness_predictor(dt_alive, dt_since + staleness);
-}
-
-double alive_probability(double predictor, double pareto_shape) {
-  if (predictor <= 0.0) return 0.0;
-  if (predictor >= 1.0) return 1.0;
-  return std::pow(predictor, pareto_shape);
 }
 
 }  // namespace p2panon::membership

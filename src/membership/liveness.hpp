@@ -10,6 +10,9 @@
 // record is (t_now - t_last) old, the staleness is added to dt_since:
 //
 //   q = dt_alive / (dt_alive + dt_since + (t_now - t_last))  (Eq. 3)
+//
+// NodeCache applies Eq. 3 by passing Eq. 2 the age since the record's
+// origin, t_now - t_origin.
 #pragma once
 
 #include "common/time.hpp"
@@ -27,12 +30,5 @@ struct LivenessInfo {
 
 /// Eq. 2: q in [0, 1]; 0 when the node was never seen alive.
 double liveness_predictor(SimDuration dt_alive, SimDuration dt_since);
-
-/// Eq. 3: predictor with local staleness folded in.
-double liveness_predictor(SimDuration dt_alive, SimDuration dt_since,
-                          SimTime t_last, SimTime t_now);
-
-/// Eq. 1: p = q^alpha.
-double alive_probability(double predictor, double pareto_shape);
 
 }  // namespace p2panon::membership

@@ -146,9 +146,8 @@ class NodeCache {
   /// Drops everything (tests / node reset).
   void clear();
 
-  // --- bounded trust (control-plane resilience extension, DESIGN §9;
-  // default OFF: until enable_bounded_trust() is called, merge behavior is
-  // byte-identical to the seed) ---
+  // --- bounded trust (control-plane resilience extension, DESIGN §9; off
+  // until enable_bounded_trust() is called) ---
 
   /// Turns bounded-trust merging on. Liveness claims are bounded by
   /// physics: a node running since the epoch can have accumulated at most
@@ -167,10 +166,9 @@ class NodeCache {
   /// `stale_after` is the age past which an entry counts as stale.
   AgeStats age_stats(SimTime now, SimDuration stale_after) const;
 
-  // --- behavioral suspicion (corruption resilience extension; default
-  // OFF: until enable_suspicion() is called, every method below is a
-  // no-op / returns 0 and selection behavior is byte-identical to the
-  // seed) ---
+  // --- behavioral suspicion (corruption resilience extension; until
+  // enable_suspicion() is called, every method below is a no-op or
+  // returns 0) ---
 
   /// Turns suspicion tracking on. The paper's predictor captures
   /// *liveness*; suspicion captures *behavior* — evidence that a node

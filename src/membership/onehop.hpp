@@ -37,7 +37,7 @@ struct OneHopConfig {
   std::size_t units = 32;  // id-space partitions
 
   /// Deterministic leader failover (control-plane resilience, DESIGN §9;
-  /// default OFF = byte-identical to the seed). The ground-truth mode
+  /// off by default). The ground-truth mode
   /// resolves each unit's leader from churn state directly — a simulator
   /// shortcut that a fault-plan crash (invisible to the churn model)
   /// silently defeats: the crashed leader keeps its role while every

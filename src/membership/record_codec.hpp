@@ -75,9 +75,10 @@ class RecordWriter {
 /// nothing, when the message is shorter than its declared count.
 ///
 /// Skips a record whose subject is not below `num_nodes`, or whose
-/// dt_alive or dt_since does not fit a non-negative SimDuration. No honest
-/// sender writes one, and a negative dt_since would win every later
-/// freshness contest for its subject.
+/// dt_alive or dt_since exceeds liveness_wire::kMaxDuration. No honest
+/// sender writes one: read as a SimDuration, a raw value of 2^63 or more
+/// is negative and would win every later freshness contest for its
+/// subject, and a huge one would overflow the cache's age arithmetic.
 template <typename Visit>
 bool for_each_record(ByteView msg, std::size_t num_nodes, Visit&& visit) {
   namespace wire = net::liveness_wire;
@@ -89,15 +90,16 @@ bool for_each_record(ByteView msg, std::size_t num_nodes, Visit&& visit) {
   const std::uint8_t* p = msg.data() + wire::kHeaderSize;
   for (std::size_t i = 0; i < count; ++i, p += wire::kRecordSize) {
     const NodeId subject = load_u32be(p + wire::kSubjectOffset);
-    LivenessInfo info;
-    info.alive = p[wire::kFlagsOffset] != 0;
-    info.dt_alive =
-        static_cast<SimDuration>(load_u64be(p + wire::kDtAliveOffset));
-    info.dt_since =
-        static_cast<SimDuration>(load_u64be(p + wire::kDtSinceOffset));
-    if (subject >= num_nodes || info.dt_alive < 0 || info.dt_since < 0) {
+    const std::uint64_t dt_alive = load_u64be(p + wire::kDtAliveOffset);
+    const std::uint64_t dt_since = load_u64be(p + wire::kDtSinceOffset);
+    if (subject >= num_nodes || dt_alive > wire::kMaxDuration ||
+        dt_since > wire::kMaxDuration) {
       continue;
     }
+    LivenessInfo info;
+    info.alive = p[wire::kFlagsOffset] != 0;
+    info.dt_alive = static_cast<SimDuration>(dt_alive);
+    info.dt_since = static_cast<SimDuration>(dt_since);
     visit(i, subject, info);
   }
   return true;

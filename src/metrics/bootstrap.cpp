@@ -55,25 +55,4 @@ ConfidenceInterval bootstrap_mean_ci(const std::vector<double>& samples,
   return ci;
 }
 
-double bootstrap_probability_greater(const std::vector<double>& a,
-                                     const std::vector<double>& b,
-                                     std::size_t resamples,
-                                     std::uint64_t seed) {
-  if (a.empty() || b.empty()) return 0.5;
-  Rng rng(seed);
-  std::size_t wins = 0;
-  std::size_t ties = 0;
-  for (std::size_t r = 0; r < resamples; ++r) {
-    const double ma = resampled_mean(a, rng);
-    const double mb = resampled_mean(b, rng);
-    if (ma > mb) {
-      ++wins;
-    } else if (ma == mb) {
-      ++ties;
-    }
-  }
-  return (static_cast<double>(wins) + 0.5 * static_cast<double>(ties)) /
-         static_cast<double>(resamples);
-}
-
 }  // namespace p2panon::metrics

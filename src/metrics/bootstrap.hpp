@@ -30,12 +30,4 @@ ConfidenceInterval bootstrap_mean_ci(const std::vector<double>& samples,
                                      std::size_t resamples = 2000,
                                      std::uint64_t seed = 0x9e3779b9);
 
-/// Bootstrap probability that mean(a) > mean(b) (one-sided comparison of
-/// two independent run sets) — the right tool for "is biased really better
-/// than random over these seeds?".
-double bootstrap_probability_greater(const std::vector<double>& a,
-                                     const std::vector<double>& b,
-                                     std::size_t resamples = 4000,
-                                     std::uint64_t seed = 0x51ed270b);
-
 }  // namespace p2panon::metrics

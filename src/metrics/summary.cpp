@@ -1,39 +1,12 @@
 #include "metrics/summary.hpp"
 
-#include <cmath>
-
 namespace p2panon::metrics {
 
 void Summary::add(double x) {
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   if (x < min_) min_ = x;
   if (x > max_) max_ = x;
 }
-
-void Summary::merge(const Summary& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  if (other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
-double Summary::variance() const {
-  return count_ ? m2_ / static_cast<double>(count_) : 0.0;
-}
-
-double Summary::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace p2panon::metrics

@@ -1,5 +1,5 @@
-// Streaming summary statistics (count / mean / variance / min / max) using
-// Welford's online algorithm, plus a ratio counter for success rates.
+// Streaming summary statistics (count / mean / min / max) with a running
+// mean, plus a ratio counter for success rates.
 #pragma once
 
 #include <cstdint>
@@ -10,12 +10,9 @@ namespace p2panon::metrics {
 class Summary {
  public:
   void add(double x);
-  void merge(const Summary& other);
 
   std::uint64_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;  // population variance
-  double stddev() const;
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
   double sum() const { return mean_ * static_cast<double>(count_); }
@@ -23,7 +20,6 @@ class Summary {
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

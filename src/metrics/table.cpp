@@ -101,8 +101,12 @@ std::string Series::to_json() const {
 }
 
 std::string pair_cell(double random_value, double biased_value, int digits) {
-  return "[" + format_double(random_value, digits) + ", " +
-         format_double(biased_value, digits) + "]";
+  std::string cell = "[";
+  cell += format_double(random_value, digits);
+  cell += ", ";
+  cell += format_double(biased_value, digits);
+  cell += "]";
+  return cell;
 }
 
 }  // namespace p2panon::metrics

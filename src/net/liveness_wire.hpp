@@ -14,11 +14,12 @@
 //   [subject u32be][flags u8][dt_alive u64be][dt_since u64be]    21 B
 //
 // flags is 1 for an alive observation and 0 for a leave. Both durations
-// are microseconds; a decoder skips any record whose durations do not fit
-// a non-negative SimDuration.
+// are microseconds; a decoder skips any record with a duration above
+// kMaxDuration.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace p2panon::net::liveness_wire {
 
@@ -31,5 +32,10 @@ constexpr std::size_t kFlagsOffset = 4;
 constexpr std::size_t kDtAliveOffset = 5;
 constexpr std::size_t kDtSinceOffset = 13;
 constexpr std::size_t kRecordSize = 21;
+
+/// The longest dt_alive or dt_since a decoder accepts, 2^60 us (about
+/// 36,500 years). Far below 2^63, so a sum of two durations and a SimTime
+/// (an age, a predictor's denominator) stays in int64.
+constexpr std::uint64_t kMaxDuration = std::uint64_t{1} << 60;
 
 }  // namespace p2panon::net::liveness_wire

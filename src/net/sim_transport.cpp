@@ -132,13 +132,4 @@ void SimTransport::register_handler(NodeId node, Handler handler) {
   handlers_.at(node) = std::move(handler);
 }
 
-void SimTransport::reset_counters() {
-  bytes_sent_->reset();
-  messages_sent_->reset();
-  drop_sender_dead_->reset();
-  drop_receiver_dead_->reset();
-  drop_link_loss_->reset();
-  drop_no_handler_->reset();
-}
-
 }  // namespace p2panon::net

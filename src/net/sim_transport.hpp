@@ -81,9 +81,6 @@ class SimTransport final : public Transport {
   /// to a tapless transport; the pointer is not owned.
   void set_tap(LinkTap* tap) { tap_ = tap; }
 
-  /// Resets the bandwidth counters (e.g. after warm-up).
-  void reset_counters();
-
  private:
   sim::Simulator& simulator_;
   const LatencyMatrix& latency_;

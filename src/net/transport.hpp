@@ -2,11 +2,11 @@
 //
 // A Transport delivers opaque datagrams between node ids. Delivery is
 // best-effort: messages to (or from) dead nodes vanish, like UDP to a host
-// that left the network. Two implementations exist:
-//   - SimTransport: virtual-time delivery through the simulator, with delays
-//     from a LatencyMatrix and liveness from the churn oracle.
-//   - LoopbackTransport: immediate in-process delivery for examples and
-//     protocol unit tests that need no simulator.
+// that left the network. SimTransport is the one implementation under
+// src/: virtual-time delivery through the simulator, with delays from a
+// LatencyMatrix and liveness from the churn oracle. Decorators
+// (FaultyTransport, perfbench's TimedTransport) and the tests' in-process
+// transport implement the same interface.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace p2panon::obs::capacity {
 
@@ -74,15 +73,6 @@ std::string ByteCensus::to_json(std::size_t num_nodes) const {
   }
   out += "]}";
   return out;
-}
-
-void ByteCensus::publish(Registry& registry) const {
-  for (const auto& [subsystem, bytes] : subsystem_totals()) {
-    registry.gauge("cap_census_bytes", {{"subsystem", subsystem}})
-        ->set(static_cast<std::int64_t>(bytes));
-  }
-  registry.gauge("cap_census_total_bytes")
-      ->set(static_cast<std::int64_t>(total()));
 }
 
 }  // namespace p2panon::obs::capacity

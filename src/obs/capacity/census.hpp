@@ -17,10 +17,6 @@
 #include <utility>
 #include <vector>
 
-namespace p2panon::obs {
-class Registry;
-}  // namespace p2panon::obs
-
 namespace p2panon::obs::capacity {
 
 /// Container footprint helper: allocated capacity, not just size, because
@@ -62,9 +58,6 @@ class ByteCensus {
   /// breakdown (each with its own bytes_per_node and detail list), every
   /// list sorted by name so documents diff cleanly.
   std::string to_json(std::size_t num_nodes) const;
-
-  /// Exports cap_census_bytes{subsystem=...} gauges plus the total.
-  void publish(Registry& registry) const;
 
  private:
   std::vector<CensusEntry> entries_;

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace p2panon::obs::capacity {
 
@@ -71,8 +70,6 @@ std::size_t event_type_count() {
   std::lock_guard<std::mutex> lock(table.mutex);
   return table.names.size();
 }
-
-LoopProfiler::LoopProfiler() : LoopProfiler(Config{}) {}
 
 LoopProfiler::LoopProfiler(Config config)
     : stride_(config.sample_stride > 0 ? config.sample_stride : 1),
@@ -159,24 +156,6 @@ std::string LoopProfiler::report_json() const {
   }
   out += "]}";
   return out;
-}
-
-void LoopProfiler::publish(Registry& registry) const {
-  const Report rep = report();
-  for (const TypeReport& type : rep.types) {
-    registry.counter("cap_loop_dispatch_total", {{"type", type.name}})
-        ->inc(type.dispatches);
-    registry.counter("cap_loop_samples_total", {{"type", type.name}})
-        ->inc(type.samples);
-    registry.gauge("cap_loop_selftime_est_ns", {{"type", type.name}})
-        ->set(static_cast<std::int64_t>(type.est_total_ns));
-  }
-  registry.gauge("cap_loop_sample_stride")
-      ->set(static_cast<std::int64_t>(rep.sample_stride));
-  registry.gauge("cap_loop_clock_pair_ns")
-      ->set(static_cast<std::int64_t>(rep.clock_pair_ns));
-  registry.gauge("cap_loop_overhead_est_ns")
-      ->set(static_cast<std::int64_t>(rep.est_overhead_ns));
 }
 
 void LoopProfiler::reset() {

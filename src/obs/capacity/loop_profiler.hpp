@@ -23,10 +23,6 @@
 #include <string>
 #include <vector>
 
-namespace p2panon::obs {
-class Registry;
-}  // namespace p2panon::obs
-
 namespace p2panon::obs::capacity {
 
 /// Index into the process-wide event-type table; 0 = "untyped".
@@ -52,7 +48,6 @@ class LoopProfiler {
     std::uint32_t sample_stride = 16;
   };
 
-  LoopProfiler();  // default config
   explicit LoopProfiler(Config config);
   LoopProfiler(const LoopProfiler&) = delete;
   LoopProfiler& operator=(const LoopProfiler&) = delete;
@@ -88,11 +83,6 @@ class LoopProfiler {
 
   /// Renders report() as one JSON object (deterministic field order).
   std::string report_json() const;
-
-  /// Exports the snapshot into `registry` as
-  /// cap_loop_dispatch_total{type=...} / cap_loop_selftime_est_ns{type=...}
-  /// counters-and-gauges plus the cap_loop_* overhead gauges.
-  void publish(Registry& registry) const;
 
   /// Zeroes every slot (e.g. after warmup, before the measured window).
   void reset();

@@ -36,9 +36,6 @@ class Counter {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  /// Zeroes the counter — only for warm-up resets between measurement
-  /// phases (e.g. SimTransport::reset_counters), not for general use.
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};

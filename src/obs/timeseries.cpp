@@ -6,8 +6,6 @@
 #include <iterator>
 #include <sstream>
 
-#include "obs/json.hpp"
-
 namespace p2panon::obs {
 
 namespace {
@@ -183,42 +181,10 @@ std::string TimeseriesRecorder::to_csv() const {
   return out.str();
 }
 
-std::string TimeseriesRecorder::to_jsonl() const {
-  std::ostringstream out;
-  for (const auto& [map_key, state] : series_) {
-    for (const TimeseriesWindow& w : state.series.windows) {
-      out << "{\"series\":\"" << json_escape(map_key.first) << "\",\"kind\":\""
-          << kind_name(state.series.kind) << "\",\"start_us\":" << w.start_us
-          << ",\"end_us\":" << w.end_us
-          << ",\"value\":" << format_double(w.value)
-          << ",\"delta\":" << format_double(w.delta)
-          << ",\"rate_per_s\":" << format_double(w.rate_per_s);
-      if (state.series.kind == Kind::kHistogram) {
-        out << ",\"percentiles\":{";
-        for (std::size_t i = 0; i < w.percentiles.size(); ++i) {
-          if (i) out << ',';
-          out << '"' << percentile_label(kPercentiles[i])
-              << "\":" << w.percentiles[i];
-        }
-        out << '}';
-      }
-      out << "}\n";
-    }
-  }
-  return out.str();
-}
-
 bool TimeseriesRecorder::write_csv(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
   out << to_csv();
-  return static_cast<bool>(out);
-}
-
-bool TimeseriesRecorder::write_jsonl(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_jsonl();
   return static_cast<bool>(out);
 }
 

@@ -22,9 +22,9 @@
 // Export is CSV (one row per window, series sorted) or JSONL — both
 // deterministic byte-for-byte for a given run.
 //
-// Default OFF: nothing in the simulator or harness constructs a recorder
-// unless a config explicitly wires one in, and sampling never mutates the
-// registry, so an enabled recorder perturbs no counter a fingerprint reads.
+// A recorder exists only where a config wires one in, and sampling never
+// mutates the registry, so a recorder perturbs no counter a fingerprint
+// reads.
 #pragma once
 
 #include <cstdint>
@@ -87,10 +87,7 @@ class TimeseriesRecorder {
   /// CSV: header then one row per (series, window), series sorted by key.
   /// Percentile cells are blank for non-histogram series.
   std::string to_csv() const;
-  /// JSONL: one object per (series, window) in the same order as the CSV.
-  std::string to_jsonl() const;
   bool write_csv(const std::string& path) const;
-  bool write_jsonl(const std::string& path) const;
 
   const TimeseriesConfig& config() const { return config_; }
 

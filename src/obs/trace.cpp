@@ -20,13 +20,6 @@ std::uint64_t wall_now_ns() {
           .count());
 }
 
-std::string format_double_arg(double v) {
-  std::ostringstream out;
-  out.precision(9);
-  out << v;
-  return out.str();
-}
-
 }  // namespace
 
 CorrelationId current_correlation() noexcept { return t_correlation; }
@@ -43,16 +36,6 @@ CorrelationScope::~CorrelationScope() { t_correlation = prev_; }
 
 TraceArgs& TraceArgs::add(std::string_view key, std::uint64_t value) {
   fields_.emplace_back(std::string(key), std::to_string(value));
-  return *this;
-}
-
-TraceArgs& TraceArgs::add(std::string_view key, std::int64_t value) {
-  fields_.emplace_back(std::string(key), std::to_string(value));
-  return *this;
-}
-
-TraceArgs& TraceArgs::add(std::string_view key, double value) {
-  fields_.emplace_back(std::string(key), format_double_arg(value));
   return *this;
 }
 

@@ -57,8 +57,6 @@ class CorrelationScope {
 class TraceArgs {
  public:
   TraceArgs& add(std::string_view key, std::uint64_t value);
-  TraceArgs& add(std::string_view key, std::int64_t value);
-  TraceArgs& add(std::string_view key, double value);
   TraceArgs& add(std::string_view key, std::string_view value);
   bool empty() const { return fields_.empty(); }
   /// Renders `"k":v,...` (no surrounding braces).

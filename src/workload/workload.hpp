@@ -71,8 +71,7 @@ constexpr double kFlashMultiplier = 4.0;
 
 struct WorkloadConfig {
   // Master switch. Off means off: with enabled=false no engine is built,
-  // no RNG stream is forked, and runs are byte-identical to the legacy
-  // fixed-interval sender.
+  // no RNG stream is forked, and the harness sends at its fixed interval.
   bool enabled = false;
 
   LoadShape shape = LoadShape::kSteady;

@@ -110,27 +110,8 @@ TEST(LoopProfilerTest, SamplingStrideCountsAllTimesSome) {
   EXPECT_EQ(profiler.report().dispatches_total, 0u);
 }
 
-TEST(LoopProfilerTest, PublishExportsRegistrySeries) {
-  const auto type = obs::capacity::event_type("captest.published");
-  LoopProfiler profiler;
-  sim::Simulator simulator;
-  simulator.set_profiler(&profiler);
-  for (int i = 0; i < 8; ++i) simulator.schedule_at(i, [] {}, type);
-  simulator.run();
-
-  obs::Registry registry;
-  profiler.publish(registry);
-  EXPECT_EQ(registry
-                .counter("cap_loop_dispatch_total",
-                         {{"type", "captest.published"}})
-                ->value(),
-            8u);
-  EXPECT_EQ(registry.gauge("cap_loop_sample_stride")->value(), 16);
-  EXPECT_GE(registry.gauge("cap_loop_clock_pair_ns")->value(), 0);
-}
-
 TEST(LoopProfilerTest, ReportJsonIsWellFormedEnough) {
-  LoopProfiler profiler;
+  LoopProfiler profiler(LoopProfiler::Config{});
   const std::string doc = profiler.report_json();
   EXPECT_NE(doc.find("\"dispatches\":0"), std::string::npos);
   EXPECT_NE(doc.find("\"sample_stride\":16"), std::string::npos);
@@ -174,7 +155,6 @@ TEST(AllocProbeTest, HooksAreLinkedAndCountEveryNewForm) {
   delete wide;
   delete soft;
   EXPECT_EQ(alloc_probe::live_bytes(), live0);
-  EXPECT_GE(alloc_probe::peak_bytes(), live0);
 }
 
 TEST(AllocProbeTest, MemScopeAttributesAndNests) {
@@ -234,13 +214,6 @@ TEST(ByteCensusTest, TotalsAndJsonMatchHandComputedSizes) {
   EXPECT_NE(doc.find("\"total_bytes\":450"), std::string::npos);
   EXPECT_NE(doc.find("\"num_nodes\":10"), std::string::npos);
   EXPECT_NE(doc.find("\"bytes_per_node\":45"), std::string::npos);
-
-  obs::Registry registry;
-  census.publish(registry);
-  EXPECT_EQ(registry.gauge("cap_census_total_bytes")->value(), 450);
-  EXPECT_EQ(
-      registry.gauge("cap_census_bytes", {{"subsystem", "alpha"}})->value(),
-      150);
 }
 
 TEST(ByteCensusTest, VectorBytesTracksCapacity) {

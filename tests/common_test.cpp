@@ -11,6 +11,8 @@
 #include "common/strings.hpp"
 #include "common/time.hpp"
 
+#include "byte_helpers.hpp"
+
 namespace p2panon {
 namespace {
 

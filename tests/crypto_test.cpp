@@ -22,6 +22,8 @@
 #include "crypto/sha256.hpp"
 #include "crypto/x25519.hpp"
 
+#include "byte_helpers.hpp"
+
 namespace p2panon::crypto {
 namespace {
 

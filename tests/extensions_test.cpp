@@ -47,16 +47,5 @@ TEST(BootstrapTest, DegenerateInputs) {
   EXPECT_DOUBLE_EQ(single.hi, 5.0);
 }
 
-TEST(BootstrapTest, ProbabilityGreaterSeparatesClearCases) {
-  std::vector<double> high = {10, 11, 12, 9, 10, 11};
-  std::vector<double> low = {1, 2, 1, 3, 2, 1};
-  EXPECT_GT(metrics::bootstrap_probability_greater(high, low), 0.99);
-  EXPECT_LT(metrics::bootstrap_probability_greater(low, high), 0.01);
-  // Identical sets: about a coin flip.
-  const double p = metrics::bootstrap_probability_greater(high, high);
-  EXPECT_GT(p, 0.3);
-  EXPECT_LT(p, 0.7);
-}
-
 }  // namespace
 }  // namespace p2panon

@@ -10,9 +10,10 @@
 #include "fault/fault_plan.hpp"
 #include "fault/faulty_transport.hpp"
 #include "net/demux.hpp"
-#include "net/loopback_transport.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
+
+#include "loopback_transport.hpp"
 
 namespace p2panon::fault {
 namespace {

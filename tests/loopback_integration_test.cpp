@@ -10,8 +10,9 @@
 #include "anon/session.hpp"
 #include "membership/node_cache.hpp"
 #include "net/demux.hpp"
-#include "net/loopback_transport.hpp"
 #include "sim/simulator.hpp"
+
+#include "loopback_transport.hpp"
 
 namespace p2panon::anon {
 namespace {

@@ -19,9 +19,10 @@
 #include "net/demux.hpp"
 #include "net/latency_matrix.hpp"
 #include "net/liveness_wire.hpp"
-#include "net/loopback_transport.hpp"
 #include "net/sim_transport.hpp"
 #include "sim/simulator.hpp"
+
+#include "loopback_transport.hpp"
 
 namespace p2panon {
 namespace {

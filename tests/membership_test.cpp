@@ -20,7 +20,7 @@
 namespace p2panon::membership {
 namespace {
 
-// --- liveness predictor (Eqs. 1-3) ----------------------------------------------
+// --- liveness predictor (Eq. 2) -------------------------------------------------
 
 TEST(LivenessTest, PredictorEquation2) {
   EXPECT_DOUBLE_EQ(liveness_predictor(100, 100), 0.5);
@@ -28,22 +28,6 @@ TEST(LivenessTest, PredictorEquation2) {
   EXPECT_DOUBLE_EQ(liveness_predictor(0, 100), 0.0);   // never seen alive
   EXPECT_DOUBLE_EQ(liveness_predictor(100, 0), 1.0);   // just heard
   EXPECT_DOUBLE_EQ(liveness_predictor(100, -5), 1.0);  // clamped
-}
-
-TEST(LivenessTest, PredictorEquation3AddsStaleness) {
-  // q = alive / (alive + since + (now - last)).
-  EXPECT_DOUBLE_EQ(liveness_predictor(100, 50, 1000, 1050), 0.5);
-  // Fresher local record -> higher q.
-  EXPECT_GT(liveness_predictor(100, 0, 1000, 1001),
-            liveness_predictor(100, 0, 1000, 2000));
-}
-
-TEST(LivenessTest, AliveProbabilityEquation1) {
-  EXPECT_NEAR(alive_probability(0.5, 0.83), std::pow(0.5, 0.83), 1e-12);
-  EXPECT_DOUBLE_EQ(alive_probability(0.0, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(alive_probability(1.0, 1.0), 1.0);
-  // Monotone in q, as the paper's biased choice relies on.
-  EXPECT_LT(alive_probability(0.3, 0.83), alive_probability(0.7, 0.83));
 }
 
 // --- node cache merge rules -------------------------------------------------------

@@ -22,9 +22,11 @@
 #include "membership/onehop.hpp"
 #include "net/demux.hpp"
 #include "net/latency_matrix.hpp"
+#include "net/liveness_wire.hpp"
 #include "net/sim_transport.hpp"
 #include "sim/simulator.hpp"
 
+#include "byte_helpers.hpp"
 #include "mutations.hpp"
 
 namespace p2panon {
@@ -445,9 +447,11 @@ std::uint64_t wire(SimDuration d) { return static_cast<std::uint64_t>(d); }
 
 // A record whose dt_since has the top bit set reads as a negative
 // duration: "fresher than anything". Merged, it would win every later
-// freshness contest for its subject. The decoder skips it, and a record
-// with a negative dt_alive, and merges the rest of the message; the next
-// honest record of the subject still lands.
+// freshness contest for its subject. The decoder skips it, a record with
+// a negative dt_alive, and records with a duration past
+// liveness_wire::kMaxDuration (whose sums would overflow int64), and
+// merges the rest of the message; the next honest record of the subject
+// still lands.
 TEST(MembershipDecodeTest, NegativeDurationRecordsAreSkipped) {
   DirectFixture<membership::GossipMembership> fx(membership::GossipConfig{});
   fx.simulator.run_until(kMinute);  // seeded records are now 60 s old
@@ -455,18 +459,27 @@ TEST(MembershipDecodeTest, NegativeDurationRecordsAreSkipped) {
   const membership::NodeCache& cache = fx.provider.cache(1);
 
   const auto poison = wire(std::numeric_limits<SimDuration>::min() + 1000);
+  const std::uint64_t bound = net::liveness_wire::kMaxDuration;
+  const auto longest = wire(std::numeric_limits<SimDuration>::max());
   fx.transport.deliver(
       2, 1,
       record_message(/*kind=*/1, {{2, true, wire(90 * kSecond), 0},
                                   {5, true, wire(100 * kSecond), poison},
                                   {6, true, wire(200 * kSecond), wire(kSecond)},
-                                  {7, true, wire(-5), wire(kSecond)}}));
-  // The sender's own record and the honest record merged...
+                                  {7, true, wire(-5), wire(kSecond)},
+                                  {8, true, bound + 1, wire(kSecond)},
+                                  {9, true, wire(100 * kSecond), longest},
+                                  {10, true, bound, wire(kSecond)}}));
+  // The sender's own record and the honest records merged, the one at the
+  // bound included...
   EXPECT_EQ(cache.find(2)->dt_alive, 90 * kSecond);
   EXPECT_EQ(cache.observation(6, now)->dt_since, kSecond);
-  // ...the negative ones did not: both subjects keep their seeded record.
-  EXPECT_EQ(cache.observation(5, now)->dt_since, kMinute);
-  EXPECT_EQ(cache.observation(7, now)->dt_since, kMinute);
+  EXPECT_EQ(cache.find(10)->dt_alive, static_cast<SimDuration>(bound));
+  // ...the negative and oversized ones did not: their subjects keep their
+  // seeded record.
+  for (const NodeId subject : {5, 7, 8, 9}) {
+    EXPECT_EQ(cache.observation(subject, now)->dt_since, kMinute) << subject;
+  }
 
   // A fresh honest record of subject 5 is accepted, and an hour later the
   // predictor reads its real age, not a pinned 1.0.

@@ -17,7 +17,6 @@ TEST(SummaryTest, BasicMoments) {
   for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
   EXPECT_EQ(s.count(), 4u);
   EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 1.25);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 4.0);
   EXPECT_DOUBLE_EQ(s.sum(), 10.0);
@@ -27,23 +26,6 @@ TEST(SummaryTest, EmptyIsZero) {
   const Summary s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(SummaryTest, MergeMatchesCombinedStream) {
-  Rng rng(1);
-  Summary all, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(-10, 10);
-    all.add(x);
-    (i % 2 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
 }
 
 TEST(RatioTest, RateAndMerge) {
@@ -60,19 +42,12 @@ TEST(RatioTest, RateAndMerge) {
 }
 
 TEST(EmpiricalCdfTest, StepFunction) {
-  EmpiricalCdf cdf({1.0, 2.0, 3.0, 4.0});
+  EmpiricalCdf cdf;
+  for (double x : {4.0, 2.0, 3.0, 1.0}) cdf.add(x);
   EXPECT_DOUBLE_EQ(cdf.at(0.5), 0.0);
   EXPECT_DOUBLE_EQ(cdf.at(1.0), 0.25);
   EXPECT_DOUBLE_EQ(cdf.at(2.5), 0.5);
   EXPECT_DOUBLE_EQ(cdf.at(10.0), 1.0);
-}
-
-TEST(EmpiricalCdfTest, QuantileInterpolates) {
-  EmpiricalCdf cdf({0.0, 10.0});
-  EXPECT_DOUBLE_EQ(cdf.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(cdf.quantile(1.0), 10.0);
-  EXPECT_THROW(EmpiricalCdf().quantile(0.5), std::logic_error);
 }
 
 TEST(EmpiricalCdfTest, KsOfSelfIsSmall) {
@@ -83,30 +58,6 @@ TEST(EmpiricalCdfTest, KsOfSelfIsSmall) {
     return std::clamp(x, 0.0, 1.0);
   });
   EXPECT_LT(ks, 0.02);
-}
-
-TEST(EmpiricalCdfTest, TwoSampleKsSeparatesDistributions) {
-  Rng rng(3);
-  EmpiricalCdf a, b, c;
-  for (int i = 0; i < 5000; ++i) {
-    a.add(rng.next_double());
-    b.add(rng.next_double());
-    c.add(rng.next_double() + 0.5);  // shifted
-  }
-  EXPECT_LT(EmpiricalCdf::ks_distance(a, b), 0.05);
-  EXPECT_GT(EmpiricalCdf::ks_distance(a, c), 0.4);
-}
-
-TEST(EmpiricalCdfTest, CurveIsMonotone) {
-  Rng rng(4);
-  EmpiricalCdf cdf;
-  for (int i = 0; i < 1000; ++i) cdf.add(rng.exponential(5.0));
-  const auto curve = cdf.curve(50);
-  ASSERT_EQ(curve.size(), 50u);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].second, curve[i - 1].second);
-    EXPECT_GT(curve[i].first, curve[i - 1].first);
-  }
 }
 
 TEST(TableTest, RendersAlignedColumns) {

@@ -6,9 +6,10 @@
 
 #include "net/demux.hpp"
 #include "net/latency_matrix.hpp"
-#include "net/loopback_transport.hpp"
 #include "net/sim_transport.hpp"
 #include "sim/simulator.hpp"
+
+#include "loopback_transport.hpp"
 
 namespace p2panon::net {
 namespace {
@@ -169,17 +170,6 @@ TEST(SimTransportTest, DropsWhenReceiverDiesInFlight) {
   simulator.schedule_at(matrix.one_way(0, 1) / 2, [&] { up1 = false; });
   simulator.run();
   EXPECT_FALSE(delivered);
-}
-
-TEST(SimTransportTest, CountersResettable) {
-  sim::Simulator simulator;
-  const auto matrix = LatencyMatrix::synthetic(4, Rng(8));
-  SimTransport transport(simulator, matrix, [](NodeId) { return true; });
-  transport.register_handler(1, [](NodeId, NodeId, const Bytes&) {});
-  transport.send(0, 1, Bytes(100, 0));
-  transport.reset_counters();
-  EXPECT_EQ(transport.bytes_sent(), 0u);
-  EXPECT_EQ(transport.messages_sent(), 0u);
 }
 
 TEST(SimTransportTest, LinkLossDropsTheConfiguredFraction) {

@@ -14,7 +14,6 @@
 #include "adversary/link_observer.hpp"
 #include "common/rng.hpp"
 #include "harness/chaos_experiment.hpp"
-#include "metrics/cdf.hpp"
 #include "obs/capacity/loop_profiler.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -121,18 +120,24 @@ TEST(HdrHistogramTest, PercentilesTrackEmpiricalQuantiles) {
   // bucket midpoints.
   constexpr double kTolerance = 0.06;
   HdrHistogram h;
-  metrics::EmpiricalCdf reference;
+  std::vector<double> reference;
   Rng rng(99);
   double sum = 0.0;
   for (int i = 0; i < 20000; ++i) {
     // Heavy-tailed spread across many powers of two, like latency data.
     const std::uint64_t value = 64 + (rng.next_u64() % (1u << (6 + i % 14)));
     h.record(value);
-    reference.add(static_cast<double>(value));
+    reference.push_back(static_cast<double>(value));
     sum += static_cast<double>(value);
   }
+  // The reference quantile interpolates between the order statistics.
+  std::sort(reference.begin(), reference.end());
   for (const double p : {0.10, 0.50, 0.90, 0.99}) {
-    const double expected = reference.quantile(p);
+    const double idx = p * static_cast<double>(reference.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(idx);
+    const double frac = idx - static_cast<double>(lo);
+    const double expected =
+        reference[lo] * (1.0 - frac) + reference[lo + 1] * frac;
     const double actual = static_cast<double>(h.percentile(p));
     EXPECT_NEAR(actual / expected, 1.0, kTolerance)
         << "p=" << p << " expected=" << expected << " actual=" << actual;
@@ -164,8 +169,7 @@ TEST(TracerTest, ChromeTraceJsonIsWellFormed) {
     CorrelationScope scope(0xabcd);
     TraceArgs args;
     args.add("path", std::uint64_t{2})
-        .add("note", "quotes \"and\" back\\slash")
-        .add("ratio", 0.5);
+        .add("note", "quotes \"and\" back\\slash");
     tracer.span_begin("anon", "segment", current_correlation(), args);
     tracer.instant("net", "drop", current_correlation());
     tracer.span_end("anon", "segment", current_correlation());
@@ -408,7 +412,7 @@ TEST(OffMeansOffTest, LoopProfilerAttachedIsByteIdentical) {
   const auto baseline = harness::run_chaos_experiment(tiny_chaos(3));
 
   harness::ChaosConfig config = tiny_chaos(3);
-  obs::capacity::LoopProfiler profiler;
+  obs::capacity::LoopProfiler profiler(obs::capacity::LoopProfiler::Config{});
   config.environment.loop_profiler = &profiler;
   const auto profiled = harness::run_chaos_experiment(config);
 

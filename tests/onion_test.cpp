@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 
+#include "byte_helpers.hpp"
 #include "mutations.hpp"
 
 namespace p2panon::anon {

@@ -7,7 +7,6 @@
 
 #include "anon/onion.hpp"
 #include "anon/protocols.hpp"
-#include "anon/rendezvous.hpp"
 #include "anon/router.hpp"
 #include "anon/session.hpp"
 #include "membership/gossip.hpp"
@@ -15,11 +14,12 @@
 #include "membership/record_codec.hpp"
 #include "net/demux.hpp"
 #include "net/latency_matrix.hpp"
-#include "net/loopback_transport.hpp"
 #include "net/sim_transport.hpp"
 #include "harness/environment.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+
+#include "loopback_transport.hpp"
 
 namespace p2panon {
 namespace {
@@ -53,14 +53,6 @@ TEST(ParserFuzzTest, ReverseCoreSurvivesJunk) {
   for (int i = 0; i < 5000; ++i) {
     const Bytes junk = random_bytes(rng, 300);
     EXPECT_NO_THROW({ auto r = anon::parse_reverse_core(junk); (void)r; });
-  }
-}
-
-TEST(ParserFuzzTest, RendezvousFrameSurvivesJunk) {
-  Rng rng(4);
-  for (int i = 0; i < 5000; ++i) {
-    const Bytes junk = random_bytes(rng, 100);
-    EXPECT_NO_THROW({ auto r = anon::parse_frame(junk); (void)r; });
   }
 }
 

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 
@@ -175,7 +174,7 @@ TEST(TimeseriesTest, EmptyHistogramWindowHasZeroPercentiles) {
   for (const std::uint64_t p : w.percentiles) EXPECT_EQ(p, 0u);
 }
 
-TEST(TimeseriesTest, CsvAndJsonlAreDeterministicAndWellFormed) {
+TEST(TimeseriesTest, CsvIsDeterministicAndWellFormed) {
   Registry reg;
   reg.counter("b_counter")->inc(3);
   reg.gauge("a_gauge")->set(4);
@@ -199,17 +198,6 @@ TEST(TimeseriesTest, CsvAndJsonlAreDeterministicAndWellFormed) {
   EXPECT_EQ(rows[1],
             "\"b_counter\",counter,0,1000000,3.000000,3.000000,3.000000,,,");
   EXPECT_EQ(rows[2].rfind("\"c_hist\",histogram,", 0), 0u) << rows[2];
-
-  const std::string jsonl = rec.to_jsonl();
-  std::istringstream jlines(jsonl);
-  std::size_t parsed = 0;
-  for (std::string line; std::getline(jlines, line); ++parsed) {
-    EXPECT_TRUE(json_valid(line)) << line;
-  }
-  EXPECT_EQ(parsed, 3u);
-  // Only the histogram row carries a percentiles object.
-  EXPECT_EQ(jsonl.find("\"percentiles\""), jsonl.rfind("\"percentiles\""));
-  EXPECT_NE(jsonl.find("\"p50\":12"), std::string::npos) << jsonl;
 }
 
 }  // namespace
